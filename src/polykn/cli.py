@@ -35,21 +35,30 @@ def coloring_to_document(c: EdgeColoring) -> dict:
     return {"n": c.n, "k": c.k, "edges": [[i, j, col] for (i, j, col) in c.edges()]}
 
 
+def _int_field(value, what: str) -> int:
+    # bool is an int subclass, and floats would be silently truncated
+    if type(value) is not int:
+        raise CliError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def coloring_from_document(doc: dict) -> EdgeColoring:
     try:
-        n = int(doc["n"])
-        k = int(doc["k"])
+        n = _int_field(doc["n"], "n")
+        k = _int_field(doc["k"], "k")
         edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CliError(f"malformed coloring document: {exc}")
+    if not isinstance(edges, list):
+        raise CliError("edges must be a list")
     if n < 2 or len(edges) != n * (n - 1) // 2:
         raise CliError(f"expected {n * (n - 1) // 2} edges for n={n}, got {len(edges)}")
     mapping = {}
     seen_colors = set()
     for item in edges:
-        if len(item) != 3:
+        if not isinstance(item, list) or len(item) != 3:
             raise CliError(f"bad edge entry {item!r}")
-        i, j, col = (int(x) for x in item)
+        i, j, col = (_int_field(x, "edge entry") for x in item)
         if not (1 <= i < j <= n):
             raise CliError(f"bad edge endpoints ({i}, {j})")
         if not (1 <= col <= k):
@@ -160,9 +169,9 @@ def _report_to_text(report: SearchReport) -> str:
 def _cmd_search(args) -> int:
     kind = FamilyKind.parse(args.family)
     if args.mode == "full":
-        report = brute_force_poly(args.n, kind, threads=args.threads)
+        report = brute_force_poly(args.n, kind)
     else:
-        report = structured_poly(args.n, kind, args.mode, threads=args.threads)
+        report = structured_poly(args.n, kind, args.mode)
     _emit(_report_to_text(report), args.out)
     return 0
 
@@ -170,9 +179,12 @@ def _cmd_search(args) -> int:
 def _parse_range(spec: str) -> range:
     try:
         lo, hi = spec.split(":")
-        return range(int(lo), int(hi) + 1)
+        ns = range(int(lo), int(hi) + 1)
     except ValueError:
         raise CliError(f"bad range {spec!r}, expected a:b")
+    if not ns:
+        raise CliError(f"empty range {spec!r}")
+    return ns
 
 
 def _cmd_table(args) -> int:
@@ -251,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if need_family:
             p.add_argument("--family", required=True, choices=["f1", "f2", "hc"])
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None, help="reserved; algorithms are deterministic")
 
     p = sub.add_parser("construct", help="emit the built-in polychromatic coloring")
     common(p)
@@ -271,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", default="full", choices=["full", "ordered", "combed"])
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("table", help="construction/formula/search comparison table")
     common(p)

@@ -217,6 +217,8 @@ class MajorityCertificate:
         return all(e.status != "fails" for e in self.entries)
 
     def entry(self, t: int) -> MajorityEntry:
+        if not 1 <= t <= len(self.entries):
+            raise ValueError(f"color {t} outside 1..{len(self.entries)}")
         return self.entries[t - 1]
 
     def failing_colors(self) -> tuple[int, ...]:

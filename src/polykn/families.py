@@ -1,14 +1,17 @@
 """Exact existence and enumeration engines for spanning subgraph families.
 
 Existence queries run against an allowed edge set (typically K_n minus one
-color class):
+color class), optionally with one edge forced into the member; all three
+families go through one function that strips the forced edge and sets the
+degree targets once:
 
 * 1-factors via augmenting-path maximum matching with blossom contraction,
-* 2-factors via reduction to perfect matching on the standard
-  degree-constraint gadget (each vertex expanded so exactly two of its
-  allowed edges survive),
-* Hamiltonian cycles via bitmask dynamic programming for small n and
-  degree/connectivity-pruned backtracking beyond that.
+* 2-factors via Tutte's compact reduction to perfect matching (two
+  external nodes per allowed edge, target(v) core nodes per vertex),
+* Hamiltonian cycles via polynomial refutations first (degree check,
+  2-factor relaxation, separator test) at every n, then an exact
+  Hamiltonian path search closing the cycle: bitmask dynamic programming
+  up to HC_DP_MAX_N vertices and pruned backtracking beyond that.
 
 Enumeration is a separate brute-force oracle that emits members in
 lexicographic order of their sorted edge lists.
@@ -155,10 +158,6 @@ class SubgraphWitness:
         return cycles
 
 
-def _sorted_witness(kind: FamilyKind, edges) -> SubgraphWitness:
-    return SubgraphWitness(kind, tuple(sorted(tuple(sorted(e)) for e in edges)))
-
-
 # ---------------------------------------------------------------------------
 # maximum matching with blossom contraction (0-based internally)
 
@@ -242,7 +241,7 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def _perfect_matching(g: AllowedGraph, skip: frozenset[int] = frozenset()) -> Optional[list[Edge]]:
+def _perfect_matching(g: AllowedGraph, skip: tuple[int, ...] = ()) -> Optional[list[Edge]]:
     """Perfect matching on the vertices of g outside `skip`, or None."""
     verts = [v for v in range(1, g.n + 1) if v not in skip]
     if len(verts) % 2:
@@ -263,71 +262,58 @@ def _perfect_matching(g: AllowedGraph, skip: frozenset[int] = frozenset()) -> Op
 
 
 # ---------------------------------------------------------------------------
-# 2-factors through the degree-constraint gadget
+# degree-constrained subgraphs through Tutte's gadget
 
 
-def _degree_constrained_subgraph(g: AllowedGraph, targets: dict[int, int]) -> Optional[list[Edge]]:
-    """Spanning subgraph of g with prescribed degrees, via a matching gadget.
+def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optional[list[Edge]]:
+    """Spanning subgraph of g with degree targets[v] at every v, or None.
 
-    Each vertex v becomes one external node per incident allowed edge plus
-    deg(v) - target(v) internal nodes joined to all of its externals; a
-    perfect matching of the gadget selects exactly target(v) original edges
-    at every vertex.
+    Tutte's reduction to perfect matching: each allowed edge becomes two
+    joined external nodes, one per endpoint, and each vertex v gets
+    targets[v] core nodes joined to all of v's external nodes.  The gadget
+    has 2|E| + sum(targets) nodes and about 5|E| edges.  An edge is left
+    out exactly when its two external nodes are matched to each other;
+    otherwise both are matched into the cores of their endpoints.
     """
+    n = g.n
+    if any(g.degree(v) < targets[v] for v in range(1, n + 1)):
+        return None
     edges = g.edges()
-    for v in range(1, g.n + 1):
-        if g.degree(v) < targets[v]:
-            return None
-    node_count = 0
-    external: dict[tuple[int, Edge], int] = {}
+    incident: list[list[int]] = [[] for _ in range(n + 1)]  # external nodes at v
     adj: list[list[int]] = []
-
-    def new_node() -> int:
-        nonlocal node_count
-        adj.append([])
-        node_count += 1
-        return node_count - 1
-
-    incident: dict[int, list[Edge]] = {v: [] for v in range(1, g.n + 1)}
-    for e in edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
-    for v in range(1, g.n + 1):
-        for e in incident[v]:
-            external[(v, e)] = new_node()
-        for _ in range(len(incident[v]) - targets[v]):
-            inner = new_node()
-            for e in incident[v]:
-                adj[inner].append(external[(v, e)])
-                adj[external[(v, e)]].append(inner)
-    for e in edges:
-        a, b = external[(e[0], e)], external[(e[1], e)]
-        adj[a].append(b)
-        adj[b].append(a)
-    match = maximum_matching(node_count, adj)
+    for k, (a, b) in enumerate(edges):
+        incident[a].append(2 * k)
+        incident[b].append(2 * k + 1)
+        adj += [[2 * k + 1], [2 * k]]
+    for v in range(1, n + 1):
+        for _ in range(targets[v]):
+            core = len(adj)
+            adj.append(list(incident[v]))
+            for x in incident[v]:
+                adj[x].append(core)
+    match = maximum_matching(len(adj), adj)
     if -1 in match:
         return None
-    chosen = [e for e in edges if match[external[(e[0], e)]] == external[(e[1], e)]]
-    return chosen
-
-
-def _find_two_factor(g: AllowedGraph) -> Optional[list[Edge]]:
-    return _degree_constrained_subgraph(g, {v: 2 for v in range(1, g.n + 1)})
+    return [e for k, e in enumerate(edges) if match[2 * k] != 2 * k + 1]
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian cycles / paths
+# Hamiltonian cycles: polynomial refutations first, exact search second
 
 
-def _mask_to_zero_based(g: AllowedGraph) -> list[int]:
-    return [g.masks[v + 1] >> 1 for v in range(g.n)]
+def _ham_path_dp(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[int]]:
+    """Hamiltonian path from start to end (to a neighbor of start when end
+    is None, so that it closes into a cycle), by bitmask DP, or None.
 
-
-def _ham_path_dp(adj: list[int], n: int, start: int) -> Optional[list[list[int]]]:
-    """dp[mask] = bitmask of vertices reachable as path ends from `start`."""
+    dp[mask] holds the possible last vertices of paths from start that
+    visit exactly mask; the path is read back from the full mask.
+    """
+    n = g.n
+    adj = [g.masks[v + 1] >> 1 for v in range(n)]  # 0-based bitsets
+    s = start - 1
     full = (1 << n) - 1
     dp = [0] * (full + 1)
-    dp[1 << start] = 1 << start
+    dp[1 << s] = 1 << s
     for mask in range(full + 1):
         ends = dp[mask]
         if not ends:
@@ -336,54 +322,20 @@ def _ham_path_dp(adj: list[int], n: int, start: int) -> Optional[list[list[int]]
         while rest:
             bit = rest & -rest
             rest ^= bit
-            j = bit.bit_length() - 1
-            if adj[j] & ends:
+            if adj[bit.bit_length() - 1] & ends:
                 dp[mask | bit] |= bit
-    return dp
-
-
-def _dp_reconstruct(dp: list[int], adj: list[int], n: int, start: int, end: int) -> list[int]:
-    full = (1 << n) - 1
-    path = [end]
-    mask = full
-    cur = end
-    while mask != (1 << start):
-        prev_mask = mask & ~(1 << cur)
-        candidates = dp[prev_mask] & adj[cur]
-        prev = (candidates & -candidates).bit_length() - 1
-        path.append(prev)
-        mask = prev_mask
-        cur = prev
-    path.reverse()
-    return path
-
-
-def _ham_cycle_dp(g: AllowedGraph) -> Optional[list[Edge]]:
-    n = g.n
-    adj = _mask_to_zero_based(g)
-    if any(bin(a).count("1") < 2 for a in adj):
-        return None
-    dp = _ham_path_dp(adj, n, 0)
-    full = (1 << n) - 1
-    ends = dp[full] & adj[0] & ~1
+    ends = dp[full] & (adj[s] if end is None else 1 << (end - 1))
     if not ends:
         return None
-    end = (ends & -ends).bit_length() - 1
-    path = _dp_reconstruct(dp, adj, n, 0, end)
-    cycle = [(path[i] + 1, path[i + 1] + 1) for i in range(n - 1)] + [(path[-1] + 1, 1)]
-    return cycle
-
-
-def _ham_path_exists_dp(g: AllowedGraph, u: int, v: int) -> Optional[list[Edge]]:
-    """Hamiltonian u..v path (1-based endpoints), or None."""
-    n = g.n
-    adj = _mask_to_zero_based(g)
-    dp = _ham_path_dp(adj, n, u - 1)
-    full = (1 << n) - 1
-    if not (dp[full] >> (v - 1)) & 1:
-        return None
-    path = _dp_reconstruct(dp, adj, n, u - 1, v - 1)
-    return [(path[i] + 1, path[i + 1] + 1) for i in range(n - 1)]
+    cur = (ends & -ends).bit_length() - 1
+    path = [cur]
+    mask = full
+    while mask != 1 << s:
+        mask &= ~(1 << cur)
+        prev = dp[mask] & adj[cur]
+        cur = (prev & -prev).bit_length() - 1
+        path.append(cur)
+    return [v + 1 for v in reversed(path)]
 
 
 def _ham_path_backtrack(g: AllowedGraph, start: int, end: Optional[int],
@@ -493,105 +445,76 @@ def _separator_refutes(g: AllowedGraph, slack: int) -> bool:
     return False
 
 
-def _find_ham_cycle(g: AllowedGraph) -> Optional[list[Edge]]:
-    n = g.n
-    if n < 3:
+def _ham_cycle(g: AllowedGraph, targets: list[int], forced: Optional[Edge]) -> Optional[list[Edge]]:
+    """Hamiltonian cycle of g, or of g plus `forced` through `forced`.
+
+    With an edge forced, g no longer holds it and the rest of the cycle is
+    a Hamiltonian path between its endpoints.  The degree check, the
+    2-factor relaxation and the separator test run first at every n; the
+    exact search runs only on what they leave.
+    """
+    if _degree_constrained_subgraph(g, targets) is None:
         return None
-    if any(g.degree(v) < 2 for v in range(1, n + 1)):
+    if _separator_refutes(g, 0 if forced is None else 1):
         return None
-    if n <= HC_DP_MAX_N:
-        return _ham_cycle_dp(g)
-    # polynomial refutations before exponential search: a 2-factor must
-    # exist, and no vertex neighborhood may disconnect too much
-    if _find_two_factor(g) is None or _separator_refutes(g, 0):
-        return None
-    path = _ham_path_backtrack(g, 1, None)
+    start, end = forced if forced is not None else (1, None)
+    search = _ham_path_dp if g.n <= HC_DP_MAX_N else _ham_path_backtrack
+    path = search(g, start, end)
     if path is None:
         return None
-    return [(path[i], path[i + 1]) for i in range(n - 1)] + [(path[-1], path[0])]
+    return list(zip(path, path[1:] + path[:1]))  # closes with (end, start)
 
 
 # ---------------------------------------------------------------------------
 # public existence API
 
 
-def find_member(kind: FamilyKind, g: AllowedGraph) -> Optional[SubgraphWitness]:
-    """A member of the family inside the allowed graph, or None. Exact."""
+def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional[SubgraphWitness]:
+    """Member of the family in g, containing `forced` when given, or None."""
     n = g.n
     if kind is FamilyKind.ONE_FACTOR:
         if n < 2 or n % 2:
             raise ValueError("1-factors need even n >= 2")
-        pm = _perfect_matching(g)
-        found = pm
+    elif n < 3:
+        raise ValueError("2-factors and Hamiltonian cycles need n >= 3")
+    targets = [0] + [1 if kind is FamilyKind.ONE_FACTOR else 2] * n
+    if forced is not None:
+        u, v = forced
+        masks = list(g.masks)
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+        g = AllowedGraph(n, tuple(masks))
+        targets[u] -= 1
+        targets[v] -= 1
+    if kind is FamilyKind.ONE_FACTOR:
+        found = _perfect_matching(g, skip=forced or ())
     elif kind is FamilyKind.TWO_FACTOR:
-        if n < 3:
-            raise ValueError("2-factors need n >= 3")
-        found = _find_two_factor(g)
+        found = _degree_constrained_subgraph(g, targets)
     else:
-        if n < 3:
-            raise ValueError("Hamiltonian cycles need n >= 3")
-        found = _find_ham_cycle(g)
+        found = _ham_cycle(g, targets, forced)  # closes through `forced`
     if found is None:
         return None
-    witness = _sorted_witness(kind, found)
+    if forced is not None and kind is not FamilyKind.HAMILTONIAN_CYCLE:
+        found.append(forced)
+    witness = SubgraphWitness(kind, tuple(found))
     witness.validate(n)
-    for (i, j) in witness.edges:
-        if not g.has_edge(i, j):
-            raise RuntimeError(f"engine used forbidden edge ({i}, {j})")
+    for e in witness.edges:
+        if e != forced and not g.has_edge(*e):
+            raise RuntimeError(f"engine used forbidden edge {e}")
     return witness
+
+
+def find_member(kind: FamilyKind, g: AllowedGraph) -> Optional[SubgraphWitness]:
+    """A member of the family inside the allowed graph, or None. Exact."""
+    return _find(kind, g, None)
 
 
 def find_member_containing(kind: FamilyKind, g: AllowedGraph, edge: Edge) -> Optional[SubgraphWitness]:
-    """Member using every edge of g plus `edge`, forced to contain `edge`."""
+    """Member using edges of g plus `edge`, forced to contain `edge`. Exact."""
     u, v = min(edge), max(edge)
-    n = g.n
-    if not (1 <= u < v <= n):
+    if not (1 <= u < v <= g.n):
         raise ValueError(f"bad edge ({u}, {v})")
-    g2 = g.with_edge(u, v)
-    if kind is FamilyKind.ONE_FACTOR:
-        if n < 2 or n % 2:
-            raise ValueError("1-factors need even n >= 2")
-        rest = _perfect_matching(g2, skip=frozenset((u, v)))
-        found = None if rest is None else rest + [(u, v)]
-    elif kind is FamilyKind.TWO_FACTOR:
-        masks = list(g2.masks)
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        stripped = AllowedGraph(n, tuple(masks))
-        targets = {w: 2 for w in range(1, n + 1)}
-        targets[u] = targets[v] = 1
-        rest = _degree_constrained_subgraph(stripped, targets)
-        found = None if rest is None else rest + [(u, v)]
-    else:
-        if n < 3:
-            raise ValueError("Hamiltonian cycles need n >= 3")
-        if n <= HC_DP_MAX_N:
-            path_edges = _ham_path_exists_dp(g2, u, v)
-        else:
-            path_edges = None
-            masks = list(g2.masks)
-            masks[u] &= ~(1 << v)
-            masks[v] &= ~(1 << u)
-            stripped = AllowedGraph(n, tuple(masks))
-            targets = {w: 2 for w in range(1, n + 1)}
-            targets[u] = targets[v] = 1
-            # polynomial relaxations refute most dead instances fast
-            if (
-                _degree_constrained_subgraph(stripped, targets) is not None
-                and not _separator_refutes(g2, 1)
-            ):
-                path = _ham_path_backtrack(g2, u, v)
-                path_edges = None if path is None else [
-                    (path[i], path[i + 1]) for i in range(n - 1)
-                ]
-        found = None if path_edges is None else path_edges + [(u, v)]
-    if found is None:
-        return None
-    witness = _sorted_witness(kind, found)
-    witness.validate(n)
-    if (u, v) not in witness.edges:
-        raise RuntimeError("forced edge missing from witness")
-    return witness
+    return _find(kind, g, (u, v))
 
 
 # ---------------------------------------------------------------------------

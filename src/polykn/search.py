@@ -6,14 +6,13 @@ a branch as soon as some fully-assigned member avoids a used color.
 Ordered and combed modes search main-color sequences instead, pruning with
 the majority conditions and verifying finalists with the exact engines.
 
-Both searches split the root of the tree into prefix tasks; with threads > 1
-the tasks run in a process pool.  Reported results and node counts follow
-the canonical prefix order, so they do not depend on the worker count.
+Each palette size is one serial depth-first search from the root that
+stops at its first (lexicographically least) hit; the node count covers
+the tree up to that hit.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -30,8 +29,6 @@ BRUTE_CAPS = {
 }
 ORDERED_CAP = 16
 COMBED_CAP = 14
-
-_SPLIT_DEPTH = 5  # prefix depth handed to worker tasks
 
 
 @dataclass(frozen=True)
@@ -56,27 +53,6 @@ class TheoremRow:
     agrees: bool
 
 
-def _run_tasks(tasks, worker, threads):
-    """First hit over canonically ordered tasks; node counts stop at the hit."""
-    if threads <= 1:
-        nodes = 0
-        for task in tasks:
-            res, sub_nodes = worker(task)
-            nodes += sub_nodes
-            if res is not None:
-                return res, nodes
-        return None, nodes
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(threads) as pool:
-        results = pool.map(worker, tasks)
-    nodes = 0
-    for res, sub_nodes in results:
-        nodes += sub_nodes
-        if res is not None:
-            return res, nodes
-    return None, nodes
-
-
 # ---------------------------------------------------------------------------
 # full brute force over edge colorings
 
@@ -97,20 +73,13 @@ def _bf_dead(members, assigned, class_masks, used, c_new, introduced) -> bool:
     return False
 
 
-def _bf_solve(task):
-    """First (lex) completion of a live prefix into a polychromatic k-coloring.
+def _bf_stage(members, m, k):
+    """First (lex) polychromatic k-coloring of the m edges, by one DFS.
 
-    Returns (full color tuple or None, nodes explored beyond the prefix).
+    Returns (full color tuple or None, nodes explored).
     """
-    members, m, k, prefix = task
     class_masks = [0] * (k + 1)
-    assigned0 = 0
-    used0 = 0
-    for e, c in enumerate(prefix):
-        class_masks[c] |= 1 << e
-        assigned0 |= 1 << e
-        used0 = max(used0, c)
-    colors = list(prefix) + [0] * (m - len(prefix))
+    colors = [0] * m
     nodes = 0
 
     def rec(pos, assigned, used):
@@ -130,51 +99,15 @@ def _bf_solve(task):
             class_masks[c] &= ~bit
         return False
 
-    if rec(len(prefix), assigned0, used0):
+    if rec(0, 0, 0):
         return tuple(colors), nodes
     return None, nodes
-
-
-def _bf_live_prefixes(members, m, k, depth):
-    """Surviving prefixes of the given depth plus the shallow node count."""
-    depth = min(depth, m)
-    class_masks = [0] * (k + 1)
-    prefixes = []
-    nodes = 0
-    colors = [0] * depth
-
-    def rec(pos, assigned, used):
-        nonlocal nodes
-        if pos == depth:
-            prefixes.append(tuple(colors))
-            return
-        if used + (m - pos) < k:
-            return
-        bit = 1 << pos
-        for c in range(1, min(used + 1, k) + 1):
-            nodes += 1
-            class_masks[c] |= bit
-            if not _bf_dead(members, assigned | bit, class_masks, max(used, c), c, c > used):
-                colors[pos] = c
-                rec(pos + 1, assigned | bit, max(used, c))
-            class_masks[c] &= ~bit
-
-    rec(0, 0, 0)
-    return prefixes, nodes
-
-
-def _bf_stage(members, m, k, threads):
-    prefixes, nodes = _bf_live_prefixes(members, m, k, _SPLIT_DEPTH)
-    tasks = [(members, m, k, p) for p in prefixes]
-    solution, deep_nodes = _run_tasks(tasks, _bf_solve, threads)
-    return solution, nodes + deep_nodes
 
 
 def brute_force_poly(
     n: int,
     kind: FamilyKind,
     max_k: Optional[int] = None,
-    threads: int = 1,
     max_n: Optional[int] = None,
 ) -> SearchReport:
     """Exact optimum over all colorings, iterating the palette size upward.
@@ -201,7 +134,7 @@ def brute_force_poly(
     best = None
     best_k = 0
     for k in range(1, limit + 1):
-        solution, nodes = _bf_stage(members, m, k, threads)
+        solution, nodes = _bf_stage(members, m, k)
         total_nodes += nodes
         if solution is None:
             break
@@ -290,25 +223,22 @@ class _SeqState:
         )
 
 
-def _seq_solve(task):
-    """First (lex) main-color tail completing the pattern at palette size k.
+def _seq_stage(n, kind, k, pattern):
+    """First (lex) main-color sequence completing the pattern at palette size k.
 
-    Returns (color tuple of the verified EdgeColoring or None, nodes).
+    Returns (the verified EdgeColoring or None, nodes explored).
     """
-    n, kind, k, pattern, prefix_tail = task
     state = _SeqState(n, kind, k, pattern)
     fixed = state.fixed
-    if state.used > k:
+    if state.used > k or len(fixed) > n:
         return None, 0
-    if len(fixed) >= n:
+    if len(fixed) == n:
         # the pattern prescribes every position (smallest n)
-        if len(fixed) > n or prefix_tail:
-            return None, 0
         coloring = _pattern_coloring(n, list(fixed), state.recolorings)
         ok = coloring.k == k and is_polychromatic(coloring, kind).polychromatic
-        return (coloring.colors if ok else None), 1
+        return (coloring if ok else None), 1
     seq = []
-    for p, c in enumerate(list(fixed) + list(prefix_tail), start=1):
+    for p, c in enumerate(fixed, start=1):
         state.push(p, c)
         seq.append(c)
     nodes = 0
@@ -319,7 +249,7 @@ def _seq_solve(task):
         if coloring.k != k:
             return None
         if is_polychromatic(coloring, kind).polychromatic:
-            return coloring.colors
+            return coloring
         return None
 
     def rec(j):
@@ -348,51 +278,7 @@ def _seq_solve(task):
     return rec(j0), nodes
 
 
-def _seq_live_prefixes(n, kind, k, pattern, depth):
-    """Live tail prefixes of the given length plus the shallow node count."""
-    state = _SeqState(n, kind, k, pattern)
-    fixed = state.fixed
-    if state.used > k or len(fixed) >= n:
-        return [()], 0
-    base = len(fixed)
-    depth = min(depth, state.last - base)
-    for p, c in enumerate(fixed, start=1):
-        state.push(p, c)
-    if depth <= 0 or not state.viable(base):
-        return [()], 0
-    prefixes = []
-    nodes = 0
-    tail: list[int] = []
-
-    def rec(j):
-        nonlocal nodes
-        if len(tail) == depth:
-            prefixes.append(tuple(tail))
-            return
-        pos = j + 1
-        used_before = state.used
-        for c in range(1, min(used_before + 1, k) + 1):
-            nodes += 1
-            was = state.push(pos, c)
-            tail.append(c)
-            if state.viable(pos):
-                rec(pos)
-            tail.pop()
-            state.pop(c, was, used_before)
-
-    rec(base)
-    return prefixes, nodes
-
-
-def _seq_stage(n, kind, k, pattern, threads):
-    prefixes, nodes = _seq_live_prefixes(n, kind, k, pattern, _SPLIT_DEPTH - 1)
-    tasks = [(n, kind, k, pattern, p) for p in prefixes]
-    solution, deep_nodes = _run_tasks(tasks, _seq_solve, threads)
-    coloring = None if solution is None else EdgeColoring(n, max(solution), solution)
-    return coloring, nodes + deep_nodes
-
-
-def structured_poly(n: int, kind: FamilyKind, mode: str, threads: int = 1) -> SearchReport:
+def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     """Optimum over the ordered or combed class of colorings.
 
     Ordered colorings are exactly the images of main-color sequences; combed
@@ -423,7 +309,7 @@ def structured_poly(n: int, kind: FamilyKind, mode: str, threads: int = 1) -> Se
         for pattern in patterns:
             if pattern == "quad" and n < 4:
                 continue
-            coloring, nodes = _seq_stage(n, kind, k, pattern, threads)
+            coloring, nodes = _seq_stage(n, kind, k, pattern)
             total_nodes += nodes
             if coloring is not None:
                 found = coloring

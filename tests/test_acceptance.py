@@ -122,7 +122,7 @@ def test_criterion_4_ordered_search_exactness():
             assert report.optimum == want, (n, report.optimum)
             assert is_polychromatic(report.coloring, F1).polychromatic
             # one more color admits no ordered polychromatic coloring
-            exhausted, _ = _seq_stage(n, F1, want + 1, "ordered", 1)
+            exhausted, _ = _seq_stage(n, F1, want + 1, "ordered")
             assert exhausted is None
 
 

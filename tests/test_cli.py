@@ -85,6 +85,32 @@ def test_malformed_document_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+_VERIFY = ["verify", "--family", "f1", "--input", "DOC"]
+_WITNESS = ["witness", "--family", "f1", "--input", "DOC", "--color"]
+
+
+@pytest.mark.parametrize("first_edge, argv", [
+    pytest.param([1, 2, 2.9], _VERIFY, id="float-color"),
+    pytest.param([1, 2, True], _VERIFY, id="bool-color"),
+    pytest.param([True, 2, 1], _VERIFY, id="bool-endpoint"),
+    pytest.param([1, 2.0, 1], _VERIFY, id="float-endpoint"),
+    pytest.param(5, _VERIFY, id="int-entry"),
+    pytest.param("121", _VERIFY, id="string-entry"),
+    pytest.param(None, _WITNESS + ["0"], id="color-zero"),
+    pytest.param(None, _WITNESS + ["-1"], id="color-negative"),
+    pytest.param(None, _WITNESS + ["99"], id="color-past-palette"),
+    pytest.param(None, ["table", "--family", "f1", "--n-range", "5:2"], id="empty-range"),
+])
+def test_boundary_inputs_exit_two(tmp_path, capsys, first_edge, argv):
+    doc = coloring_to_document(build_ordered((1, 1, 2, 2)))
+    if first_edge is not None:
+        doc["edges"][0] = first_edge
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert run([str(path) if a == "DOC" else a for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_witness_command(tmp_path, capsys):
     failing = build_ordered((1, 1, 2, 2))
     path = _write_doc(tmp_path, failing)

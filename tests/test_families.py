@@ -137,7 +137,8 @@ def test_find_member_agrees_with_enumeration_randomized():
 
 def test_find_member_containing_forced_edge():
     rng = random.Random(11)
-    for kind, n in [(F1, 6), (F2, 6), (HC, 6)]:
+    cases = [(F1, 6), (F2, 6), (HC, 6), (F2, 7), (F2, 8), (HC, 7), (HC, 8)]
+    for kind, n in cases:
         for _ in range(60):
             edges = [e for e in all_edges(n) if rng.random() < 0.55]
             g = AllowedGraph.from_edges(n, edges)
@@ -155,7 +156,13 @@ def test_find_member_containing_forced_edge():
 def test_hamiltonian_backtracking_matches_dp():
     # the backtracking engine only takes over past the DP size threshold;
     # cross-check it against the DP on graphs where both run
-    from polykn.families import _ham_cycle_dp, _ham_path_backtrack, _ham_path_exists_dp
+    from polykn.families import _ham_path_backtrack, _ham_path_dp
+
+    def assert_path(path, g, start, end):
+        n = g.n
+        assert path[0] == start and sorted(path) == list(range(1, n + 1))
+        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        assert path[-1] == end if end is not None else g.has_edge(path[-1], start)
 
     rng = random.Random(314)
     for n in (6, 8, 9):
@@ -163,16 +170,15 @@ def test_hamiltonian_backtracking_matches_dp():
             p = rng.choice([0.3, 0.5, 0.7])
             edges = [e for e in all_edges(n) if rng.random() < p]
             g = AllowedGraph.from_edges(n, edges)
-            dp_cycle = _ham_cycle_dp(g) if all(g.degree(v) >= 2 for v in range(1, n + 1)) else None
-            bt_path = _ham_path_backtrack(g, 1, None) if g.degree(1) >= 2 else None
-            assert (dp_cycle is not None) == (bt_path is not None)
             u = rng.randint(1, n - 1)
             v = rng.randint(u + 1, n)
-            dp_path = _ham_path_exists_dp(g, u, v)
-            bt = _ham_path_backtrack(g, u, v)
-            assert (dp_path is not None) == (bt is not None)
-            if bt is not None:
-                assert bt[0] == u and bt[-1] == v and len(set(bt)) == n
+            for start, end in ((1, None), (u, v)):
+                dp = _ham_path_dp(g, start, end)
+                bt = _ham_path_backtrack(g, start, end)
+                assert (dp is not None) == (bt is not None)
+                for path in (dp, bt):
+                    if path is not None:
+                        assert_path(path, g, start, end)
 
 
 def test_blossom_against_networkx_at_scale():

@@ -53,14 +53,6 @@ def test_brute_force_cap():
         brute_force_poly(6, F2)
 
 
-def test_brute_force_thread_determinism():
-    seq = brute_force_poly(5, F2, threads=1)
-    par = brute_force_poly(5, F2, threads=2)
-    assert seq.optimum == par.optimum
-    assert seq.coloring == par.coloring
-    assert seq.nodes == par.nodes
-
-
 def test_structured_ordered_one_factor():
     for n, want in [(2, 1), (4, 2), (6, 2), (8, 3)]:
         report = structured_poly(n, F1, "ordered")
@@ -73,12 +65,6 @@ def test_structured_ordered_equals_full_search_for_one_factors():
     # the ordered class attains the true optimum for 1-factors
     for n in (2, 4, 6):
         assert structured_poly(n, F1, "ordered").optimum == brute_force_poly(n, F1).optimum
-
-
-def test_structured_thread_determinism():
-    seq = structured_poly(8, F1, "ordered", threads=1)
-    par = structured_poly(8, F1, "ordered", threads=2)
-    assert (seq.optimum, seq.coloring, seq.nodes) == (par.optimum, par.coloring, par.nodes)
 
 
 def test_structured_combed_matches_brute_force_at_tiny_n():
