@@ -196,6 +196,8 @@ def _cmd_table(args) -> int:
     else:
         raise CliError("table needs --n or --n-range")
     rows = theorem_table(kind, ns)
+    if not rows:
+        raise CliError(f"no n in {ns.start}..{ns.stop - 1} is valid for family {kind.value}")
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -2,12 +2,14 @@
 
 Existence queries run against an allowed edge set (typically K_n minus one
 color class), optionally with one edge forced into the member; all three
-families go through one function that strips the forced edge and sets the
-degree targets once:
+families go through one function that strips the forced edge and lowers
+the degree targets of its endpoints once.  Two engines answer the rest:
 
-* 1-factors via augmenting-path maximum matching with blossom contraction,
-* 2-factors via Tutte's compact reduction to perfect matching (two
-  external nodes per allowed edge, target(v) core nodes per vertex),
+* 1-factors and 2-factors via one degree-constrained subgraph engine over
+  blossom maximum matching: with every target at most 1 (1-factors, where
+  a forced edge drops its endpoints to 0) the blossom runs on the target-1
+  vertices directly, otherwise on Tutte's compact reduction (two external
+  nodes per allowed edge, target(v) core nodes per vertex),
 * Hamiltonian cycles via polynomial refutations first (degree check,
   2-factor relaxation, separator test) at every n, then an exact
   Hamiltonian path search closing the cycle: bitmask dynamic programming
@@ -241,34 +243,16 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def _perfect_matching(g: AllowedGraph, skip: tuple[int, ...] = ()) -> Optional[list[Edge]]:
-    """Perfect matching on the vertices of g outside `skip`, or None."""
-    verts = [v for v in range(1, g.n + 1) if v not in skip]
-    if len(verts) % 2:
-        return None
-    if not verts:
-        return []
-    index = {v: i for i, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in verts]
-    for v in verts:
-        for u in verts:
-            if u > v and g.has_edge(v, u):
-                adj[index[v]].append(index[u])
-                adj[index[u]].append(index[v])
-    match = maximum_matching(len(verts), adj)
-    if -1 in match:
-        return None
-    return [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
-
-
 # ---------------------------------------------------------------------------
-# degree-constrained subgraphs through Tutte's gadget
+# degree-constrained subgraphs: 1-factors and 2-factors, forced edges or not
 
 
 def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optional[list[Edge]]:
     """Spanning subgraph of g with degree targets[v] at every v, or None.
 
-    Tutte's reduction to perfect matching: each allowed edge becomes two
+    With every target at most 1 this is a perfect matching of the target-1
+    vertices, found by the blossom on those vertices alone.  Otherwise it
+    is Tutte's reduction to perfect matching: each allowed edge becomes two
     joined external nodes, one per endpoint, and each vertex v gets
     targets[v] core nodes joined to all of v's external nodes.  The gadget
     has 2|E| + sum(targets) nodes and about 5|E| edges.  An edge is left
@@ -278,9 +262,24 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
     n = g.n
     if any(g.degree(v) < targets[v] for v in range(1, n + 1)):
         return None
+    adj: list[list[int]] = []
+    if max(targets) <= 1:
+        verts = [v for v in range(1, n + 1) if targets[v]]
+        live = sum(1 << v for v in verts)
+        index = {v: i for i, v in enumerate(verts)}
+        for v in verts:
+            row, m = [], g.masks[v] & live
+            while m:
+                bit = m & -m
+                m ^= bit
+                row.append(index[bit.bit_length() - 1])
+            adj.append(row)
+        match = maximum_matching(len(verts), adj)
+        if -1 in match:
+            return None
+        return [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
     edges = g.edges()
     incident: list[list[int]] = [[] for _ in range(n + 1)]  # external nodes at v
-    adj: list[list[int]] = []
     for k, (a, b) in enumerate(edges):
         incident[a].append(2 * k)
         incident[b].append(2 * k + 1)
@@ -338,11 +337,29 @@ def _ham_path_dp(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[li
     return [v + 1 for v in reversed(path)]
 
 
-def _ham_path_backtrack(g: AllowedGraph, start: int, end: Optional[int],
-                        flood_every: int = 4) -> Optional[list[int]]:
+def _reach(masks, seed: int, within: int) -> int:
+    """Bitset flood fill: the seed bits plus every vertex of `within`
+    reachable from them through vertices of `within`."""
+    reach = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= masks[bit.bit_length() - 1]
+        frontier = nxt & within & ~reach
+        reach |= frontier
+    return reach
+
+
+# Backtracking levels between two flood-fill connectivity checks.
+_FLOOD_EVERY = 4
+
+
+def _ham_path_backtrack(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[int]]:
     """Backtracking Hamiltonian path from start (to end, or closing to start).
 
-    Branches visit low-degree neighbors first; every few levels a bitset
+    Branches visit low-degree neighbors first; every _FLOOD_EVERY levels a
     flood fill checks that the unvisited region is still reachable.
     """
     n = g.n
@@ -361,20 +378,9 @@ def _ham_path_backtrack(g: AllowedGraph, start: int, end: Optional[int],
             need = 1 if v == end else 2
             if bin(avail).count("1") < need:
                 return False
-        if depth % flood_every == 0:
-            reach = 1 << cur
-            frontier = reach
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    bit = f & -f
-                    f ^= bit
-                    v = bit.bit_length() - 1
-                    nxt |= adj[v] & (free | (1 << target)) & ~reach
-                reach |= nxt
-                frontier = nxt
-            if (free | (1 << target)) & ~reach:
+        if depth % _FLOOD_EVERY == 0:
+            within = free | (1 << target)
+            if within & ~_reach(adj, 1 << cur, within):
                 return False
         return True
 
@@ -415,20 +421,7 @@ def _components_after_removal(g: AllowedGraph, removed: int) -> int:
     comps = 0
     while left:
         comps += 1
-        seed = left & -left
-        reach = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                f ^= bit
-                v = bit.bit_length() - 1
-                nxt |= g.masks[v] & left & ~reach
-            reach |= nxt
-            frontier = nxt
-        left &= ~reach
+        left &= ~_reach(g.masks, left & -left, left)
     return comps
 
 
@@ -486,16 +479,14 @@ def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional
         g = AllowedGraph(n, tuple(masks))
         targets[u] -= 1
         targets[v] -= 1
-    if kind is FamilyKind.ONE_FACTOR:
-        found = _perfect_matching(g, skip=forced or ())
-    elif kind is FamilyKind.TWO_FACTOR:
-        found = _degree_constrained_subgraph(g, targets)
-    else:
+    if kind is FamilyKind.HAMILTONIAN_CYCLE:
         found = _ham_cycle(g, targets, forced)  # closes through `forced`
+    else:
+        found = _degree_constrained_subgraph(g, targets)
+        if found is not None and forced is not None:
+            found.append(forced)
     if found is None:
         return None
-    if forced is not None and kind is not FamilyKind.HAMILTONIAN_CYCLE:
-        found.append(forced)
     witness = SubgraphWitness(kind, tuple(found))
     witness.validate(n)
     for e in witness.edges:

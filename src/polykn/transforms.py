@@ -182,6 +182,8 @@ def recolor_unitary_triple(c: EdgeColoring, x: int, y: int, z: int) -> EdgeColor
     """
     if len({x, y, z}) != 3:
         raise ValueError("vertices must be distinct")
+    if not all(1 <= v <= c.n for v in (x, y, z)):
+        raise ValueError(f"vertices must lie in 1..{c.n}")
     if c.k < 3:
         raise ValueError("colors 1, 2 and 3 must exist before recoloring")
     trip = {x, y, z}
@@ -212,8 +214,7 @@ class ImproveResult:
     constant_set_size: int
 
 
-def improve_toward_combed(c: EdgeColoring, kind: FamilyKind,
-                          check_each_step: bool = True) -> ImproveResult:
+def improve_toward_combed(c: EdgeColoring, kind: FamilyKind) -> ImproveResult:
     """Greedy polychromaticity-preserving push toward a combed coloring.
 
     Vertices whose edges to the rest of Z are monochromatic accrete into a
@@ -262,12 +263,11 @@ def improve_toward_combed(c: EdgeColoring, kind: FamilyKind,
                 candidate = current.recolored(u, v, a)
                 if candidate.k != current.k:
                     raise RuntimeError("palette changed by a safe recoloring")
-                if check_each_step:
-                    if not is_polychromatic(candidate, kind).polychromatic:
-                        raise RuntimeError("polychromaticity lost by a safe recoloring")
-                    after = max_vertex_profile(candidate, frozenset(x_set))
-                    if after.max_degree <= profile.max_degree:
-                        raise RuntimeError("accepted move did not raise the measure")
+                if not is_polychromatic(candidate, kind).polychromatic:
+                    raise RuntimeError("polychromaticity lost by a safe recoloring")
+                after = max_vertex_profile(candidate, frozenset(x_set))
+                if after.max_degree <= profile.max_degree:
+                    raise RuntimeError("accepted move did not raise the measure")
                 current = candidate
                 moves += 1
                 moved = True

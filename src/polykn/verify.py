@@ -26,8 +26,9 @@ class PolyCertificate:
     """Outcome of a polychromaticity check.
 
     On violation: the avoided color and a verified member avoiding it.
-    On success: one example edge per color, all hit by a single spot-check
-    member of the family.
+    On success: one example edge per color, all taken from one fixed
+    member of the family, (1,2),(3,4),... for 1-factors and the cycle
+    1-2-...-n-1 otherwise; no engine runs for it.
     """
 
     polychromatic: bool
@@ -49,7 +50,12 @@ def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
         witness = find_member(kind, allowed)
         if witness is not None:
             return PolyCertificate(False, t, witness)
-    member = find_member(kind, AllowedGraph.complete(c.n))
+    if kind is FamilyKind.ONE_FACTOR:
+        edges = [(i, i + 1) for i in range(1, c.n, 2)]
+    else:
+        edges = [(i, i + 1) for i in range(1, c.n)] + [(1, c.n)]
+    member = SubgraphWitness(kind, tuple(edges))
+    member.validate(c.n)
     spot = []
     for t in range(1, c.k + 1):
         example = next(((i, j) for (i, j) in member.edges if c.color(i, j) == t), None)

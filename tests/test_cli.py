@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -100,6 +101,8 @@ _WITNESS = ["witness", "--family", "f1", "--input", "DOC", "--color"]
     pytest.param(None, _WITNESS + ["-1"], id="color-negative"),
     pytest.param(None, _WITNESS + ["99"], id="color-past-palette"),
     pytest.param(None, ["table", "--family", "f1", "--n-range", "5:2"], id="empty-range"),
+    pytest.param(None, ["table", "--family", "hc", "--n-range", "1:2"], id="no-valid-n-range"),
+    pytest.param(None, ["table", "--family", "f1", "--n", "3"], id="no-valid-n"),
 ])
 def test_boundary_inputs_exit_two(tmp_path, capsys, first_edge, argv):
     doc = coloring_to_document(build_ordered((1, 1, 2, 2)))
@@ -209,4 +212,71 @@ def test_transform_recolor_command(tmp_path, capsys):
     assert run([
         "transform", "--family", "f2", "--input", path, "--op", "recolor",
     ]) == 2  # missing --vertices
+    assert run([
+        "transform", "--family", "f2", "--input", path, "--op", "recolor",
+        "--vertices", "1,2,99",
+    ]) == 2  # vertex outside 1..n
     capsys.readouterr()
+
+
+_FUZZ_NS = {"f1": (4, 6), "f2": (3, 4, 5, 6), "hc": (3, 4, 5, 6)}
+_NON_INT = (None, True, 2.5, "1", [1], {})
+
+
+def _random_document(rng, n):
+    """A well-formed document: every edge once, a tight random palette."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    k = rng.randint(1, len(pairs))
+    colors = list(range(1, k + 1)) + [rng.randint(1, k) for _ in range(len(pairs) - k)]
+    rng.shuffle(colors)
+    return {"n": n, "k": k, "edges": [[i, j, col] for (i, j), col in zip(pairs, colors)]}
+
+
+def _malform(rng, doc):
+    """One random defect that the document parser must reject."""
+    n, k, edges = doc["n"], doc["k"], doc["edges"]
+    idx = rng.randrange(len(edges))
+    i, j, _ = edges[idx]
+    case = rng.randrange(11)
+    if case == 0:
+        return rng.choice([None, 7, "doc", [n, k, edges]])
+    if case == 1:
+        del doc[rng.choice(["n", "k", "edges"])]
+    elif case == 2:
+        doc[rng.choice(["n", "k"])] = rng.choice(_NON_INT)
+    elif case == 3:
+        doc["edges"] = rng.choice([None, 3, "edges", {}])
+    elif case == 4:
+        del edges[idx]
+    elif case == 5:
+        edges.append(list(edges[idx]))
+    elif case == 6:
+        edges[idx] = rng.choice([None, 5, "121", {}, [i, j], [i, j, 1, 1]])
+    elif case == 7:
+        edges[idx][rng.randrange(3)] = rng.choice(_NON_INT)
+    elif case == 8:
+        edges[idx][:2] = rng.choice([[j, i], [0, j], [i, n + 1], [i, i]])
+    elif case == 9:
+        edges[idx][2] = rng.choice([0, -1, k + 1])
+    else:
+        edges[idx] = list(edges[(idx + 1) % len(edges)])  # duplicate, count kept
+    return doc
+
+
+def test_verify_fuzzed_documents(tmp_path, capsys):
+    rng = random.Random(2016)
+    path = tmp_path / "fuzz.json"
+    seen = set()
+    for _ in range(300):
+        family = rng.choice(sorted(_FUZZ_NS))
+        doc = _random_document(rng, rng.choice(_FUZZ_NS[family]))
+        malformed = rng.random() < 0.5
+        text = json.dumps(_malform(rng, doc) if malformed else doc)
+        if malformed and rng.random() < 0.1:
+            text = text[: rng.randrange(len(text))]  # truncated JSON
+        path.write_text(text)
+        code = run(["verify", "--family", family, "--input", str(path)])
+        capsys.readouterr()
+        assert (code == 2) if malformed else (code in (0, 1)), (family, text)
+        seen.add(code)
+    assert seen == {0, 1, 2}

@@ -137,7 +137,7 @@ def test_find_member_agrees_with_enumeration_randomized():
 
 def test_find_member_containing_forced_edge():
     rng = random.Random(11)
-    cases = [(F1, 6), (F2, 6), (HC, 6), (F2, 7), (F2, 8), (HC, 7), (HC, 8)]
+    cases = [(F1, 6), (F1, 8), (F2, 6), (HC, 6), (F2, 7), (F2, 8), (HC, 7), (HC, 8)]
     for kind, n in cases:
         for _ in range(60):
             edges = [e for e in all_edges(n) if rng.random() < 0.55]

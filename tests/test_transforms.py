@@ -189,6 +189,8 @@ def test_recolor_unitary_triple_rejections():
     c = build(F2, 6)
     with pytest.raises(ValueError):
         recolor_unitary_triple(c, 1, 1, 2)
+    with pytest.raises(ValueError):
+        recolor_unitary_triple(c, 1, 2, 7)  # vertex outside 1..6
     two_colors = EdgeColoring.from_function(5, lambda i, j: 1 + (i + j) % 2)
     with pytest.raises(ValueError):
         recolor_unitary_triple(two_colors, 1, 2, 3)
