@@ -25,12 +25,13 @@ class FamilyKind(enum.Enum):
         raise ValueError(f"unknown family {code!r} (expected f1, f2 or hc)")
 
 
-def _check_n(kind: FamilyKind, n: int) -> None:
+def check_n(kind: FamilyKind, n: int) -> None:
+    """Raise ValueError unless K_n has members of the family."""
     if kind is FamilyKind.ONE_FACTOR:
         if n < 2 or n % 2:
-            raise ValueError("1-factor colorings need even n >= 2")
+            raise ValueError("1-factors need even n >= 2")
     elif n < 3:
-        raise ValueError("2-factor and Hamiltonian-cycle colorings need n >= 3")
+        raise ValueError("2-factors and Hamiltonian cycles need n >= 3")
 
 
 def palette_size(kind: FamilyKind, n: int) -> int:
@@ -40,7 +41,7 @@ def palette_size(kind: FamilyKind, n: int) -> int:
     3*2^(k-3) + 1 <= n.  All three are evaluated with integers only
     (the last two cleared of fractions: 2^k <= 2(n+1) and 3*2^k <= 8(n-1)).
     """
-    _check_n(kind, n)
+    check_n(kind, n)
     k = 1
     if kind is FamilyKind.ONE_FACTOR:
         while 2 ** (k + 1) <= n:

@@ -76,11 +76,8 @@ class EdgeColoring:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, color) in lexicographic pair order."""
-        for (i, j) in all_edges(self.n):
-            yield i, j, self.colors[edge_index(self.n, i, j)]
-
-    def edges_of_color(self, t: int) -> list[Edge]:
-        return [(i, j) for (i, j, c) in self.edges() if c == t]
+        for (i, j), c in zip(all_edges(self.n), self.colors):
+            yield i, j, c
 
     def recolored(self, i: int, j: int, c: int) -> "EdgeColoring":
         """New coloring with one edge changed; result is re-canonicalized."""
@@ -377,13 +374,7 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
     n = c.n
     if n == 2:
         return inherited_coloring(c, VertexOrdering.identity(2))
-    structure = _unitary_structure(c)
-    if structure is None:
-        order = _greedy_order(c, [])
-        if order is None:
-            return None
-        return inherited_coloring(c, VertexOrdering(tuple(order)))
-    order = _greedy_order(c, sorted(structure))
+    order = _greedy_order(c, sorted(_unitary_structure(c) or ()))
     if order is None:
         return None
     return inherited_coloring(c, VertexOrdering(tuple(order)))

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .constructions import FamilyKind
+from .constructions import FamilyKind, check_n
 from .core import Edge, EdgeColoring
 
 # Bitmask DP is quadratic in 2^n; past this size backtracking wins.
@@ -465,11 +465,7 @@ def _ham_cycle(g: AllowedGraph, targets: list[int], forced: Optional[Edge]) -> O
 def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional[SubgraphWitness]:
     """Member of the family in g, containing `forced` when given, or None."""
     n = g.n
-    if kind is FamilyKind.ONE_FACTOR:
-        if n < 2 or n % 2:
-            raise ValueError("1-factors need even n >= 2")
-    elif n < 3:
-        raise ValueError("2-factors and Hamiltonian cycles need n >= 3")
+    check_n(kind, n)
     targets = [0] + [1 if kind is FamilyKind.ONE_FACTOR else 2] * n
     if forced is not None:
         u, v = forced
@@ -580,11 +576,7 @@ def enumerate_members(
     cap = max_n if max_n is not None else ENUMERATION_CAPS[kind]
     if n > cap:
         raise CapExceededError(f"enumeration cap exceeded: n={n} > {cap}")
-    if kind is FamilyKind.ONE_FACTOR:
-        if n < 2 or n % 2:
-            raise ValueError("1-factors need even n >= 2")
-    elif n < 3:
-        raise ValueError("2-factors and Hamiltonian cycles need n >= 3")
+    check_n(kind, n)
     g = allowed if allowed is not None else AllowedGraph.complete(n)
     if g.n != n:
         raise ValueError("allowed graph size mismatch")

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import FamilyKind, build, palette_size
+from .constructions import FamilyKind, build, check_n, palette_size
 from .core import EdgeColoring, all_edges, edge_index
 from .families import CapExceededError, enumerate_members
 from .verify import is_polychromatic
@@ -57,49 +57,48 @@ class TheoremRow:
 # full brute force over edge colorings
 
 
-def _bf_dead(members, assigned, class_masks, used, c_new, introduced) -> bool:
-    """True when some used color already has a fully-assigned avoiding member.
-
-    Only colors whose avoidance mask grew need rechecking: every t != c_new,
-    plus c_new itself the moment it is introduced.
-    """
-    for t in range(1, used + 1):
-        if t == c_new and not introduced:
-            continue
-        avoid = assigned & ~class_masks[t]
-        for mem in members:
-            if mem & ~avoid == 0:
-                return True
-    return False
-
-
 def _bf_stage(members, m, k):
     """First (lex) polychromatic k-coloring of the m edges, by one DFS.
 
+    A member is fully assigned at its highest edge, so the node coloring
+    edge `pos` checks only the members completed there, against every
+    used color.  Every member completed before `pos` already meets every
+    used color, and misses a color first used at `pos`: a new color is
+    dead once any member has been completed.
+
     Returns (full color tuple or None, nodes explored).
     """
+    completes = [[] for _ in range(m)]
+    for mem in members:
+        completes[mem.bit_length() - 1].append(mem)
+    first_done = min(mem.bit_length() for mem in members) - 1
     class_masks = [0] * (k + 1)
     colors = [0] * m
     nodes = 0
 
-    def rec(pos, assigned, used):
+    def rec(pos, used):
         nonlocal nodes
         if pos == m:
             return used == k
         if used + (m - pos) < k:
             return False
         bit = 1 << pos
+        done = completes[pos]
         for c in range(1, min(used + 1, k) + 1):
             nodes += 1
+            if c > used and pos > first_done:
+                break
             class_masks[c] |= bit
-            if not _bf_dead(members, assigned | bit, class_masks, max(used, c), c, c > used):
+            top = max(used, c)
+            masks = class_masks[1 : top + 1]
+            if all(mem & cm for mem in done for cm in masks):
                 colors[pos] = c
-                if rec(pos + 1, assigned | bit, max(used, c)):
+                if rec(pos + 1, top):
                     return True
             class_masks[c] &= ~bit
         return False
 
-    if rec(0, 0, 0):
+    if rec(0, 0):
         return tuple(colors), nodes
     return None, nodes
 
@@ -232,13 +231,9 @@ def _seq_stage(n, kind, k, pattern):
     fixed = state.fixed
     if state.used > k or len(fixed) > n:
         return None, 0
-    if len(fixed) == n:
-        # the pattern prescribes every position (smallest n)
-        coloring = _pattern_coloring(n, list(fixed), state.recolorings)
-        ok = coloring.k == k and is_polychromatic(coloring, kind).polychromatic
-        return (coloring if ok else None), 1
     seq = []
-    for p, c in enumerate(fixed, start=1):
+    # position n colors no edge; the leaf copies position n-1 into it
+    for p, c in enumerate(fixed[: state.last], start=1):
         state.push(p, c)
         seq.append(c)
     nodes = 0
@@ -288,13 +283,9 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     """
     if mode not in ("ordered", "combed"):
         raise ValueError(f"unknown mode {mode!r}")
-    if kind is FamilyKind.ONE_FACTOR:
-        if mode == "combed":
-            raise ValueError("combed search applies to 2-factors and Hamiltonian cycles")
-        if n < 2 or n % 2:
-            raise ValueError("1-factor search needs even n >= 2")
-    elif n < 3:
-        raise ValueError("need n >= 3")
+    if kind is FamilyKind.ONE_FACTOR and mode == "combed":
+        raise ValueError("combed search applies to 2-factors and Hamiltonian cycles")
+    check_n(kind, n)
     cap = ORDERED_CAP if mode == "ordered" else COMBED_CAP
     if n > cap:
         raise CapExceededError(f"{mode} search cap exceeded: n={n} > {cap}")
@@ -333,9 +324,9 @@ def theorem_table(kind: FamilyKind, n_range) -> list[TheoremRow]:
     """
     rows = []
     for n in n_range:
-        if kind is FamilyKind.ONE_FACTOR and (n < 2 or n % 2):
-            continue
-        if kind is not FamilyKind.ONE_FACTOR and n < 3:
+        try:
+            check_n(kind, n)
+        except ValueError:
             continue
         construction_k = build(kind, n).k
         formula_k = palette_size(kind, n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import FamilyKind
+from .constructions import FamilyKind, check_n
 from .core import (
     Edge,
     InheritedColoring,
@@ -43,8 +43,7 @@ class PolyCertificate:
 
 def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
     """Exact polychromaticity check; colors are tried in ascending order."""
-    if kind is FamilyKind.ONE_FACTOR and c.n % 2:
-        raise ValueError("1-factor polychromaticity needs even n")
+    check_n(kind, c.n)
     for t in range(1, c.k + 1):
         allowed = AllowedGraph.minus_color(c, t)
         witness = find_member(kind, allowed)
@@ -82,8 +81,7 @@ def adversarial_matching(ic: InheritedColoring, t: int) -> SubgraphWitness:
     and pairs the leftover y's consecutively; no edge can then carry t.
     """
     n = ic.n
-    if n % 2:
-        raise ValueError("adversarial 1-factor needs even n")
+    check_n(FamilyKind.ONE_FACTOR, n)
     if ic.unitary_set:
         raise ValueError("adversarial 1-factor needs an ordered coloring")
     if not (1 <= t <= ic.k):
@@ -98,9 +96,7 @@ def adversarial_matching(ic: InheritedColoring, t: int) -> SubgraphWitness:
     edges = [(ys[i], xs[i]) for i in range(m)]
     leftovers = ys[m:]
     edges.extend((leftovers[i], leftovers[i + 1]) for i in range(0, len(leftovers), 2))
-    witness = SubgraphWitness(
-        FamilyKind.ONE_FACTOR, tuple(sorted(tuple(sorted(e)) for e in edges))
-    )
+    witness = SubgraphWitness(FamilyKind.ONE_FACTOR, tuple(edges))
     witness.validate(n)
     for (i, j) in witness.edges:
         if ic.coloring.color(i, j) == t:
@@ -117,8 +113,7 @@ def adversarial_hamcycle(ic: InheritedColoring, t: int) -> SubgraphWitness:
     goes left, so none carries t.
     """
     n = ic.n
-    if n < 3:
-        raise ValueError("Hamiltonian cycles need n >= 3")
+    check_n(FamilyKind.HAMILTONIAN_CYCLE, n)
     if not (1 <= t <= ic.k):
         raise ValueError(f"color {t} out of range")
     if ic.class_has_unitary(t):
@@ -136,9 +131,7 @@ def adversarial_hamcycle(ic: InheritedColoring, t: int) -> SubgraphWitness:
         seq.append(xs[i])
     seq.extend(ys[m:])
     edges = [(seq[i], seq[i + 1]) for i in range(n - 1)] + [(seq[-1], seq[0])]
-    witness = SubgraphWitness(
-        FamilyKind.HAMILTONIAN_CYCLE, tuple(sorted(tuple(sorted(e)) for e in edges))
-    )
+    witness = SubgraphWitness(FamilyKind.HAMILTONIAN_CYCLE, tuple(edges))
     witness.validate(n)
     for (i, j) in witness.edges:
         if ic.coloring.color(i, j) == t:

@@ -123,3 +123,17 @@ def test_theorem_table_hamiltonian_small_n_disagrees():
 def test_two_factor_never_beats_hamiltonian():
     for n in (3, 4, 5):
         assert brute_force_poly(n, F2).optimum <= brute_force_poly(n, HC).optimum
+
+
+def test_search_node_counts_pinned():
+    # node counts of the first-hit searches; pruning changes that keep the
+    # same tree must keep these exactly
+    full = {(F1, 4): 67, (F1, 6): 22_000, (F2, 4): 234, (F2, 5): 8_324, (HC, 5): 8_324}
+    for (kind, n), nodes in full.items():
+        assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
+    combed = {(F2, 3): 6, (F2, 4): 17, (HC, 3): 6, (HC, 4): 17, (HC, 10): 464, (F2, 10): 551}
+    for (kind, n), nodes in combed.items():
+        assert structured_poly(n, kind, "combed").nodes == nodes, (kind, n)
+    ordered = {(F1, 12): 728, (F2, 8): 68}
+    for (kind, n), nodes in ordered.items():
+        assert structured_poly(n, kind, "ordered").nodes == nodes, (kind, n)
