@@ -97,17 +97,16 @@ class VertexOrdering:
     """A permutation of 1..n; order[p-1] is the vertex at position p."""
 
     order: tuple[int, ...]
-    positions: tuple[int, ...] = field(repr=False, default=())
+    positions: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.order)
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValueError("ordering must be a permutation of 1..n")
-        if not self.positions:
-            pos = [0] * (n + 1)
-            for p, v in enumerate(self.order, start=1):
-                pos[v] = p
-            object.__setattr__(self, "positions", tuple(pos))
+        pos = [0] * (n + 1)
+        for p, v in enumerate(self.order, start=1):
+            pos[v] = p
+        object.__setattr__(self, "positions", tuple(pos))
 
     @staticmethod
     def identity(n: int) -> "VertexOrdering":
@@ -145,7 +144,7 @@ class InheritedColoring:
     ordering: VertexOrdering
     main: tuple[int, ...]
     unitary_set: tuple[UnitaryVertex, ...]
-    _prefix: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    _prefix: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.coloring.n
@@ -153,16 +152,14 @@ class InheritedColoring:
             raise ValueError("main colors must cover all vertices")
         if len(self.unitary_set) not in (0, 3, 4):
             raise ValueError("unitary vertices always come in groups of 3 or 4")
-        if not self._prefix:
-            k = self.k
-            rows = []
-            for t in range(1, k + 1):
-                row = [0] * (n + 1)
-                for p in range(1, n + 1):
-                    v = self.ordering.vertex_at(p)
-                    row[p] = row[p - 1] + (1 if self.main[v - 1] == t else 0)
-                rows.append(tuple(row))
-            object.__setattr__(self, "_prefix", tuple(rows))
+        rows = []
+        for t in range(1, self.k + 1):
+            row = [0] * (n + 1)
+            for p in range(1, n + 1):
+                v = self.ordering.vertex_at(p)
+                row[p] = row[p - 1] + (1 if self.main[v - 1] == t else 0)
+            rows.append(tuple(row))
+        object.__setattr__(self, "_prefix", tuple(rows))
 
     @property
     def n(self) -> int:

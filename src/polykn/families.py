@@ -11,9 +11,9 @@ the degree targets of its endpoints once.  Two engines answer the rest:
   vertices directly, otherwise on Tutte's compact reduction (two external
   nodes per allowed edge, target(v) core nodes per vertex),
 * Hamiltonian cycles via polynomial refutations first (degree check,
-  2-factor relaxation, separator test) at every n, then an exact
-  Hamiltonian path search closing the cycle: bitmask dynamic programming
-  up to HC_DP_MAX_N vertices and pruned backtracking beyond that.
+  2-factor relaxation, separator test) at every n, then one exact
+  Hamiltonian path search closing the cycle: a pruned depth-first search
+  that never expands a failed (free set, current vertex) state twice.
 
 Enumeration is a separate brute-force oracle that emits members in
 lexicographic order of their sorted edge lists.
@@ -27,9 +27,6 @@ from typing import Iterator, Optional
 
 from .constructions import FamilyKind, check_n
 from .core import Edge, EdgeColoring
-
-# Bitmask DP is quadratic in 2^n; past this size backtracking wins.
-HC_DP_MAX_N = 18
 
 ENUMERATION_CAPS = {
     FamilyKind.ONE_FACTOR: 16,
@@ -84,7 +81,7 @@ class AllowedGraph:
         return bool((self.masks[i] >> j) & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.masks[v]).count("1")
+        return self.masks[v].bit_count()
 
     def edges(self) -> list[Edge]:
         out = []
@@ -122,42 +119,22 @@ class SubgraphWitness:
             object.__setattr__(self, "edges", normalized)
 
     def validate(self, n: int) -> None:
-        deg = [0] * (n + 1)
-        seen = set()
+        masks = [0] * (n + 1)
         for (i, j) in self.edges:
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad witness edge ({i}, {j})")
-            if (i, j) in seen:
+            if (masks[i] >> j) & 1:
                 raise ValueError(f"repeated witness edge ({i}, {j})")
-            seen.add((i, j))
-            deg[i] += 1
-            deg[j] += 1
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         target = 1 if self.kind is FamilyKind.ONE_FACTOR else 2
         for v in range(1, n + 1):
-            if deg[v] != target:
-                raise ValueError(f"vertex {v} has degree {deg[v]}, expected {target}")
-        if self.kind is FamilyKind.HAMILTONIAN_CYCLE and self._cycle_count(n) != 1:
+            deg = masks[v].bit_count()
+            if deg != target:
+                raise ValueError(f"vertex {v} has degree {deg}, expected {target}")
+        all_bits = (2 << n) - 2
+        if self.kind is FamilyKind.HAMILTONIAN_CYCLE and _reach(masks, 2, all_bits) != all_bits:
             raise ValueError("Hamiltonian cycle witness is disconnected")
-
-    def _cycle_count(self, n: int) -> int:
-        adj = {v: [] for v in range(1, n + 1)}
-        for (i, j) in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen: set[int] = set()
-        cycles = 0
-        for v in range(1, n + 1):
-            if v in seen:
-                continue
-            cycles += 1
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                stack.extend(adj[u])
-        return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -300,43 +277,6 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
 # Hamiltonian cycles: polynomial refutations first, exact search second
 
 
-def _ham_path_dp(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[int]]:
-    """Hamiltonian path from start to end (to a neighbor of start when end
-    is None, so that it closes into a cycle), by bitmask DP, or None.
-
-    dp[mask] holds the possible last vertices of paths from start that
-    visit exactly mask; the path is read back from the full mask.
-    """
-    n = g.n
-    adj = [g.masks[v + 1] >> 1 for v in range(n)]  # 0-based bitsets
-    s = start - 1
-    full = (1 << n) - 1
-    dp = [0] * (full + 1)
-    dp[1 << s] = 1 << s
-    for mask in range(full + 1):
-        ends = dp[mask]
-        if not ends:
-            continue
-        rest = full & ~mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if adj[bit.bit_length() - 1] & ends:
-                dp[mask | bit] |= bit
-    ends = dp[full] & (adj[s] if end is None else 1 << (end - 1))
-    if not ends:
-        return None
-    cur = (ends & -ends).bit_length() - 1
-    path = [cur]
-    mask = full
-    while mask != 1 << s:
-        mask &= ~(1 << cur)
-        prev = dp[mask] & adj[cur]
-        cur = (prev & -prev).bit_length() - 1
-        path.append(cur)
-    return [v + 1 for v in reversed(path)]
-
-
 def _reach(masks, seed: int, within: int) -> int:
     """Bitset flood fill: the seed bits plus every vertex of `within`
     reachable from them through vertices of `within`."""
@@ -352,65 +292,61 @@ def _reach(masks, seed: int, within: int) -> int:
     return reach
 
 
-# Backtracking levels between two flood-fill connectivity checks.
-_FLOOD_EVERY = 4
+def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[int]]:
+    """Hamiltonian path from start to end (to a neighbor of start when end
+    is None, so that it closes into a cycle), or None.
 
-
-def _ham_path_backtrack(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[int]]:
-    """Backtracking Hamiltonian path from start (to end, or closing to start).
-
-    Branches visit low-degree neighbors first; every _FLOOD_EVERY levels a
-    flood fill checks that the unvisited region is still reachable.
+    Depth-first: free neighbors with the fewest free neighbors go first and
+    end is kept back until the last step.  The target is end, or start when
+    the path closes.  A step cur -> v is cut when another neighbor of cur,
+    free or the target, keeps fewer usable neighbors than it needs (2 for a
+    free vertex, 1 for the target; usable means free, v or the target), or
+    when some free vertex is no longer reachable from v through free
+    vertices.  A failed (free set, current vertex) state is never expanded
+    twice, so at most n * 2^(n-1) states are searched, the bound of the
+    Held-Karp bitmask DP.
     """
-    n = g.n
     adj = g.masks
-    all_bits = (2 << n) - 2
+    target = 1 << (start if end is None else end)
+    end_bit = 0 if end is None else target
     path = [start]
-    visited = 1 << start
+    dead: set[tuple[int, int]] = set()
 
-    def feasible(cur: int, depth: int) -> bool:
-        free = all_bits & ~visited
-        target = end if end is not None else start
-        for v in range(1, n + 1):
-            if not (free >> v) & 1:
-                continue
-            avail = adj[v] & (free | (1 << cur) | (1 << target))
-            need = 1 if v == end else 2
-            if bin(avail).count("1") < need:
-                return False
-        if depth % _FLOOD_EVERY == 0:
-            within = free | (1 << target)
-            if within & ~_reach(adj, 1 << cur, within):
-                return False
-        return True
-
-    def extend() -> bool:
-        nonlocal visited
-        cur = path[-1]
-        if len(path) == n:
-            if end is not None:
-                return cur == end
-            return bool((adj[cur] >> start) & 1)
-        cands = []
-        m = adj[cur] & all_bits & ~visited
+    def viable(cur: int, v: int, rest: int) -> bool:
+        here = 1 << v
+        usable = rest | here | target
+        m = adj[cur] & (rest | target) & ~here  # cur's neighbors lost a usable one
         while m:
             bit = m & -m
             m ^= bit
-            v = bit.bit_length() - 1
-            if end is not None and v == end and len(path) != n - 1:
-                continue
-            cands.append(v)
-        cands.sort(key=lambda v: bin(adj[v] & all_bits & ~visited).count("1"))
+            if (adj[bit.bit_length() - 1] & usable).bit_count() < (1 if bit == target else 2):
+                return False
+        return not rest & ~_reach(adj, here, rest)
+
+    def extend(cur: int, free: int) -> bool:
+        if not free:
+            return end is not None or bool(adj[cur] & target)
+        m = adj[cur] & free
+        if free != end_bit:
+            m &= ~end_bit
+        cands = []
+        while m:
+            bit = m & -m
+            m ^= bit
+            cands.append(bit.bit_length() - 1)
+        cands.sort(key=lambda v: (adj[v] & free).bit_count())
         for v in cands:
+            rest = free & ~(1 << v)
+            if (rest, v) in dead:
+                continue
             path.append(v)
-            visited |= 1 << v
-            if feasible(v, len(path)) and extend():
+            if viable(cur, v, rest) and extend(v, rest):
                 return True
             path.pop()
-            visited &= ~(1 << v)
+            dead.add((rest, v))
         return False
 
-    if extend():
+    if extend(start, ((2 << g.n) - 2) & ~(1 << start)):
         return path
     return None
 
@@ -430,7 +366,7 @@ def _separator_refutes(g: AllowedGraph, slack: int) -> bool:
     (|S| + 1 for a Hamiltonian path).  Tries each closed neighborhood."""
     for u in range(1, g.n + 1):
         s_bits = g.masks[u]
-        size = bin(s_bits).count("1")
+        size = s_bits.bit_count()
         if size >= g.n - 1:
             continue
         if _components_after_removal(g, s_bits) > size + slack:
@@ -451,8 +387,7 @@ def _ham_cycle(g: AllowedGraph, targets: list[int], forced: Optional[Edge]) -> O
     if _separator_refutes(g, 0 if forced is None else 1):
         return None
     start, end = forced if forced is not None else (1, None)
-    search = _ham_path_dp if g.n <= HC_DP_MAX_N else _ham_path_backtrack
-    path = search(g, start, end)
+    path = _ham_path(g, start, end)
     if path is None:
         return None
     return list(zip(path, path[1:] + path[:1]))  # closes with (end, start)

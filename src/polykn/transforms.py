@@ -1,8 +1,8 @@
 """Local moves on witnesses and colorings.
 
-Twist reconnects a Hamiltonian cycle after deleting two disjoint edges (the
-reconnection keeping one cycle is unique); a 2-switch is the same exchange
-on a 2-factor, where both reconnections can be legal.  Max-vertex profiles
+A 2-switch exchanges two disjoint 2-factor edges for a cross pair, where
+both reconnections can be legal; a twist is the one 2-switch of a
+Hamiltonian cycle that keeps a single cycle.  Max-vertex profiles
 record monochromatic degrees outside a frozen vertex set, and the greedy
 comb-improvement loop recolors off-color edges at max-vertices whenever an
 exact feasibility query shows polychromaticity cannot break.
@@ -24,45 +24,23 @@ from .families import (
 from .verify import is_polychromatic
 
 
-def _cycle_sequence(edges: tuple[Edge, ...]) -> list[int]:
-    adj: dict[int, list[int]] = {}
-    for (i, j) in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    start = min(adj)
-    seq = [start, min(adj[start])]
-    while len(seq) < len(adj):
-        a, b = adj[seq[-1]]
-        seq.append(a if a != seq[-2] else b)
-    return seq
-
-
 def twist(h: SubgraphWitness, e1: Edge, e2: Edge) -> SubgraphWitness:
     """Remove two disjoint cycle edges and reconnect into a single cycle.
 
-    Orienting the cycle and removing arcs a->b, c->d, the only reconnection
+    This is the 2-switch whose result is one Hamiltonian cycle: orienting
+    the cycle and removing arcs a->b, c->d, the only reconnection
     preserving one cycle adds {a, c} and {b, d} and reverses the b..c arc.
     """
     if h.kind is not FamilyKind.HAMILTONIAN_CYCLE:
         raise ValueError("twist operates on Hamiltonian cycles")
-    e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
-    if e1 not in h.edges or e2 not in h.edges:
-        raise ValueError("both edges must lie on the cycle")
-    if set(e1) & set(e2):
-        raise ValueError("edges must be disjoint")
-    seq = _cycle_sequence(h.edges)
-    n = len(seq)
-    cuts = []
-    for i in range(n):
-        pair = tuple(sorted((seq[i], seq[(i + 1) % n])))
-        if pair in (e1, e2):
-            cuts.append(i)
-    i, j = cuts
-    new_seq = seq[: i + 1] + seq[i + 1 : j + 1][::-1] + seq[j + 1 :]
-    edges = [(new_seq[p], new_seq[(p + 1) % n]) for p in range(n)]
-    out = SubgraphWitness(FamilyKind.HAMILTONIAN_CYCLE, tuple(edges))
-    out.validate(n)
-    return out
+    for choice in (0, 1):
+        try:
+            out = SubgraphWitness(h.kind, two_switch(h, e1, e2, choice).edges)
+            out.validate(len(h.edges))
+            return out
+        except ValueError:
+            if choice:
+                raise
 
 
 def two_switch(f: SubgraphWitness, e1: Edge, e2: Edge, choice: int) -> SubgraphWitness:

@@ -9,6 +9,7 @@ import pytest
 from polykn import (
     EdgeColoring,
     FamilyKind,
+    InheritedColoring,
     VertexOrdering,
     build,
     build_ordered,
@@ -240,6 +241,17 @@ def test_ordering_validation():
     o = VertexOrdering((3, 1, 2))
     assert o.vertex_at(1) == 3
     assert o.position_of(3) == 1
+
+
+def test_derived_caches_are_not_constructor_parameters():
+    # positions and prefix counts are always computed, never taken on trust
+    with pytest.raises(TypeError):
+        VertexOrdering((2, 1, 3), positions=(0, 1, 2, 3))
+    assert VertexOrdering((2, 1, 3)).position_of(2) == 1
+    ic = inherited_coloring(build(F2, 7), VertexOrdering.identity(7))
+    wrong = tuple((0,) * 8 for _ in range(ic.k))
+    with pytest.raises(TypeError):
+        InheritedColoring(ic.coloring, ic.ordering, ic.main, ic.unitary_set, _prefix=wrong)
 
 
 def test_lookup_bounds_and_tiny_cases():

@@ -153,10 +153,10 @@ def test_find_member_containing_forced_edge():
                 assert (i, j) in got.edges
 
 
-def test_hamiltonian_backtracking_matches_dp():
-    # the backtracking engine only takes over past the DP size threshold;
-    # cross-check it against the DP on graphs where both run
-    from polykn.families import _ham_path_backtrack, _ham_path_dp
+def test_ham_path_matches_enumeration():
+    # the exact path search against the enumeration oracle, closed cycles
+    # and cycles forced through (u, v) alike
+    from polykn.families import _ham_path
 
     def assert_path(path, g, start, end):
         n = g.n
@@ -173,12 +173,35 @@ def test_hamiltonian_backtracking_matches_dp():
             u = rng.randint(1, n - 1)
             v = rng.randint(u + 1, n)
             for start, end in ((1, None), (u, v)):
-                dp = _ham_path_dp(g, start, end)
-                bt = _ham_path_backtrack(g, start, end)
-                assert (dp is not None) == (bt is not None)
-                for path in (dp, bt):
-                    if path is not None:
-                        assert_path(path, g, start, end)
+                path = _ham_path(g, start, end)
+                if end is None:
+                    members = enumerate_members(HC, n, allowed=g)
+                else:
+                    members = (
+                        w for w in enumerate_members(HC, n, allowed=g.with_edge(u, v))
+                        if (u, v) in w.edges
+                    )
+                assert (path is not None) == (next(members, None) is not None)
+                if path is not None:
+                    assert_path(path, g, start, end)
+
+
+def test_exact_search_refutes_graph_past_every_refutation():
+    # three separator vertices over four 4-cliques: deleting them leaves four
+    # components, so no Hamiltonian cycle, yet the degree, 2-factor and
+    # closed-neighborhood separator checks all pass and the exact search decides
+    from polykn.families import _degree_constrained_subgraph, _separator_refutes
+
+    n = 19
+    cliques = [list(range(4 + 4 * q, 8 + 4 * q)) for q in range(4)]
+    edges = [(a, b) for cl in cliques for i, a in enumerate(cl) for b in cl[i + 1:]]
+    for i, s in enumerate((1, 2, 3)):
+        edges += [(s, cl[(i + d) % 4]) for cl in cliques for d in range(3)]
+    g = AllowedGraph.from_edges(n, edges)
+    assert min(g.degree(v) for v in range(1, n + 1)) >= 2
+    assert _degree_constrained_subgraph(g, [0] + [2] * n) is not None
+    assert not _separator_refutes(g, 0)
+    assert find_member(HC, g) is None
 
 
 def test_blossom_against_networkx_at_scale():
@@ -208,8 +231,8 @@ def test_blossom_against_networkx_at_scale():
 
 
 def test_large_n_hamiltonian_refutations_are_fast():
-    # above the DP threshold the engine must refute structured non-instances
-    # through the polynomial relaxations, not exponential search
+    # at n = 20 the engine must refute structured non-instances through the
+    # polynomial relaxations, not exponential search
     from polykn import build, is_polychromatic
 
     c = build(HC, 20)
