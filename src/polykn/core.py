@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 Edge = tuple[int, int]
@@ -78,6 +79,21 @@ class EdgeColoring:
         """Yield (i, j, color) in lexicographic pair order."""
         for (i, j), c in zip(all_edges(self.n), self.colors):
             yield i, j, c
+
+    @cached_property
+    def color_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per-color vertex bitsets: bit u of color_masks[t][v] is set when
+        edge vu has color t.  Row 0 and slot 0 of every row are empty."""
+        n = self.n
+        masks = [[0] * (n + 1) for _ in range(self.k + 1)]
+        bits = [1 << v for v in range(n + 1)]
+        pos = 0
+        for i in range(1, n):
+            for j, t in zip(range(i + 1, n + 1), self.colors[pos : pos + n - i]):
+                masks[t][i] |= bits[j]
+                masks[t][j] |= bits[i]
+            pos += n - i
+        return tuple(map(tuple, masks))
 
     def recolored(self, i: int, j: int, c: int) -> "EdgeColoring":
         """New coloring with one edge changed; result is re-canonicalized."""

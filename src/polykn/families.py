@@ -1,19 +1,25 @@
 """Exact existence and enumeration engines for spanning subgraph families.
 
 Existence queries run against an allowed edge set (typically K_n minus one
-color class), optionally with one edge forced into the member; all three
-families go through one function that strips the forced edge and lowers
-the degree targets of its endpoints once.  Two engines answer the rest:
+color class, built from the coloring's per-color vertex bitsets in O(n)
+mask operations), optionally with one edge forced into the member; all
+three families go through one function that strips the forced edge and
+lowers the degree targets of its endpoints once.  Two engines answer the
+rest:
 
 * 1-factors and 2-factors via one degree-constrained subgraph engine over
   blossom maximum matching: with every target at most 1 (1-factors, where
   a forced edge drops its endpoints to 0) the blossom runs on the target-1
   vertices directly, otherwise on Tutte's compact reduction (two external
-  nodes per allowed edge, target(v) core nodes per vertex),
+  nodes per allowed edge, target(v) core nodes per vertex).  The blossom
+  contracts locally, relabelling only the vertices of the merged blossoms,
+  and drops the vertices of every failed (Hungarian) search tree from the
+  later searches,
 * Hamiltonian cycles via polynomial refutations first (degree check,
   2-factor relaxation, separator test) at every n, then one exact
-  Hamiltonian path search closing the cycle: a pruned depth-first search
-  that never expands a failed (free set, current vertex) state twice.
+  Hamiltonian path search closing the cycle: a pruned depth-first search,
+  run on an explicit stack, that never expands a failed (free set, current
+  vertex) state twice.
 
 Enumeration is a separate brute-force oracle that emits members in
 lexicographic order of their sorted edge lists.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Optional
 
 from .constructions import FamilyKind, check_n
@@ -47,16 +54,18 @@ class AllowedGraph:
     masks: tuple[int, ...]  # index v holds neighbor bits; index 0 unused
 
     def __post_init__(self):
-        if len(self.masks) != self.n + 1:
+        n, masks = self.n, self.masks
+        if len(masks) != n + 1:
             raise ValueError("masks must have one entry per vertex plus slot 0")
-        for v in range(1, self.n + 1):
-            if self.masks[v] >> (self.n + 1):
-                raise ValueError("neighbor bit out of range")
-            if (self.masks[v] >> v) & 1:
-                raise ValueError("loops are not allowed")
-            for u in range(1, self.n + 1):
-                if (self.masks[v] >> u) & 1 and not (self.masks[u] >> v) & 1:
-                    raise ValueError("adjacency must be symmetric")
+        full = (2 << n) - 2  # bits 1..n
+        if masks[0] or any(m & ~full for m in masks):
+            raise ValueError("neighbor bit out of range")
+        if any((m >> v) & 1 for v, m in enumerate(masks)):
+            raise ValueError("loops are not allowed")
+        # character u of row v is bit u: symmetric iff the rows are the columns
+        rows = [format(m, f"0{n + 1}b")[::-1] for m in masks]
+        if rows != list(map("".join, zip(*rows))):
+            raise ValueError("adjacency must be symmetric")
 
     @staticmethod
     def from_edges(n: int, edges) -> "AllowedGraph":
@@ -75,7 +84,11 @@ class AllowedGraph:
 
     @staticmethod
     def minus_color(c: EdgeColoring, t: int) -> "AllowedGraph":
-        return AllowedGraph.from_edges(c.n, [(i, j) for (i, j, col) in c.edges() if col != t])
+        """K_n minus the color-t edges, from the coloring's per-color bitsets."""
+        full = (2 << c.n) - 2
+        drop = c.color_masks[t if 1 <= t <= c.k else 0]
+        masks = (full & ~(1 << v) & ~drop[v] for v in range(1, c.n + 1))
+        return AllowedGraph(c.n, (0, *masks))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.masks[i] >> j) & 1)
@@ -142,9 +155,20 @@ class SubgraphWitness:
 
 
 def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximum cardinality matching in a general graph; match[v] = -1 if free."""
+    """Maximum cardinality matching in a general graph; match[v] = -1 if free.
+
+    Edmonds' blossom algorithm after a greedy seed that takes the vertices
+    of lowest degree first: one breadth-first search per free root.  The
+    search tree keeps its vertices grouped by blossom base, so a contraction
+    relabels only the vertices of the blossoms it merges, never all n.  A
+    search that fails leaves a Hungarian tree, and no later augmenting path
+    meets its vertices (Edmonds 1965), so they are dropped from every later
+    search; the matching stays maximum.
+    """
     match = [-1] * n
-    for v in range(n):  # cheap greedy seed, fewer augmentation rounds
+    # a vertex whose few neighbors are taken early stays free, so the
+    # greedy seed matches low degrees first and leaves fewer searches
+    for v in sorted(range(n), key=lambda v: len(adj[v])):
         if match[v] == -1:
             for u in adj[v]:
                 if match[u] == -1:
@@ -153,54 +177,57 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
                     break
     parent = [-1] * n
     base = list(range(n))
+    outer = [False] * n  # even vertices of the current tree
+    dead = [False] * n  # vertices of failed search trees
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            used[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in seen:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: dict[int, None]) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            blossom[base[v]] = None
+            blossom[base[match[v]]] = None
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
 
-    def find_augmenting_path(root: int) -> bool:
-        nonlocal parent, base
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
-        used[root] = True
+    def find_augmenting_path(root: int, members: dict[int, list[int]]) -> bool:
+        outer[root] = True
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
+                if dead[to] or base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     cur = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur, to, in_blossom)
-                    mark_path(to, cur, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
+                    blossom: dict[int, None] = {}  # bases on the cycle, in path order
+                    mark_path(v, cur, to, blossom)
+                    mark_path(to, cur, v, blossom)
+                    into = members[cur]
+                    for b in blossom:
+                        if b == cur:
+                            continue
+                        for i in members.pop(b):
                             base[i] = cur
-                            if not used[i]:
-                                used[i] = True
+                            if not outer[i]:
+                                outer[i] = True
                                 queue.append(i)
+                            into.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    members[to] = [to]
                     if match[to] == -1:
                         u = to
                         while u != -1:
@@ -210,13 +237,21 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
                             match[pv] = u
                             u = ppv
                         return True
-                    used[match[to]] = True
+                    members[match[to]] = [match[to]]
+                    outer[match[to]] = True
                     queue.append(match[to])
         return False
 
     for v in range(n):
-        if match[v] == -1:
-            find_augmenting_path(v)
+        if match[v] == -1 and not dead[v]:
+            members = {v: [v]}  # the tree's vertices by their blossom base
+            found = find_augmenting_path(v, members)
+            for group in members.values():
+                for i in group:
+                    parent[i] = -1
+                    base[i] = i
+                    outer[i] = False
+                    dead[i] = not found
     return match
 
 
@@ -243,14 +278,13 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
     if max(targets) <= 1:
         verts = [v for v in range(1, n + 1) if targets[v]]
         live = sum(1 << v for v in verts)
-        index = {v: i for i, v in enumerate(verts)}
-        for v in verts:
-            row, m = [], g.masks[v] & live
-            while m:
-                bit = m & -m
-                m ^= bit
-                row.append(index[bit.bit_length() - 1])
-            adj.append(row)
+        index = [0] * (n + 1)
+        for i, v in enumerate(verts):
+            index[v] = i
+        flags = bytes.maketrans(b"01", b"\0\1")
+        for v in verts:  # byte u of the reversed binary string is bit u
+            bits = format(g.masks[v] & live, "b")[::-1].encode().translate(flags)
+            adj.append(list(compress(index, bits)))
         match = maximum_matching(len(verts), adj)
         if -1 in match:
             return None
@@ -296,8 +330,9 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
     """Hamiltonian path from start to end (to a neighbor of start when end
     is None, so that it closes into a cycle), or None.
 
-    Depth-first: free neighbors with the fewest free neighbors go first and
-    end is kept back until the last step.  The target is end, or start when
+    Depth-first on an explicit stack, so the path may be longer than the
+    recursion limit: free neighbors with the fewest free neighbors go first
+    and end is kept back until the last step.  The target is end, or start when
     the path closes.  A step cur -> v is cut when another neighbor of cur,
     free or the target, keeps fewer usable neighbors than it needs (2 for a
     free vertex, 1 for the target; usable means free, v or the target), or
@@ -309,7 +344,6 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
     adj = g.masks
     target = 1 << (start if end is None else end)
     end_bit = 0 if end is None else target
-    path = [start]
     dead: set[tuple[int, int]] = set()
 
     def viable(cur: int, v: int, rest: int) -> bool:
@@ -323,9 +357,7 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
                 return False
         return not rest & ~_reach(adj, here, rest)
 
-    def extend(cur: int, free: int) -> bool:
-        if not free:
-            return end is not None or bool(adj[cur] & target)
+    def candidates(cur: int, free: int) -> Iterator[int]:
         m = adj[cur] & free
         if free != end_bit:
             m &= ~end_bit
@@ -335,19 +367,27 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
             m ^= bit
             cands.append(bit.bit_length() - 1)
         cands.sort(key=lambda v: (adj[v] & free).bit_count())
+        return iter(cands)
+
+    # one frame (path vertex, free set, untried candidates) per path vertex
+    free = ((2 << g.n) - 2) & ~(1 << start)
+    stack = [(start, free, candidates(start, free))]
+    while stack:
+        cur, free, cands = stack[-1]
         for v in cands:
             rest = free & ~(1 << v)
             if (rest, v) in dead:
                 continue
-            path.append(v)
-            if viable(cur, v, rest) and extend(v, rest):
-                return True
-            path.pop()
+            if viable(cur, v, rest):
+                if rest:
+                    stack.append((v, rest, candidates(v, rest)))
+                    break
+                if end is not None or adj[v] & target:
+                    return [frame[0] for frame in stack] + [v]
             dead.add((rest, v))
-        return False
-
-    if extend(start, ((2 << g.n) - 2) & ~(1 << start)):
-        return path
+        else:  # every candidate failed, so the state (free, cur) did
+            stack.pop()
+            dead.add((free, cur))
     return None
 
 

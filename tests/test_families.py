@@ -10,6 +10,7 @@ import pytest
 from polykn import (
     AllowedGraph,
     CapExceededError,
+    EdgeColoring,
     FamilyKind,
     SubgraphWitness,
     count_members,
@@ -44,6 +45,53 @@ def test_minus_color():
     assert not g.has_edge(1, 3)
     assert not g.has_edge(3, 4)
     assert g.has_edge(1, 2)
+
+
+@pytest.mark.parametrize(
+    "n, masks, message",
+    [
+        (2, (0, 0b100, 0), "adjacency must be symmetric"),
+        (2, (0, 0b1100, 0b10), "neighbor bit out of range"),  # bit n + 1
+        (2, (0, 0b101, 0b010), "neighbor bit out of range"),  # bit 0
+        (3, (0b1110, 0b100, 0b10, 0), "neighbor bit out of range"),  # slot 0
+        (3, (0, 0b110, 0b10, 0), "loops are not allowed"),
+    ],
+    ids=["asymmetric", "bit-n-plus-1", "bit-0", "slot-0", "loop"],
+)
+def test_allowed_graph_rejects_invalid_masks(n, masks, message):
+    with pytest.raises(ValueError, match=message):
+        AllowedGraph(n, masks)
+
+
+def _random_coloring(rng, n):
+    k = rng.randint(1, min(6, n * (n - 1) // 2))
+    return EdgeColoring.from_pairs(n, {e: rng.randint(1, k) for e in all_edges(n)})
+
+
+def test_minus_color_matches_from_edges():
+    from polykn import build
+
+    rng = random.Random(707)
+    colorings = [_random_coloring(rng, n) for n in range(2, 41)]
+    colorings += [build(F1, 16), build(F2, 15), build(HC, 13)]
+    for c in colorings:
+        for t in range(1, c.k + 1):
+            want = AllowedGraph.from_edges(c.n, [(i, j) for (i, j, col) in c.edges() if col != t])
+            assert AllowedGraph.minus_color(c, t).masks == want.masks
+
+
+def test_color_masks_partition_complete_graph():
+    from polykn import build
+
+    rng = random.Random(708)
+    for c in [_random_coloring(rng, n) for n in range(2, 30)] + [build(F1, 32), build(HC, 19)]:
+        union = [0] * (c.n + 1)
+        for t in range(1, c.k + 1):
+            for v, m in enumerate(c.color_masks[t]):
+                assert not union[v] & m  # the color classes are pairwise disjoint
+                union[v] |= m
+        assert tuple(union) == AllowedGraph.complete(c.n).masks
+        assert not any(c.color_masks[0])
 
 
 def test_one_factor_counts_double_factorial():
@@ -204,6 +252,19 @@ def test_exact_search_refutes_graph_past_every_refutation():
     assert find_member(HC, g) is None
 
 
+def test_exact_search_finds_long_cycle_without_recursion():
+    # a 1,200-vertex cycle with a chord (i, i + 2) at every 7th i: the
+    # refutations pass, and the path search holds one frame per path vertex
+    n = 1200
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    edges += [(i, i + 2) for i in range(7, n - 1, 7)]
+    g = AllowedGraph.from_edges(n, edges)
+    w = find_member(HC, g)
+    assert w is not None
+    w.validate(n)
+    assert all(g.has_edge(i, j) for (i, j) in w.edges)
+
+
 def test_blossom_against_networkx_at_scale():
     nx = pytest.importorskip("networkx")
     from polykn.families import maximum_matching
@@ -228,6 +289,41 @@ def test_blossom_against_networkx_at_scale():
             for v, u in enumerate(match):
                 if u != -1:
                     assert u in adj[v] and match[u] == v
+
+    def assert_maximum(n, adj):
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from((v, u) for v in range(n) for u in adj[v])
+        match = maximum_matching(n, adj)
+        size = sum(1 for v in match if v != -1) // 2
+        assert size == len(nx.max_weight_matching(G, maxcardinality=True))
+        for v, u in enumerate(match):
+            if u != -1:
+                assert u in adj[v] and match[u] == v
+
+    # sparse graphs with shuffled rows leave many free vertices whose
+    # searches fail, so the failed-tree removal is exercised
+    rng = random.Random(60_2)
+    for n in (30, 60, 120):
+        for p in (0.02, 0.04):
+            for _ in range(8):
+                adj = [[] for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < p:
+                            adj[i].append(j)
+                            adj[j].append(i)
+                for row in adj:
+                    rng.shuffle(row)
+                assert_maximum(n, adj)
+    # K_n minus each color of the paper's 1-factor coloring: no perfect matching
+    from polykn import build
+
+    c = build(F1, 64)
+    for t in range(1, c.k + 1):
+        g = AllowedGraph.minus_color(c, t)
+        adj = [[u - 1 for u in range(1, 65) if g.has_edge(v, u)] for v in range(1, 65)]
+        assert_maximum(64, adj)
 
 
 def test_large_n_hamiltonian_refutations_are_fast():
