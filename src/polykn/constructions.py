@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-from .core import EdgeColoring, all_edges
+from .core import EdgeColoring, edge_index
 
 
 class FamilyKind(enum.Enum):
@@ -81,18 +81,25 @@ def class_sizes(kind: FamilyKind, n: int) -> tuple[int, ...]:
     return (1, 1, 1, *middle, last)
 
 
+def _ordered_colors(main) -> list[int]:
+    """Flat pair-order colors in which edge v_i v_j (i < j) gets main[i-1]."""
+    n = len(main)
+    colors: list[int] = []
+    for i in range(1, n):
+        colors += [main[i - 1]] * (n - i)
+    return colors
+
+
 def build_ordered(main: tuple[int, ...] | list[int]) -> EdgeColoring:
     """Ordered coloring determined by a main-color sequence.
 
-    Edge v_i v_j (i < j) receives main[i].  The final entry never colors an
-    edge and is overridden by main[n-1]; the palette is compacted.
+    Edge v_i v_j (i < j) receives main[i-1].  The final entry colors no
+    edge, so it acts as a copy of main[n-2]; the palette is compacted.
     """
     n = len(main)
     if n < 2:
         raise ValueError("need at least 2 main colors")
-    seq = list(main)
-    seq[n - 1] = seq[n - 2]
-    return EdgeColoring.from_function(n, lambda i, j: seq[i - 1])
+    return EdgeColoring.from_colors(n, _ordered_colors(main))
 
 
 def build(kind: FamilyKind, n: int) -> EdgeColoring:
@@ -104,11 +111,10 @@ def build(kind: FamilyKind, n: int) -> EdgeColoring:
     makes v_1, v_2, v_3 unitary with a rainbow triangle between them.
     """
     sizes = class_sizes(kind, n)
-    k = len(sizes)
     mains = []
     for t, size in enumerate(sizes, start=1):
         mains.extend([t] * size)
-    mapping = {(i, j): mains[i - 1] for (i, j) in all_edges(n)}
-    if kind is not FamilyKind.ONE_FACTOR and k >= 3:
-        mapping[(1, 3)] = 3
-    return EdgeColoring.from_pairs(n, mapping)
+    colors = _ordered_colors(mains)
+    if kind is not FamilyKind.ONE_FACTOR and len(sizes) >= 3:
+        colors[edge_index(n, 1, 3)] = 3
+    return EdgeColoring.from_colors(n, colors)

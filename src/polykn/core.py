@@ -43,9 +43,27 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     @staticmethod
-    def from_pairs(n: int, mapping: dict[Edge, int]) -> "EdgeColoring":
+    def from_colors(n: int, colors) -> "EdgeColoring":
+        """Coloring from a flat list of colors in lexicographic pair order.
+
+        Every color must be at least 1; a gapped palette is compacted.  The
+        other constructors all end here.
+        """
         if n < 2:
             raise ValueError("need at least 2 vertices")
+        m = n * (n - 1) // 2
+        if len(colors) != m:
+            raise ValueError(f"expected {m} edges, got {len(colors)}")
+        used = sorted(set(colors))
+        if used[0] < 1:
+            raise ValueError(f"bad color {used[0]}")
+        if used == list(range(1, len(used) + 1)):
+            return EdgeColoring(n, len(used), tuple(colors))
+        relabel = {c: t for t, c in enumerate(used, start=1)}
+        return EdgeColoring(n, len(used), tuple(map(relabel.__getitem__, colors)))
+
+    @staticmethod
+    def from_pairs(n: int, mapping: dict[Edge, int]) -> "EdgeColoring":
         m = n * (n - 1) // 2
         if len(mapping) != m:
             raise ValueError(f"expected {m} edges, got {len(mapping)}")
@@ -53,18 +71,12 @@ class EdgeColoring:
         for (i, j), c in mapping.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad edge ({i}, {j})")
-            if c < 1:
-                raise ValueError(f"bad color {c} on edge ({i}, {j})")
             colors[edge_index(n, i, j)] = c
-        if 0 in colors:
-            raise ValueError("some edge missing from mapping")
-        used = sorted(set(colors))
-        relabel = {c: t for t, c in enumerate(used, start=1)}
-        return EdgeColoring(n, len(used), tuple(relabel[c] for c in colors))
+        return EdgeColoring.from_colors(n, colors)
 
     @staticmethod
     def from_function(n: int, fn) -> "EdgeColoring":
-        return EdgeColoring.from_pairs(n, {(i, j): fn(i, j) for (i, j) in all_edges(n)})
+        return EdgeColoring.from_colors(n, [fn(i, j) for (i, j) in all_edges(n)])
 
     def color(self, i: int, j: int) -> int:
         if i == j:
@@ -97,15 +109,20 @@ class EdgeColoring:
 
     def recolored(self, i: int, j: int, c: int) -> "EdgeColoring":
         """New coloring with one edge changed; result is re-canonicalized."""
-        mapping = {(a, b): col for (a, b, col) in self.edges()}
-        mapping[(min(i, j), max(i, j))] = c
-        return EdgeColoring.from_pairs(self.n, mapping)
+        i, j = min(i, j), max(i, j)
+        if not (1 <= i < j <= self.n):
+            raise ValueError(f"bad edge ({i}, {j})")
+        colors = list(self.colors)
+        colors[edge_index(self.n, i, j)] = c
+        return EdgeColoring.from_colors(self.n, colors)
 
     def canonicalize(self) -> "EdgeColoring":
-        return EdgeColoring.from_pairs(self.n, {(i, j): c for (i, j, c) in self.edges()})
+        return EdgeColoring.from_colors(self.n, self.colors)
 
     def vertex_color_counts(self, v: int) -> Counter:
-        return Counter(self.color(v, u) for u in range(1, self.n + 1) if u != v)
+        if not (1 <= v <= self.n):
+            raise ValueError(f"vertex out of range: {v}")
+        return Counter({t: row[v].bit_count() for t, row in enumerate(self.color_masks) if row[v]})
 
 
 @dataclass(frozen=True)
@@ -242,6 +259,16 @@ class MajorityCertificate:
 # operations
 
 
+def _color_into(c: EdgeColoring, v: int, targets: int) -> Optional[int]:
+    """The one color of every edge from v into the nonempty vertex bitset
+    targets (v not in it), or None when those edges carry two colors."""
+    for t, row in enumerate(c.color_masks):
+        hit = row[v] & targets
+        if hit:
+            return t if hit == targets else None
+    return None
+
+
 def is_ordered_at(c: EdgeColoring, o: VertexOrdering, i: int) -> Optional[int]:
     """Main color at position i, or None if the rightward edges disagree.
 
@@ -253,12 +280,10 @@ def is_ordered_at(c: EdgeColoring, o: VertexOrdering, i: int) -> Optional[int]:
         raise ValueError(f"position {i} out of range")
     if i >= n - 1:
         return c.color(o.vertex_at(n - 1), o.vertex_at(n))
-    v = o.vertex_at(i)
-    first = c.color(v, o.vertex_at(i + 1))
-    for p in range(i + 2, n + 1):
-        if c.color(v, o.vertex_at(p)) != first:
-            return None
-    return first
+    later = 0
+    for u in o.order[i:]:
+        later |= 1 << u
+    return _color_into(c, o.vertex_at(i), later)
 
 
 def is_unitary(c: EdgeColoring, v: int) -> Optional[tuple[int, int, int]]:
@@ -272,39 +297,40 @@ def is_unitary(c: EdgeColoring, v: int) -> Optional[tuple[int, int, int]]:
     n = c.n
     if n < 3:
         raise ValueError("unitary vertices need n >= 3")
-    counts = c.vertex_color_counts(v)
-    if len(counts) != 2:
+    if not (1 <= v <= n):
+        raise ValueError(f"vertex out of range: {v}")
+    masks = c.color_masks
+    present = [t for t in range(1, c.k + 1) if masks[t][v]]
+    if len(present) != 2:
         return None
-    for a in sorted(counts):
-        if counts[a] != n - 2:
-            continue
-        (b,) = [x for x in counts if x != a]
-        if counts[b] != 1:
-            continue
-        u = next(w for w in range(1, n + 1) if w != v and c.color(v, w) == b)
-        b_count = sum(1 for w in range(1, n + 1) if w != u and c.color(u, w) == b)
-        if b_count == n - 2:
-            return (a, b, u)
+    for a, b in (present, present[::-1]):
+        # v's n-1 edges split n-2 / 1, so masks[b][v] holds the partner alone
+        if masks[a][v].bit_count() == n - 2:
+            u = masks[b][v].bit_length() - 1
+            if masks[b][u].bit_count() == n - 2:
+                return (a, b, u)
     return None
 
 
-def _unitary_structure(c: EdgeColoring) -> Optional[dict[int, tuple[int, int, int]]]:
+def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
     """Map every truly unitary vertex to (main, minority, partner).
 
     ``is_unitary`` is a one-step shape check; genuine unitarity additionally
     requires the partner chain to close (the partner must itself be unitary).
     After discarding vertices whose chain dies, the survivors form a single
     partner cycle of length 3 (distinct mains) or 4 (two alternating mains),
-    or there are none at all.
+    or there are none at all (always for n = 2).
     """
     n = c.n
+    if n == 2:
+        return {}
     if n == 3:
         p, q, r = c.color(1, 2), c.color(1, 3), c.color(2, 3)
         if len({p, q, r}) == 3:
             # rainbow triangle: every vertex is unitary; fix the partner
             # cycle 1 -> 3 -> 2 -> 1 so mains are deterministic
             return {1: (p, q, 3), 2: (r, p, 1), 3: (q, r, 2)}
-        return None
+        return {}
     info = {}
     for v in range(1, n + 1):
         res = is_unitary(c, v)
@@ -319,7 +345,7 @@ def _unitary_structure(c: EdgeColoring) -> Optional[dict[int, tuple[int, int, in
                 del info[v]
                 changed = True
     if not info:
-        return None
+        return info
     # survivors can only be one partner cycle on 3 or 4 vertices
     seen: set[int] = set()
     v = min(info)
@@ -336,18 +362,19 @@ def _greedy_order(c: EdgeColoring, prefix: list[int]) -> Optional[list[int]]:
     whose edges to the remaining vertices are monochromatic."""
     n = c.n
     remaining = sorted(v for v in range(1, n + 1) if v not in prefix)
+    rest = 0  # bitset of remaining
+    for v in remaining:
+        rest |= 1 << v
     placed = list(prefix)
     while len(remaining) > 2:
-        pick = None
-        for v in remaining:
-            colors = {c.color(v, u) for u in remaining if u != v}
-            if len(colors) == 1:
-                pick = v
-                break
+        pick = next(
+            (v for v in remaining if _color_into(c, v, rest ^ (1 << v)) is not None), None
+        )
         if pick is None:
             return None
         placed.append(pick)
         remaining.remove(pick)
+        rest ^= 1 << pick
     placed.extend(remaining)
     return placed
 
@@ -358,19 +385,31 @@ def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
     Every vertex must be ordered at its position or unitary; unitary mains
     take precedence (the two agree wherever both apply).
     """
+    return _inherited(c, o, _unitary_structure(c))
+
+
+def _inherited(
+    c: EdgeColoring, o: VertexOrdering, unitary: dict[int, tuple[int, int, int]]
+) -> InheritedColoring:
+    """inherited_coloring given the unitary structure of c."""
     n = c.n
-    structure = _unitary_structure(c) if n >= 3 else None
-    unitary = structure or {}
+    last = c.color(o.vertex_at(n - 1), o.vertex_at(n))
     mains = [0] * n
-    for p in range(1, n + 1):
+    later = 0  # bitset of the vertices after position p
+    bad = None  # the lowest position that is neither ordered nor unitary
+    for p in range(n, 0, -1):
         v = o.vertex_at(p)
         if v in unitary:
             mains[v - 1] = unitary[v][0]
-            continue
-        m = is_ordered_at(c, o, p)
-        if m is None:
-            raise ValueError(f"vertex {v} is neither ordered at position {p} nor unitary")
-        mains[v - 1] = m
+        elif p >= n - 1:
+            mains[v - 1] = last
+        else:
+            mains[v - 1] = _color_into(c, v, later)
+            if mains[v - 1] is None:
+                bad = (v, p)
+        later |= 1 << v
+    if bad is not None:
+        raise ValueError(f"vertex {bad[0]} is neither ordered at position {bad[1]} nor unitary")
     unit = tuple(
         UnitaryVertex(v, a, b, u) for v, (a, b, u) in sorted(unitary.items())
     )
@@ -384,13 +423,11 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
     extracted when present, then remaining vertices are ordered greedily.
     Returns None when no combing ordering exists.
     """
-    n = c.n
-    if n == 2:
-        return inherited_coloring(c, VertexOrdering.identity(2))
-    order = _greedy_order(c, sorted(_unitary_structure(c) or ()))
+    unitary = _unitary_structure(c)
+    order = _greedy_order(c, sorted(unitary))
     if order is None:
         return None
-    return inherited_coloring(c, VertexOrdering(tuple(order)))
+    return _inherited(c, VertexOrdering(tuple(order)), unitary)
 
 
 def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:

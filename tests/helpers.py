@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from polykn import EdgeColoring, VertexOrdering, build_ordered
 from polykn.core import all_edges, is_ordered_at, is_unitary
@@ -153,3 +154,84 @@ def oracle_combed(c: EdgeColoring) -> bool:
         ):
             return True
     return False
+
+
+def plant_unitary_quad(c: EdgeColoring, w: int, x: int, y: int, z: int, a: int, b: int):
+    """c with a unitary quad on w, x, y, z: w and x keep main a, y and z main
+    b, and the minority edges wy, xz, yx, zw close the partner cycle
+    w -> y -> x -> z -> w."""
+    quad = {w: a, x: a, y: b, z: b}
+    inside = {frozenset((w, x)): a, frozenset((w, y)): b, frozenset((w, z)): a,
+              frozenset((x, y)): a, frozenset((x, z)): b, frozenset((y, z)): b}
+    mapping = {}
+    for (i, j, col) in c.edges():
+        if i in quad and j in quad:
+            col = inside[frozenset((i, j))]
+        elif i in quad or j in quad:
+            col = quad[i if i in quad else j]
+        mapping[(i, j)] = col
+    return EdgeColoring.from_pairs(c.n, mapping)
+
+
+# ---------------------------------------------------------------------------
+# per-pair references: the combing definitions read through c.color only
+
+
+def ref_vertex_color_counts(c: EdgeColoring, v: int) -> Counter:
+    return Counter(c.color(v, u) for u in range(1, c.n + 1) if u != v)
+
+
+def ref_is_ordered_at(c: EdgeColoring, o: VertexOrdering, i: int):
+    n = c.n
+    if i >= n - 1:
+        return c.color(o.vertex_at(n - 1), o.vertex_at(n))
+    v = o.vertex_at(i)
+    colors = {c.color(v, o.vertex_at(p)) for p in range(i + 1, n + 1)}
+    return colors.pop() if len(colors) == 1 else None
+
+
+def ref_is_unitary(c: EdgeColoring, v: int):
+    n = c.n
+    counts = ref_vertex_color_counts(c, v)
+    if len(counts) != 2:
+        return None
+    for a in sorted(counts):
+        (b,) = [x for x in counts if x != a]
+        if counts[a] != n - 2 or counts[b] != 1:
+            continue
+        u = next(w for w in range(1, n + 1) if w != v and c.color(v, w) == b)
+        if sum(1 for w in range(1, n + 1) if w != u and c.color(u, w) == b) == n - 2:
+            return (a, b, u)
+    return None
+
+
+def ref_comb_certificate(c: EdgeColoring):
+    """(ordering, mains, sorted unitary (vertex, main, minority, partner))
+    of the combing certificate, or None: unitary vertices first in label
+    order, then always the smallest vertex monochromatic to the rest."""
+    n = c.n
+    unitary: dict[int, tuple[int, int, int]] = {}
+    if n == 3:
+        p, q, r = c.color(1, 2), c.color(1, 3), c.color(2, 3)
+        if len({p, q, r}) == 3:
+            unitary = {1: (p, q, 3), 2: (r, p, 1), 3: (q, r, 2)}
+    elif n > 3:
+        unitary = {v: ref_is_unitary(c, v) for v in range(1, n + 1)}
+        unitary = {v: r for v, r in unitary.items() if r is not None}
+        while any(r[2] not in unitary for r in unitary.values()):
+            unitary = {v: r for v, r in unitary.items() if r[2] in unitary}
+    order = sorted(unitary)
+    rest = [v for v in range(1, n + 1) if v not in unitary]
+    while len(rest) > 2:
+        pick = next(
+            (v for v in rest if len({c.color(v, u) for u in rest if u != v}) == 1), None
+        )
+        if pick is None:
+            return None
+        order.append(pick)
+        rest.remove(pick)
+    o = VertexOrdering(tuple(order + rest))
+    mains = [0] * n
+    for p, v in enumerate(o.order, start=1):
+        mains[v - 1] = unitary[v][0] if v in unitary else ref_is_ordered_at(c, o, p)
+    return o.order, tuple(mains), tuple((v, *r) for v, r in sorted(unitary.items()))

@@ -20,10 +20,17 @@ from polykn import (
     is_unitary,
     majority_certificate,
 )
+from polykn.transforms import recolor_unitary_triple
 from helpers import (
     all_ordered_colorings,
     oracle_combed,
     ordered_from_seq,
+    permute_vertices,
+    plant_unitary_quad,
+    ref_comb_certificate,
+    ref_is_ordered_at,
+    ref_is_unitary,
+    ref_vertex_color_counts,
     truly_unitary_set,
 )
 
@@ -41,6 +48,19 @@ def test_edge_coloring_validation():
         EdgeColoring.from_pairs(2, {(1, 2): 0})  # colors start at 1
 
 
+def test_flat_constructor_validates_and_compacts():
+    with pytest.raises(ValueError):
+        EdgeColoring.from_colors(3, [1, 1])  # one edge short
+    with pytest.raises(ValueError):
+        EdgeColoring.from_colors(3, [1, 0, 1])  # colors start at 1
+    with pytest.raises(ValueError):
+        EdgeColoring.from_colors(1, [])
+    c = EdgeColoring.from_colors(3, [5, 9, 5])
+    assert (c.k, c.colors) == (2, (1, 2, 1))
+    assert c == EdgeColoring.from_pairs(3, {(1, 2): 5, (1, 3): 9, (2, 3): 5})
+    assert c == EdgeColoring.from_function(3, lambda i, j: 9 if (i, j) == (1, 3) else 5)
+
+
 def test_palette_compaction_and_idempotence():
     c = EdgeColoring.from_pairs(3, {(1, 2): 5, (1, 3): 9, (2, 3): 5})
     assert c.k == 2
@@ -56,6 +76,10 @@ def test_recolored_stays_canonical():
     # dropping the last edge of a color compacts the palette
     mono = EdgeColoring.from_pairs(3, {(1, 2): 1, (1, 3): 1, (2, 3): 2})
     assert mono.recolored(2, 3, 1).k == 1
+    assert mono.recolored(3, 2, 7).colors == (1, 1, 2)
+    for bad in ((2, 2, 1), (0, 3, 1), (3, 4, 1), (1, 2, 0)):
+        with pytest.raises(ValueError):
+            mono.recolored(*bad)
 
 
 def test_is_ordered_at_main_colors():
@@ -266,3 +290,78 @@ def test_lookup_bounds_and_tiny_cases():
         is_unitary(EdgeColoring.from_pairs(2, {(1, 2): 1}), 1)
     two = comb_certificate(EdgeColoring.from_pairs(2, {(1, 2): 1}))
     assert two is not None and two.class_sizes() == (2,)
+
+
+def test_vertex_reads_reject_out_of_range_vertices():
+    c = build(F2, 7)
+    for v in (0, c.n + 1):
+        with pytest.raises(ValueError):
+            c.vertex_color_counts(v)
+        with pytest.raises(ValueError):
+            is_unitary(c, v)
+
+
+def _differential_colorings(rng):
+    """Seeded colorings at n = 3..14: uniformly random ones, and combed ones
+    under shuffled labels, some with a planted unitary triple or quad and
+    some with one edge recolored afterwards."""
+    for n in range(3, 15):
+        for _ in range(12):
+            kmax = rng.choice([2, 3, 4])
+            yield EdgeColoring.from_function(n, lambda i, j: rng.randint(1, kmax))
+        for _ in range(24):
+            kmax = rng.choice([2, 3, 4, 5])
+            c = build_ordered([rng.randint(1, kmax) for _ in range(n)])
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            c = permute_vertices(c, dict(zip(range(1, n + 1), perm)))
+            plant = rng.choice(["triple", "quad", None])
+            if plant == "triple" and c.k >= 3:
+                c = recolor_unitary_triple(c, *rng.sample(range(1, n + 1), 3))
+            elif plant == "quad" and n >= 4 and c.k >= 2:
+                a, b = rng.sample(range(1, c.k + 1), 2)
+                c = plant_unitary_quad(c, *rng.sample(range(1, n + 1), 4), a, b)
+            if rng.random() < 0.3:
+                i, j = sorted(rng.sample(range(1, n + 1), 2))
+                c = c.recolored(i, j, rng.randint(1, c.k))
+            yield c
+
+
+def test_combing_layer_matches_per_pair_reference():
+    rng = random.Random(2024)
+    combed = unitary = 0
+    for c in _differential_colorings(rng):
+        n = c.n
+        for v in range(1, n + 1):
+            assert c.vertex_color_counts(v) == ref_vertex_color_counts(c, v)
+            assert is_unitary(c, v) == ref_is_unitary(c, v)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        o = VertexOrdering(tuple(perm))
+        for p in range(1, n + 1):
+            assert is_ordered_at(c, o, p) == ref_is_ordered_at(c, o, p)
+        got = comb_certificate(c)
+        want = ref_comb_certificate(c)
+        if got is None:
+            assert want is None
+            continue
+        assert want is not None
+        unit = tuple(tuple(u) for u in got.unitary_set)
+        assert (got.ordering.order, got.main, unit) == want
+        combed += 1
+        unitary += bool(unit)
+    # the data reaches both verdicts and both unitary shapes
+    assert combed > 100 and unitary > 50
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(F1, n) for n in (128, 256, 512)]
+    + [(F2, n) for n in (15, 23, 31)]
+    + [(HC, n) for n in (13, 18, 19, 24, 32)],
+)
+def test_comb_certificate_on_bench_ladder(kind, n):
+    ic = comb_certificate(build(kind, n))
+    assert ic is not None
+    assert ic.class_sizes() == class_sizes(kind, n)
+    assert majority_certificate(ic, strict=kind is F1).complete
