@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 Edge = tuple[int, int]
@@ -185,14 +186,14 @@ class InheritedColoring:
             raise ValueError("main colors must cover all vertices")
         if len(self.unitary_set) not in (0, 3, 4):
             raise ValueError("unitary vertices always come in groups of 3 or 4")
-        rows = []
-        for t in range(1, self.k + 1):
-            row = [0] * (n + 1)
-            for p in range(1, n + 1):
-                v = self.ordering.vertex_at(p)
-                row[p] = row[p - 1] + (1 if self.main[v - 1] == t else 0)
-            rows.append(tuple(row))
-        object.__setattr__(self, "_prefix", tuple(rows))
+        if min(self.main) < 1 or max(self.main) > self.k:
+            raise ValueError(f"main colors must lie in 1..{self.k}")
+        # one pass in position order marks each position in its color's
+        # row; a running sum over a row gives that color's prefix counts
+        marks = [bytearray(n + 1) for _ in range(self.k + 1)]
+        for p, v in enumerate(self.ordering.order, start=1):
+            marks[self.main[v - 1]][p] = 1
+        object.__setattr__(self, "_prefix", tuple(tuple(accumulate(row)) for row in marks[1:]))
 
     @property
     def n(self) -> int:

@@ -1,11 +1,15 @@
 """Exact polychromatic numbers at desk scale.
 
-Full mode enumerates all edge colorings up to color permutation (colors are
-labelled by first occurrence along the lexicographic edge order) and prunes
-a branch as soon as some fully-assigned member avoids a used color.
+Full mode packs blockers.  Every color class of a polychromatic coloring
+meets every family member, so the optimum is the largest number of pairwise
+disjoint minimal blockers (edge sets meeting every member).  The minimal
+blockers come from Berge's incremental algorithm and one branch-and-bound
+depth-first search packs them; its node count covers the whole search.
+`_bf_stage`, a depth-first search over edge colorings, is kept as the
+reference the tests compare the packing with.
+
 Ordered and combed modes search main-color sequences instead, pruning with
 the majority conditions and verifying finalists with the exact engines.
-
 Each palette size is one serial depth-first search from the root that
 stops at its first (lexicographically least) hit; the node count covers
 the tree up to that hit.
@@ -54,7 +58,7 @@ class TheoremRow:
 
 
 # ---------------------------------------------------------------------------
-# full brute force over edge colorings
+# full search: reference DFS over edge colorings, and the blocker packing
 
 
 def _bf_stage(members, m, k):
@@ -103,19 +107,85 @@ def _bf_stage(members, m, k):
     return None, nodes
 
 
+def _member_masks(n, kind):
+    """Every member of the family on K_n as a bitmask over the edge indices."""
+    return tuple(
+        sum(1 << edge_index(n, i, j) for (i, j) in w.edges)
+        for w in enumerate_members(kind, n, max_n=max(n, 12))
+    )
+
+
+def _minimal_blockers(members):
+    """Every minimal edge set meeting all members, by Berge's algorithm.
+
+    Members are folded in one at a time.  A minimal blocker of the members
+    so far either already meets the new member and is kept, or is extended
+    by one edge of it.  An extended set T + e can only fail to be minimal
+    through a kept set, which then contains e.  Returns the blockers as
+    bitmasks sorted by (size, mask).
+    """
+    blockers = [0]
+    for mem in members:
+        kept = [b for b in blockers if b & mem]
+        missed = [b for b in blockers if not b & mem]
+        extended = []
+        bit = mem
+        while bit:
+            e = bit & -bit
+            bit ^= e
+            through = [s for s in kept if s & e]
+            extended += [b | e for b in missed if all(s & ~(b | e) for s in through)]
+        blockers = kept + extended
+    return sorted(blockers, key=lambda b: (b.bit_count(), b))
+
+
+def _pack(blockers, m, limit):
+    """Largest set of pairwise disjoint blockers, at most `limit` of them.
+
+    One branch-and-bound DFS over index-increasing choices: a node with
+    `chosen` blockers and `free` uncovered edges can reach at most
+    chosen + free // (smallest remaining blocker size).
+
+    Returns (the chosen blockers, nodes explored).
+    """
+    best = []
+    chosen = []
+    nodes = 0
+
+    def rec(cands, free):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) > len(best):
+            best = chosen[:]
+            if len(best) == limit:
+                return True
+        for i, b in enumerate(cands):
+            size = b.bit_count()
+            if len(chosen) + free // size <= len(best):
+                return False
+            chosen.append(b)
+            if rec([c for c in cands[i + 1 :] if not c & b], free - size):
+                return True
+            chosen.pop()
+        return False
+
+    rec(blockers, m)
+    return best, nodes
+
+
 def brute_force_poly(
     n: int,
     kind: FamilyKind,
     max_k: Optional[int] = None,
     max_n: Optional[int] = None,
 ) -> SearchReport:
-    """Exact optimum over all colorings, iterating the palette size upward.
+    """Exact optimum over all colorings, as a packing of minimal blockers.
 
-    The first edge's color is fixed by the first-occurrence labelling; a
-    partial coloring dies as soon as a family member is fully assigned and
-    avoids some used color.  Stops at the first infeasible palette size
-    (merging two color classes keeps a coloring polychromatic, so
-    feasibility is monotone in k).
+    A coloring is polychromatic exactly when every color class meets every
+    member, so the optimum is the largest number of pairwise disjoint
+    minimal blockers (edge sets meeting every member).  Blocker t takes
+    color t and every edge left over takes color 1.  With max_k the search
+    stops at max_k colors.
     """
     cap = max_n if max_n is not None else BRUTE_CAPS[kind]
     if n > cap:
@@ -123,27 +193,20 @@ def brute_force_poly(
     m = n * (n - 1) // 2
     if max_k is not None and not (1 <= max_k <= m):
         raise ValueError(f"max_k must be in 1..{m}")
-    members = tuple(
-        sum(1 << edge_index(n, i, j) for (i, j) in w.edges)
-        for w in enumerate_members(kind, n, max_n=max(n, 12))
-    )
+    members = _member_masks(n, kind)
     limit = max_k if max_k is not None else m
     start = time.perf_counter()
-    total_nodes = 0
-    best = None
-    best_k = 0
-    for k in range(1, limit + 1):
-        solution, nodes = _bf_stage(members, m, k)
-        total_nodes += nodes
-        if solution is None:
-            break
-        best, best_k = solution, k
-    mapping = {e: best[idx] for idx, e in enumerate(all_edges(n))}
-    coloring = EdgeColoring.from_pairs(n, mapping)
+    packing, nodes = _pack(_minimal_blockers(members), m, limit)
+    colors = [1] * m
+    for t, b in enumerate(packing, start=1):
+        for idx in range(m):
+            if b >> idx & 1:
+                colors[idx] = t
+    coloring = EdgeColoring.from_colors(n, colors)
     if not is_polychromatic(coloring, kind).polychromatic:
         raise RuntimeError("search produced a non-polychromatic optimum")
     return SearchReport(
-        n, kind, "full", best_k, coloring, total_nodes, time.perf_counter() - start
+        n, kind, "full", len(packing), coloring, nodes, time.perf_counter() - start
     )
 
 

@@ -354,6 +354,29 @@ def test_combing_layer_matches_per_pair_reference():
     assert combed > 100 and unitary > 50
 
 
+def test_prefix_counts_match_per_position_recount():
+    rng = random.Random(77)
+    combed = 0
+    for c in _differential_colorings(rng):
+        ic = comb_certificate(c)
+        if ic is None:
+            continue
+        combed += 1
+        n = ic.n
+        for t in range(1, ic.k + 1):
+            count = 0
+            for j in range(n + 1):
+                if j:
+                    count += ic.main[ic.ordering.vertex_at(j) - 1] == t
+                got = ic.prefix_count(t, j)
+                assert got == count and type(got) is int, (c.colors, t, j)
+    assert combed > 100
+    ic = inherited_coloring(build(F2, 7), VertexOrdering.identity(7))
+    for bad in (0, ic.k + 1):
+        with pytest.raises(ValueError, match="main colors"):
+            InheritedColoring(ic.coloring, ic.ordering, (bad,) + ic.main[1:], ic.unitary_set)
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [(F1, n) for n in (128, 256, 512)]

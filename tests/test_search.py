@@ -14,10 +14,33 @@ from polykn import (
     structured_poly,
     theorem_table,
 )
+from polykn.search import _bf_stage, _member_masks, _minimal_blockers
 
 F1 = FamilyKind.ONE_FACTOR
 F2 = FamilyKind.TWO_FACTOR
 HC = FamilyKind.HAMILTONIAN_CYCLE
+
+# every (kind, n) the packing is checked at against the coloring DFS
+DIFFERENTIAL = [(F1, n) for n in (2, 4, 6)] + [(kind, n) for kind in (F2, HC) for n in range(3, 7)]
+
+
+def coloring_dfs_optimum(n, kind):
+    """(optimum, nodes) of the reference search over edge colorings.
+
+    Runs `_bf_stage` for k = 1, 2, ... up to the first infeasible k and sums
+    its nodes (merging two color classes keeps a coloring polychromatic, so
+    feasibility is monotone in k).
+    """
+    members = _member_masks(n, kind)
+    m = n * (n - 1) // 2
+    best = total = 0
+    for k in range(1, m + 1):
+        solution, nodes = _bf_stage(members, m, k)
+        total += nodes
+        if solution is None:
+            break
+        best = k
+    return best, total
 
 
 @pytest.mark.parametrize(
@@ -126,10 +149,14 @@ def test_two_factor_never_beats_hamiltonian():
 
 
 def test_search_node_counts_pinned():
-    # node counts of the first-hit searches; pruning changes that keep the
+    # node counts of the reference coloring DFS, of the blocker packing and
+    # of the first-hit structured searches; pruning changes that keep the
     # same tree must keep these exactly
     full = {(F1, 4): 67, (F1, 6): 22_000, (F2, 4): 234, (F2, 5): 8_324, (HC, 5): 8_324}
     for (kind, n), nodes in full.items():
+        assert coloring_dfs_optimum(n, kind)[1] == nodes, (kind, n)
+    packing = {(F1, 4): 3, (F1, 6): 8, (F2, 4): 4, (F2, 5): 4, (HC, 5): 4}
+    for (kind, n), nodes in packing.items():
         assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
     combed = {(F2, 3): 6, (F2, 4): 17, (HC, 3): 6, (HC, 4): 17, (HC, 10): 464, (F2, 10): 551}
     for (kind, n), nodes in combed.items():
@@ -137,3 +164,41 @@ def test_search_node_counts_pinned():
     ordered = {(F1, 12): 728, (F2, 8): 68}
     for (kind, n), nodes in ordered.items():
         assert structured_poly(n, kind, "ordered").nodes == nodes, (kind, n)
+
+
+@pytest.mark.parametrize("kind, n", DIFFERENTIAL)
+def test_packing_matches_coloring_dfs(kind, n):
+    report = brute_force_poly(n, kind, max_n=6)
+    assert report.optimum == coloring_dfs_optimum(n, kind)[0], (kind, n)
+    assert report.coloring.k == report.optimum
+    assert is_polychromatic(report.coloring, kind).polychromatic
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind, n in DIFFERENTIAL if n * (n - 1) <= 20])
+def test_minimal_blockers_match_subset_scan(kind, n):
+    members = _member_masks(n, kind)
+    m = n * (n - 1) // 2
+    blockers = _minimal_blockers(members)
+
+    def meets_all(s):
+        return all(s & mem for mem in members)
+
+    for b in blockers:
+        assert meets_all(b)
+        assert not any(meets_all(b & ~(1 << e)) for e in range(m) if b >> e & 1)
+    scan = [
+        s for s in range(1 << m)
+        if meets_all(s) and not any(meets_all(s & ~(1 << e)) for e in range(m) if s >> e & 1)
+    ]
+    assert len(blockers) == len(set(blockers)) == len(scan)
+    assert set(blockers) == set(scan)
+    assert blockers == sorted(blockers, key=lambda b: (b.bit_count(), b))
+
+
+@pytest.mark.parametrize("kind, n", DIFFERENTIAL)
+def test_packing_max_k_below_optimum(kind, n):
+    optimum = brute_force_poly(n, kind, max_n=6).optimum
+    for max_k in range(1, optimum):
+        report = brute_force_poly(n, kind, max_k=max_k, max_n=6)
+        assert report.optimum == report.coloring.k == max_k, (kind, n, max_k)
+        assert is_polychromatic(report.coloring, kind).polychromatic
