@@ -33,3 +33,11 @@ def test_bench_records_share_one_shape():
             assert {"seed", "parent", "change"} <= set(pair), path.name
             for side in ("parent", "change"):
                 assert set(pair[side]) == set(rec["medians"]), f"{path.name}: {pair['seed']}"
+        claim = rec.get("claim")
+        if claim is not None:
+            # a claimed gain names a metric both sides measured, and its
+            # counts of pairs cover every recorded pair
+            for side in ("parent", "change"):
+                value = rec["medians"].get(claim["workload"], {}).get(side, {}).get(claim["metric"])
+                assert isinstance(value, (int, float)), f"{path.name}: claim {side} median"
+            assert 0 <= claim["pairs_won"] <= claim["pairs"] == len(rec["pairs"]), path.name

@@ -183,13 +183,12 @@ def test_minimal_blockers_match_subset_scan(kind, n):
     def meets_all(s):
         return all(s & mem for mem in members)
 
-    for b in blockers:
-        assert meets_all(b)
-        assert not any(meets_all(b & ~(1 << e)) for e in range(m) if b >> e & 1)
-    scan = [
-        s for s in range(1 << m)
-        if meets_all(s) and not any(meets_all(s & ~(1 << e)) for e in range(m) if s >> e & 1)
-    ]
+    def minimal_blocker(s):
+        # meets every member, and no set with one edge removed still does
+        return meets_all(s) and not any(meets_all(s & ~(1 << e)) for e in range(m) if s >> e & 1)
+
+    assert all(minimal_blocker(b) for b in blockers)
+    scan = [s for s in range(1 << m) if minimal_blocker(s)]
     assert len(blockers) == len(set(blockers)) == len(scan)
     assert set(blockers) == set(scan)
     assert blockers == sorted(blockers, key=lambda b: (b.bit_count(), b))
