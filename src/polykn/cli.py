@@ -13,9 +13,12 @@ import csv
 import io
 import json
 import sys
+from collections import deque
+from itertools import chain, repeat
+from operator import add, itemgetter, lt, setitem
 
 from .constructions import FamilyKind, build
-from .core import EdgeColoring, comb_certificate, majority_certificate
+from .core import EdgeColoring, comb_certificate, edge_index, majority_certificate
 from .search import SearchReport, brute_force_poly, structured_poly, theorem_table
 from .transforms import improve_toward_combed, recolor_unitary_triple
 from .verify import adversarial_hamcycle, adversarial_matching, is_polychromatic
@@ -32,7 +35,7 @@ class CliError(Exception):
 
 
 def coloring_to_document(c: EdgeColoring) -> dict:
-    return {"n": c.n, "k": c.k, "edges": [[i, j, col] for (i, j, col) in c.edges()]}
+    return {"n": c.n, "k": c.k, "edges": list(map(list, c.edges()))}
 
 
 def _int_field(value, what: str) -> int:
@@ -42,7 +45,55 @@ def _int_field(value, what: str) -> int:
     return value
 
 
+def _checked_colors(edges: list, n: int, k: int) -> list[int] | None:
+    """Flat pair-order colors of the m = n(n-1)/2 entries of edges, or None
+    when a check over all of them fails.  The checks are those of
+    _raise_first_bad_entry, each made over a whole column."""
+    if not all(map(isinstance, edges, repeat(list))) or set(map(len, edges)) != {3}:
+        return None
+    if set(map(type, chain.from_iterable(edges))) != {int}:
+        return None
+    first, second, cols = (list(map(itemgetter(t), edges)) for t in range(3))
+    if min(first) < 1 or max(second) > n or not all(map(lt, first, second)):
+        return None
+    if min(cols) < 1 or max(cols) > k:
+        return None
+    # edge_index is linear in j, so the slot of pair (i, j) is off[i] + j
+    off = [edge_index(n, i, 0) for i in range(n + 1)]
+    colors = [0] * len(edges)
+    slots = map(add, map(off.__getitem__, first), second)
+    deque(map(setitem, repeat(colors), slots, cols), maxlen=0)
+    # m pairs in range leave a slot at 0 only when one of them repeats
+    return None if 0 in colors else colors
+
+
+def _raise_first_bad_entry(edges: list, n: int, k: int) -> None:
+    """Raise the CliError that names the first bad entry of edges.
+
+    Called only when _checked_colors has failed, so some entry is bad: not
+    a list of three ints, bad endpoints, a color outside 1..k, or a pair
+    seen before.
+    """
+    seen = set()
+    for item in edges:
+        if not isinstance(item, list) or len(item) != 3:
+            raise CliError(f"bad edge entry {item!r}")
+        i, j, col = (_int_field(x, "edge entry") for x in item)
+        if not (1 <= i < j <= n):
+            raise CliError(f"bad edge endpoints ({i}, {j})")
+        if not (1 <= col <= k):
+            raise CliError(f"color {col} outside 1..{k}")
+        if (i, j) in seen:
+            raise CliError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+
+
 def coloring_from_document(doc: dict) -> EdgeColoring:
+    """Parse and validate a coloring document.
+
+    The entries are checked as a whole, column by column; only a document
+    that fails a check is scanned entry by entry, to name its first bad one.
+    """
     try:
         n = _int_field(doc["n"], "n")
         k = _int_field(doc["k"], "k")
@@ -53,23 +104,13 @@ def coloring_from_document(doc: dict) -> EdgeColoring:
         raise CliError("edges must be a list")
     if n < 2 or len(edges) != n * (n - 1) // 2:
         raise CliError(f"expected {n * (n - 1) // 2} edges for n={n}, got {len(edges)}")
-    mapping = {}
-    seen_colors = set()
-    for item in edges:
-        if not isinstance(item, list) or len(item) != 3:
-            raise CliError(f"bad edge entry {item!r}")
-        i, j, col = (_int_field(x, "edge entry") for x in item)
-        if not (1 <= i < j <= n):
-            raise CliError(f"bad edge endpoints ({i}, {j})")
-        if not (1 <= col <= k):
-            raise CliError(f"color {col} outside 1..{k}")
-        if (i, j) in mapping:
-            raise CliError(f"duplicate edge ({i}, {j})")
-        mapping[(i, j)] = col
-        seen_colors.add(col)
-    if seen_colors != set(range(1, k + 1)):
+    colors = _checked_colors(edges, n, k)
+    if colors is None:
+        _raise_first_bad_entry(edges, n, k)
+    seen_colors = set(colors)
+    if len(seen_colors) != k:
         raise CliError(f"palette not tight: colors {sorted(seen_colors)} vs k={k}")
-    return EdgeColoring.from_pairs(n, mapping)
+    return EdgeColoring.from_colors(n, colors)
 
 
 def coloring_to_dot(c: EdgeColoring) -> str:

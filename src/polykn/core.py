@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Iterator, NamedTuple, Optional
 
 Edge = tuple[int, int]
@@ -25,8 +25,15 @@ def edge_index(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
 
 
+def _endpoint_columns(n: int) -> tuple[Iterator[int], Iterator[int]]:
+    """The first and the second endpoints of all pairs in lexicographic order."""
+    first = chain.from_iterable(map(repeat, range(1, n), range(n - 1, 0, -1)))
+    second = chain.from_iterable(map(range, range(2, n + 1), repeat(n + 1)))
+    return first, second
+
+
 def all_edges(n: int) -> list[Edge]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return list(zip(*_endpoint_columns(n)))
 
 
 @dataclass(frozen=True)
@@ -68,11 +75,16 @@ class EdgeColoring:
         m = n * (n - 1) // 2
         if len(mapping) != m:
             raise ValueError(f"expected {m} edges, got {len(mapping)}")
-        colors = [0] * m
-        for (i, j), c in mapping.items():
-            if not (1 <= i < j <= n):
-                raise ValueError(f"bad edge ({i}, {j})")
-            colors[edge_index(n, i, j)] = c
+        pairs = all_edges(n)
+        try:
+            colors = list(map(mapping.__getitem__, pairs))
+        except KeyError:
+            colors = None
+        if colors is None or len(colors) != m:
+            # m keys miss a pair of K_n only when one of them is no pair
+            valid = set(pairs)
+            i, j = next(e for e in mapping if e not in valid)
+            raise ValueError(f"bad edge ({i}, {j})")
         return EdgeColoring.from_colors(n, colors)
 
     @staticmethod
@@ -89,9 +101,8 @@ class EdgeColoring:
         return self.colors[edge_index(self.n, i, j)]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (i, j, color) in lexicographic pair order."""
-        for (i, j), c in zip(all_edges(self.n), self.colors):
-            yield i, j, c
+        """Iterate (i, j, color) in lexicographic pair order."""
+        return zip(*_endpoint_columns(self.n), self.colors)
 
     @cached_property
     def color_masks(self) -> tuple[tuple[int, ...], ...]:

@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import FamilyKind, build, check_n, palette_size
-from .core import EdgeColoring, all_edges, edge_index
+from .constructions import FamilyKind, _ordered_colors, build, check_n, palette_size
+from .core import EdgeColoring, edge_index
 from .families import CapExceededError, enumerate_members
 from .verify import is_polychromatic
 
@@ -223,10 +223,10 @@ _PATTERNS = {
 
 
 def _pattern_coloring(n, mains, recolorings) -> EdgeColoring:
-    mapping = {(i, j): mains[i - 1] for (i, j) in all_edges(n)}
-    for (edge, c) in recolorings:
-        mapping[edge] = c
-    return EdgeColoring.from_pairs(n, mapping)
+    colors = _ordered_colors(mains)
+    for ((i, j), c) in recolorings:
+        colors[edge_index(n, i, j)] = c
+    return EdgeColoring.from_colors(n, colors)
 
 
 class _SeqState:

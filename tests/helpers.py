@@ -12,7 +12,8 @@ import math
 from collections import Counter
 
 from polykn import EdgeColoring, VertexOrdering, build_ordered
-from polykn.core import all_edges, is_ordered_at, is_unitary
+from polykn.cli import CliError
+from polykn.core import all_edges, edge_index, is_ordered_at, is_unitary
 
 
 def rgs(length: int, used0: int = 0, max_colors: int | None = None) -> list[tuple[int, ...]]:
@@ -235,3 +236,62 @@ def ref_comb_certificate(c: EdgeColoring):
     for p, v in enumerate(o.order, start=1):
         mains[v - 1] = unitary[v][0] if v in unitary else ref_is_ordered_at(c, o, p)
     return o.order, tuple(mains), tuple((v, *r) for v, r in sorted(unitary.items()))
+
+
+# ---------------------------------------------------------------------------
+# per-edge references for the coloring data path
+
+
+def ref_all_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def ref_from_pairs(n: int, mapping: dict) -> EdgeColoring:
+    """EdgeColoring.from_pairs one pair at a time."""
+    m = n * (n - 1) // 2
+    if len(mapping) != m:
+        raise ValueError(f"expected {m} edges, got {len(mapping)}")
+    colors = [0] * m
+    for (i, j), c in mapping.items():
+        if not (1 <= i < j <= n):
+            raise ValueError(f"bad edge ({i}, {j})")
+        colors[edge_index(n, i, j)] = c
+    return EdgeColoring.from_colors(n, colors)
+
+
+def _oracle_int_field(value, what: str) -> int:
+    if type(value) is not int:
+        raise CliError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def oracle_coloring_from_document(doc) -> EdgeColoring:
+    """The CLI document parser one entry at a time: every entry in order,
+    the first bad one named, then the palette."""
+    try:
+        n = _oracle_int_field(doc["n"], "n")
+        k = _oracle_int_field(doc["k"], "k")
+        edges = doc["edges"]
+    except (KeyError, TypeError) as exc:
+        raise CliError(f"malformed coloring document: {exc}")
+    if not isinstance(edges, list):
+        raise CliError("edges must be a list")
+    if n < 2 or len(edges) != n * (n - 1) // 2:
+        raise CliError(f"expected {n * (n - 1) // 2} edges for n={n}, got {len(edges)}")
+    mapping = {}
+    seen_colors = set()
+    for item in edges:
+        if not isinstance(item, list) or len(item) != 3:
+            raise CliError(f"bad edge entry {item!r}")
+        i, j, col = (_oracle_int_field(x, "edge entry") for x in item)
+        if not (1 <= i < j <= n):
+            raise CliError(f"bad edge endpoints ({i}, {j})")
+        if not (1 <= col <= k):
+            raise CliError(f"color {col} outside 1..{k}")
+        if (i, j) in mapping:
+            raise CliError(f"duplicate edge ({i}, {j})")
+        mapping[(i, j)] = col
+        seen_colors.add(col)
+    if seen_colors != set(range(1, k + 1)):
+        raise CliError(f"palette not tight: colors {sorted(seen_colors)} vs k={k}")
+    return ref_from_pairs(n, mapping)

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
 import pytest
 
-from polykn import FamilyKind, build, build_ordered
+from polykn import EdgeColoring, FamilyKind, build, build_ordered
 from polykn.cli import (
+    CliError,
     coloring_from_document,
     coloring_to_document,
     coloring_to_dot,
     run,
 )
+
+from helpers import oracle_coloring_from_document
 
 F1 = FamilyKind.ONE_FACTOR
 
@@ -38,11 +42,11 @@ def test_json_round_trip_constructions():
 def test_document_validation():
     doc = coloring_to_document(build(F1, 6))
     doc["edges"][0][2] = 99  # color outside palette
-    with pytest.raises(Exception):
+    with pytest.raises(CliError, match=r"^color 99 outside 1\.\.2$"):
         coloring_from_document(doc)
     doc2 = coloring_to_document(build(F1, 6))
     doc2["k"] = 5  # untight palette
-    with pytest.raises(Exception):
+    with pytest.raises(CliError, match=r"^palette not tight: colors \[1, 2\] vs k=5$"):
         coloring_from_document(doc2)
 
 
@@ -280,3 +284,78 @@ def test_verify_fuzzed_documents(tmp_path, capsys):
         assert (code == 2) if malformed else (code in (0, 1)), (family, text)
         seen.add(code)
     assert seen == {0, 1, 2}
+
+
+class _Row(list):
+    """An edge entry of a list subclass; the parser accepts it like a list."""
+
+
+def _variant(rng, doc):
+    """A document reshaped in a way the random malformations do not reach:
+    shuffled entries, list-subclass or tuple entries, a bool or float in
+    any field, or a gapped palette."""
+    edges = doc["edges"]
+    case = rng.randrange(6)
+    if case == 0:
+        rng.shuffle(edges)
+    elif case == 1:
+        for idx in rng.sample(range(len(edges)), rng.randint(1, len(edges))):
+            edges[idx] = _Row(edges[idx])
+    elif case == 2:
+        idx = rng.randrange(len(edges))
+        edges[idx] = tuple(edges[idx])
+    elif case == 3:
+        field = rng.choice(["n", "k", 0, 1, 2])
+        if field in ("n", "k"):
+            value = doc[field]
+            doc[field] = rng.choice([value == 1, float(value), value + 0.5])
+        else:
+            entry = edges[rng.randrange(len(edges))]
+            value = entry[field]
+            entry[field] = rng.choice([value == 1, True, False, float(value), value + 0.5])
+    elif case == 4:
+        # shift every color from a random one up, leaving a gap
+        gap = rng.randint(1, doc["k"])
+        for entry in edges:
+            entry[2] += entry[2] >= gap
+        doc["k"] += rng.choice([0, 1])
+    else:
+        edges.reverse()
+    return doc
+
+
+def _parse_outcome(parse, doc):
+    try:
+        return parse(doc)
+    except CliError as exc:
+        return ("CliError", str(exc))
+
+
+def _reshapeable(doc):
+    """Whether _malform and _variant can take doc: int n and k, and a
+    nonempty edge list of entries with three int fields."""
+    return (
+        isinstance(doc, dict)
+        and type(doc.get("n")) is int and type(doc.get("k")) is int
+        and isinstance(doc.get("edges"), list) and len(doc["edges"]) > 0
+        and all(isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)
+                for e in doc["edges"])
+    )
+
+
+def test_parser_matches_per_entry_oracle():
+    rng = random.Random(1016)
+    outcomes = set()
+    for _ in range(3000):
+        doc = _random_document(rng, rng.randint(2, 12))
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            if not _reshapeable(doc):
+                break
+            doc = (_malform if rng.random() < 0.5 else _variant)(rng, doc)
+        want = _parse_outcome(oracle_coloring_from_document, copy.deepcopy(doc))
+        got = _parse_outcome(coloring_from_document, doc)
+        assert got == want, doc
+        outcomes.add("ok" if isinstance(want, EdgeColoring) else want[1].split(" ")[0])
+    # every kind of outcome occurs: accepted, and each rejection message
+    assert outcomes == {"ok", "bad", "color", "duplicate", "palette", "expected",
+                        "edge", "n", "k", "malformed", "edges"}, outcomes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from polykn import (
     is_unitary,
     majority_certificate,
 )
+from polykn.core import all_edges
 from polykn.transforms import recolor_unitary_triple
 from helpers import (
     all_ordered_colorings,
@@ -27,7 +29,9 @@ from helpers import (
     ordered_from_seq,
     permute_vertices,
     plant_unitary_quad,
+    ref_all_edges,
     ref_comb_certificate,
+    ref_from_pairs,
     ref_is_ordered_at,
     ref_is_unitary,
     ref_vertex_color_counts,
@@ -46,6 +50,48 @@ def test_edge_coloring_validation():
         EdgeColoring.from_pairs(2, {(2, 1): 1})  # endpoints out of order
     with pytest.raises(ValueError):
         EdgeColoring.from_pairs(2, {(1, 2): 0})  # colors start at 1
+
+
+def test_pair_constructors_match_per_pair_reference():
+    rng = random.Random(4040)
+    for n in range(2, 41):
+        pairs = ref_all_edges(n)
+        assert all_edges(n) == pairs
+        for _ in range(3):
+            kmax = rng.randint(1, 6)
+            colors = [rng.randint(1, kmax) for _ in pairs]
+            order = list(range(len(pairs)))
+            rng.shuffle(order)
+            mapping = {pairs[t]: colors[t] for t in order}  # shuffled insertion
+            c = EdgeColoring.from_pairs(n, mapping)
+            assert c == ref_from_pairs(n, mapping)
+            assert list(c.edges()) == [(i, j, c.color(i, j)) for (i, j) in pairs]
+
+
+def test_pair_constructor_errors_match_per_pair_reference():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="^need at least 2 vertices$"):
+            EdgeColoring.from_pairs(n, {})
+    with pytest.raises(ValueError, match=r"^expected 1 edges, got 0$"):
+        EdgeColoring.from_pairs(-1, {})
+    with pytest.raises(ValueError, match=r"^bad edge \(3, 2\)$"):
+        EdgeColoring.from_pairs(3, {(1, 2): 1, (3, 2): 1, (1, 3): 1})
+    rng = random.Random(4041)
+    for n in range(2, 9):
+        pairs = ref_all_edges(n)
+        for _ in range(20):
+            mapping = {pair: rng.randint(0, 3) for pair in pairs}
+            for _ in range(rng.randint(0, 2)):
+                del mapping[rng.choice(list(mapping))]
+                i, j = rng.choice([(2, 1), (0, 1), (1, 1), (1, n + 1), (n, n + 1)])
+                mapping[(i, j)] = 1
+            try:
+                want = ref_from_pairs(n, mapping)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    EdgeColoring.from_pairs(n, mapping)
+            else:
+                assert EdgeColoring.from_pairs(n, mapping) == want
 
 
 def test_flat_constructor_validates_and_compacts():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from polykn import (
@@ -14,7 +16,8 @@ from polykn import (
     structured_poly,
     theorem_table,
 )
-from polykn.search import _bf_stage, _member_masks, _minimal_blockers
+from polykn.search import _PATTERNS, _bf_stage, _member_masks, _minimal_blockers, _pattern_coloring
+from helpers import pattern_coloring
 
 F1 = FamilyKind.ONE_FACTOR
 F2 = FamilyKind.TWO_FACTOR
@@ -201,3 +204,17 @@ def test_packing_max_k_below_optimum(kind, n):
         report = brute_force_poly(n, kind, max_k=max_k, max_n=6)
         assert report.optimum == report.coloring.k == max_k, (kind, n, max_k)
         assert is_polychromatic(report.coloring, kind).polychromatic
+
+
+@pytest.mark.parametrize("pattern", sorted(_PATTERNS))
+def test_pattern_coloring_matches_dict_build(pattern):
+    fixed, _, recolorings = _PATTERNS[pattern]
+    rng = random.Random(len(pattern))
+    for n in range(4, 11):
+        for _ in range(20):
+            # like the search, the free positions 1..n-1 take the prefix first
+            seq = (list(fixed) + [rng.randint(1, 5) for _ in range(n)])[: n - 1]
+            mains = seq + [seq[-1]]
+            assert _pattern_coloring(n, mains, recolorings) == pattern_coloring(
+                n, mains, recolorings
+            )
