@@ -79,8 +79,8 @@ class EdgeColoring:
         try:
             colors = list(map(mapping.__getitem__, pairs))
         except KeyError:
-            colors = None
-        if colors is None or len(colors) != m:
+            colors = []
+        if len(colors) != m:
             # m keys miss a pair of K_n only when one of them is no pair
             valid = set(pairs)
             i, j = next(e for e in mapping if e not in valid)

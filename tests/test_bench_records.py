@@ -33,6 +33,13 @@ def test_bench_records_share_one_shape():
             assert {"seed", "parent", "change"} <= set(pair), path.name
             for side in ("parent", "change"):
                 assert set(pair[side]) == set(rec["medians"]), f"{path.name}: {pair['seed']}"
+            # both sides reached the same verdicts, and no op failed
+            for workload in rec["medians"]:
+                where = f"{path.name}: seed {pair['seed']} {workload}"
+                parent, change = pair["parent"][workload], pair["change"][workload]
+                assert isinstance(parent.get("digest"), str), where
+                assert parent["digest"] == change.get("digest"), where
+                assert parent.get("failed_ratio") == change.get("failed_ratio") == 0, where
         claim = rec.get("claim")
         if claim is not None:
             # a claimed gain names a metric both sides measured, and its

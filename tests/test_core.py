@@ -74,6 +74,8 @@ def test_pair_constructor_errors_match_per_pair_reference():
             EdgeColoring.from_pairs(n, {})
     with pytest.raises(ValueError, match=r"^expected 1 edges, got 0$"):
         EdgeColoring.from_pairs(-1, {})
+    with pytest.raises(ValueError, match=r"^bad edge \(1, 2\)$"):
+        EdgeColoring.from_pairs(-1, {(1, 2): 1})
     with pytest.raises(ValueError, match=r"^bad edge \(3, 2\)$"):
         EdgeColoring.from_pairs(3, {(1, 2): 1, (3, 2): 1, (1, 3): 1})
     rng = random.Random(4041)
