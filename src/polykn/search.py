@@ -5,14 +5,17 @@ meets every family member, so the optimum is the largest number of pairwise
 disjoint minimal blockers (edge sets meeting every member).  The minimal
 blockers come from Berge's incremental algorithm and one branch-and-bound
 depth-first search packs them; its node count covers the whole search.
-`_bf_stage`, a depth-first search over edge colorings, is kept as the
-reference the tests compare the packing with.
 
 Ordered and combed modes search main-color sequences instead, pruning with
 the majority conditions and verifying finalists with the exact engines.
 Each palette size is one serial depth-first search from the root that
-stops at its first (lexicographically least) hit; the node count covers
-the tree up to that hit.
+stops at its first (lexicographically least) hit.  Two exact shortcuts
+keep it small: a count state whose subtree reached no complete sequence is
+remembered as dead and never entered again, and a leaf that a member kept
+from an earlier refutation still misses a color of is refuted without the
+engines.  The node count covers the choices tried up to the hit outside
+dead states.  The tests keep the plain searches over edge colorings and
+over main-color sequences as references.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ BRUTE_CAPS = {
     FamilyKind.TWO_FACTOR: 5,
     FamilyKind.HAMILTONIAN_CYCLE: 5,
 }
-ORDERED_CAP = 16
-COMBED_CAP = 14
+ORDERED_CAP = 32
+COMBED_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -58,53 +61,7 @@ class TheoremRow:
 
 
 # ---------------------------------------------------------------------------
-# full search: reference DFS over edge colorings, and the blocker packing
-
-
-def _bf_stage(members, m, k):
-    """First (lex) polychromatic k-coloring of the m edges, by one DFS.
-
-    A member is fully assigned at its highest edge, so the node coloring
-    edge `pos` checks only the members completed there, against every
-    used color.  Every member completed before `pos` already meets every
-    used color, and misses a color first used at `pos`: a new color is
-    dead once any member has been completed.
-
-    Returns (full color tuple or None, nodes explored).
-    """
-    completes = [[] for _ in range(m)]
-    for mem in members:
-        completes[mem.bit_length() - 1].append(mem)
-    first_done = min(mem.bit_length() for mem in members) - 1
-    class_masks = [0] * (k + 1)
-    colors = [0] * m
-    nodes = 0
-
-    def rec(pos, used):
-        nonlocal nodes
-        if pos == m:
-            return used == k
-        if used + (m - pos) < k:
-            return False
-        bit = 1 << pos
-        done = completes[pos]
-        for c in range(1, min(used + 1, k) + 1):
-            nodes += 1
-            if c > used and pos > first_done:
-                break
-            class_masks[c] |= bit
-            top = max(used, c)
-            masks = class_masks[1 : top + 1]
-            if all(mem & cm for mem in done for cm in masks):
-                colors[pos] = c
-                if rec(pos + 1, top):
-                    return True
-            class_masks[c] &= ~bit
-        return False
-
-    if rec(0, 0):
-        return tuple(colors), nodes
-    return None, nodes
+# full search: the blocker packing
 
 
 def _member_masks(n, kind):
@@ -284,12 +241,25 @@ class _SeqState:
             self.satisfied[t] for t in range(1, self.used + 1)
         )
 
+    def key(self, j):
+        """The state after position j as push, viable and complete see it:
+        they read only the counts and flags of colors 1..used and treat
+        those colors alike, so the colors' names are dropped."""
+        top = self.used + 1
+        return j, self.used, tuple(sorted(zip(self.counts[1:top], self.satisfied[1:top])))
 
-def _seq_stage(n, kind, k, pattern):
+
+def _seq_stage(n, kind, k, pattern, witnesses=None):
     """First (lex) main-color sequence completing the pattern at palette size k.
+
+    `witnesses` holds the edge indices of members of K_n's family that
+    refuted earlier leaves (a fresh list when None); a leaf whose colors
+    one of them misses is violated, and each new refutation is appended.
 
     Returns (the verified EdgeColoring or None, nodes explored).
     """
+    if witnesses is None:
+        witnesses = []
     state = _SeqState(n, kind, k, pattern)
     fixed = state.fixed
     if state.used > k or len(fixed) > n:
@@ -300,20 +270,38 @@ def _seq_stage(n, kind, k, pattern):
         state.push(p, c)
         seq.append(c)
     nodes = 0
+    leaves = 0  # complete sequences reached, verified or not
+    # keys whose subtree held no complete sequence; one whose complete
+    # sequences merely failed verification stays out, since another
+    # sequence with the same key can pass
+    dead = set()
 
     def leaf():
         mains = seq + [seq[-1]]
         coloring = _pattern_coloring(n, mains, state.recolorings)
         if coloring.k != k:
             return None
-        if is_polychromatic(coloring, kind).polychromatic:
+        colors = coloring.colors
+        for w in witnesses:
+            if len(set(map(colors.__getitem__, w))) < k:
+                return None
+        cert = is_polychromatic(coloring, kind)
+        if cert.polychromatic:
             return coloring
+        witnesses.append(tuple(edge_index(n, i, j) for (i, j) in cert.witness.edges))
         return None
 
     def rec(j):
-        nonlocal nodes
+        nonlocal nodes, leaves
         if j == state.last:
-            return leaf() if state.complete() else None
+            if not state.complete():
+                return None
+            leaves += 1
+            return leaf()
+        key = state.key(j)
+        if key in dead:
+            return None
+        before = leaves
         pos = j + 1
         used_before = state.used
         for c in range(1, min(used_before + 1, k) + 1):
@@ -326,6 +314,8 @@ def _seq_stage(n, kind, k, pattern):
                     return res
             seq.pop()
             state.pop(c, was, used_before)
+        if leaves == before:
+            dead.add(key)
         return None
 
     j0 = len(seq)
@@ -357,13 +347,14 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     total_nodes = 0
     best_k = 0
     best: Optional[EdgeColoring] = None
+    witnesses: list[tuple[int, ...]] = []  # refuting members, kept across k and patterns
     k_hi = min((n.bit_length() - 1) + 4, n * (n - 1) // 2)
     for k in range(1, k_hi + 1):
         found = None
         for pattern in patterns:
             if pattern == "quad" and n < 4:
                 continue
-            coloring, nodes = _seq_stage(n, kind, k, pattern)
+            coloring, nodes = _seq_stage(n, kind, k, pattern, witnesses)
             total_nodes += nodes
             if coloring is not None:
                 found = coloring

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .constructions import FamilyKind
-from .core import Edge, EdgeColoring, comb_certificate
+from .core import Edge, EdgeColoring, comb_certificate, edge_index
 from .families import (
     AllowedGraph,
     SubgraphWitness,
@@ -162,24 +162,15 @@ def recolor_unitary_triple(c: EdgeColoring, x: int, y: int, z: int) -> EdgeColor
         raise ValueError(f"vertices must lie in 1..{c.n}")
     if c.k < 3:
         raise ValueError("colors 1, 2 and 3 must exist before recoloring")
-    trip = {x, y, z}
-    mapping = {}
-    for (i, j, col) in c.edges():
-        pair = {i, j}
-        if pair == {x, y}:
-            col = 2
-        elif pair == {y, z}:
-            col = 3
-        elif pair == {z, x}:
-            col = 1
-        elif x in pair and not (pair & trip - {x}):
-            col = 1
-        elif y in pair and not (pair & trip - {y}):
-            col = 2
-        elif z in pair and not (pair & trip - {z}):
-            col = 3
-        mapping[(i, j)] = col
-    return EdgeColoring.from_pairs(c.n, mapping)
+    n = c.n
+    colors = list(c.colors)
+    for v, main in ((x, 1), (y, 2), (z, 3)):
+        for u in range(1, n + 1):
+            if u != v:
+                colors[edge_index(n, min(u, v), max(u, v))] = main
+    for (u, v), col in (((x, y), 2), ((y, z), 3), ((z, x), 1)):
+        colors[edge_index(n, min(u, v), max(u, v))] = col
+    return EdgeColoring.from_colors(n, colors)
 
 
 @dataclass(frozen=True)

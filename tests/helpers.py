@@ -11,9 +11,10 @@ import itertools
 import math
 from collections import Counter
 
-from polykn import EdgeColoring, VertexOrdering, build_ordered
+from polykn import EdgeColoring, VertexOrdering, build_ordered, is_polychromatic
 from polykn.cli import CliError
 from polykn.core import all_edges, edge_index, is_ordered_at, is_unitary
+from polykn.search import _SeqState, _pattern_coloring
 
 
 def rgs(length: int, used0: int = 0, max_colors: int | None = None) -> list[tuple[int, ...]]:
@@ -295,3 +296,136 @@ def oracle_coloring_from_document(doc) -> EdgeColoring:
     if seen_colors != set(range(1, k + 1)):
         raise CliError(f"palette not tight: colors {sorted(seen_colors)} vs k={k}")
     return ref_from_pairs(n, mapping)
+
+
+def ref_recolor_unitary_triple(c: EdgeColoring, x: int, y: int, z: int) -> EdgeColoring:
+    """recolor_unitary_triple through a per-pair dict over all m edges."""
+    if len({x, y, z}) != 3:
+        raise ValueError("vertices must be distinct")
+    if not all(1 <= v <= c.n for v in (x, y, z)):
+        raise ValueError(f"vertices must lie in 1..{c.n}")
+    if c.k < 3:
+        raise ValueError("colors 1, 2 and 3 must exist before recoloring")
+    trip = {x, y, z}
+    mapping = {}
+    for (i, j, col) in c.edges():
+        pair = {i, j}
+        if pair == {x, y}:
+            col = 2
+        elif pair == {y, z}:
+            col = 3
+        elif pair == {z, x}:
+            col = 1
+        elif x in pair and not (pair & trip - {x}):
+            col = 1
+        elif y in pair and not (pair & trip - {y}):
+            col = 2
+        elif z in pair and not (pair & trip - {z}):
+            col = 3
+        mapping[(i, j)] = col
+    return EdgeColoring.from_pairs(c.n, mapping)
+
+
+# ---------------------------------------------------------------------------
+# reference searches: the plain depth-first searches, which the package's
+# searches must agree with; the sequence search shares the package's state
+# bookkeeping and engines but takes none of its shortcuts
+
+
+def ref_bf_stage(members, m, k):
+    """First (lex) polychromatic k-coloring of the m edges, by one DFS.
+
+    A member is fully assigned at its highest edge, so the node coloring
+    edge `pos` checks only the members completed there, against every
+    used color.  Every member completed before `pos` already meets every
+    used color, and misses a color first used at `pos`: a new color is
+    dead once any member has been completed.
+
+    Returns (full color tuple or None, nodes explored).
+    """
+    completes = [[] for _ in range(m)]
+    for mem in members:
+        completes[mem.bit_length() - 1].append(mem)
+    first_done = min(mem.bit_length() for mem in members) - 1
+    class_masks = [0] * (k + 1)
+    colors = [0] * m
+    nodes = 0
+
+    def rec(pos, used):
+        nonlocal nodes
+        if pos == m:
+            return used == k
+        if used + (m - pos) < k:
+            return False
+        bit = 1 << pos
+        done = completes[pos]
+        for c in range(1, min(used + 1, k) + 1):
+            nodes += 1
+            if c > used and pos > first_done:
+                break
+            class_masks[c] |= bit
+            top = max(used, c)
+            masks = class_masks[1 : top + 1]
+            if all(mem & cm for mem in done for cm in masks):
+                colors[pos] = c
+                if rec(pos + 1, top):
+                    return True
+            class_masks[c] &= ~bit
+        return False
+
+    if rec(0, 0):
+        return tuple(colors), nodes
+    return None, nodes
+
+
+def ref_seq_stage(n, kind, k, pattern):
+    """First (lex) main-color sequence completing the pattern at palette size
+    k, by a DFS that walks every viable sequence and verifies every complete
+    one with the engines.
+
+    Returns (the verified EdgeColoring or None, nodes explored).
+    """
+    state = _SeqState(n, kind, k, pattern)
+    fixed = state.fixed
+    if state.used > k or len(fixed) > n:
+        return None, 0
+    seq = []
+    # position n colors no edge; the leaf copies position n-1 into it
+    for p, c in enumerate(fixed[: state.last], start=1):
+        state.push(p, c)
+        seq.append(c)
+    nodes = 0
+
+    def leaf():
+        mains = seq + [seq[-1]]
+        coloring = _pattern_coloring(n, mains, state.recolorings)
+        if coloring.k != k:
+            return None
+        if is_polychromatic(coloring, kind).polychromatic:
+            return coloring
+        return None
+
+    def rec(j):
+        nonlocal nodes
+        if j == state.last:
+            return leaf() if state.complete() else None
+        pos = j + 1
+        used_before = state.used
+        for c in range(1, min(used_before + 1, k) + 1):
+            nodes += 1
+            was = state.push(pos, c)
+            seq.append(c)
+            if state.viable(pos):
+                res = rec(pos)
+                if res is not None:
+                    return res
+            seq.pop()
+            state.pop(c, was, used_before)
+        return None
+
+    j0 = len(seq)
+    if j0 == state.last:
+        return (leaf() if state.complete() else None), 1
+    if not state.viable(j0):
+        return None, 0
+    return rec(j0), nodes

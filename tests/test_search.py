@@ -16,8 +16,22 @@ from polykn import (
     structured_poly,
     theorem_table,
 )
-from polykn.search import _PATTERNS, _bf_stage, _member_masks, _minimal_blockers, _pattern_coloring
-from helpers import pattern_coloring
+from polykn import search
+from polykn.core import all_edges
+from polykn.families import SubgraphWitness
+from polykn.search import (
+    _PATTERNS,
+    _member_masks,
+    _minimal_blockers,
+    _pattern_coloring,
+    _seq_stage,
+)
+from helpers import (
+    all_combed_colorings,
+    pattern_coloring,
+    ref_bf_stage,
+    ref_seq_stage,
+)
 
 F1 = FamilyKind.ONE_FACTOR
 F2 = FamilyKind.TWO_FACTOR
@@ -26,11 +40,18 @@ HC = FamilyKind.HAMILTONIAN_CYCLE
 # every (kind, n) the packing is checked at against the coloring DFS
 DIFFERENTIAL = [(F1, n) for n in (2, 4, 6)] + [(kind, n) for kind in (F2, HC) for n in range(3, 7)]
 
+# every (kind, n, patterns) the memoized sequence search is checked at
+# against the plain one, at k = 1..6; the plain search's f1 stages at n=14
+# take seconds, so f1 stops at n=12
+SEQ_DIFFERENTIAL = [(F1, n, ("ordered",)) for n in range(2, 13, 2)] + [
+    (kind, n, tuple(sorted(_PATTERNS))) for kind in (F2, HC) for n in range(3, 14)
+]
+
 
 def coloring_dfs_optimum(n, kind):
     """(optimum, nodes) of the reference search over edge colorings.
 
-    Runs `_bf_stage` for k = 1, 2, ... up to the first infeasible k and sums
+    Runs `ref_bf_stage` for k = 1, 2, ... up to the first infeasible k and sums
     its nodes (merging two color classes keeps a coloring polychromatic, so
     feasibility is monotone in k).
     """
@@ -38,7 +59,7 @@ def coloring_dfs_optimum(n, kind):
     m = n * (n - 1) // 2
     best = total = 0
     for k in range(1, m + 1):
-        solution, nodes = _bf_stage(members, m, k)
+        solution, nodes = ref_bf_stage(members, m, k)
         total += nodes
         if solution is None:
             break
@@ -124,7 +145,24 @@ def test_structured_validation():
     with pytest.raises(ValueError):
         structured_poly(6, F2, "everything")
     with pytest.raises(CapExceededError):
-        structured_poly(18, F1, "ordered")
+        structured_poly(34, F1, "ordered")
+    for kind in (F2, HC):
+        with pytest.raises(CapExceededError):
+            structured_poly(21, kind, "combed")
+
+
+def test_structured_one_factor_at_ordered_cap():
+    # the paper's 1-factor value floor(log2 n) at its jump to 5
+    report = structured_poly(32, F1, "ordered")
+    assert report.optimum == report.coloring.k == 5 == (32).bit_length() - 1
+    assert is_polychromatic(report.coloring, F1).polychromatic
+
+
+@pytest.mark.parametrize("kind", [F2, HC])
+def test_structured_combed_at_combed_cap(kind):
+    report = structured_poly(20, kind, "combed")
+    assert report.optimum == report.coloring.k == palette_size(kind, 20) == 5
+    assert is_polychromatic(report.coloring, kind).polychromatic
 
 
 def test_theorem_table_one_factor():
@@ -151,22 +189,84 @@ def test_two_factor_never_beats_hamiltonian():
         assert brute_force_poly(n, F2).optimum <= brute_force_poly(n, HC).optimum
 
 
-def test_search_node_counts_pinned():
+def reference_structured_nodes(monkeypatch, n, kind, mode):
+    """Node count of structured_poly with the plain sequence search."""
+    def plain(n, kind, k, pattern, witnesses=None):
+        return ref_seq_stage(n, kind, k, pattern)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "_seq_stage", plain)
+        return structured_poly(n, kind, mode).nodes
+
+
+def test_search_node_counts_pinned(monkeypatch):
     # node counts of the reference coloring DFS, of the blocker packing and
-    # of the first-hit structured searches; pruning changes that keep the
-    # same tree must keep these exactly
+    # of the first-hit structured searches, as (plain sequence search,
+    # memoized one); pruning changes that keep the same tree must keep
+    # these exactly
     full = {(F1, 4): 67, (F1, 6): 22_000, (F2, 4): 234, (F2, 5): 8_324, (HC, 5): 8_324}
     for (kind, n), nodes in full.items():
         assert coloring_dfs_optimum(n, kind)[1] == nodes, (kind, n)
     packing = {(F1, 4): 3, (F1, 6): 8, (F2, 4): 4, (F2, 5): 4, (HC, 5): 4}
     for (kind, n), nodes in packing.items():
         assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
-    combed = {(F2, 3): 6, (F2, 4): 17, (HC, 3): 6, (HC, 4): 17, (HC, 10): 464, (F2, 10): 551}
-    for (kind, n), nodes in combed.items():
-        assert structured_poly(n, kind, "combed").nodes == nodes, (kind, n)
-    ordered = {(F1, 12): 728, (F2, 8): 68}
-    for (kind, n), nodes in ordered.items():
-        assert structured_poly(n, kind, "ordered").nodes == nodes, (kind, n)
+    combed = {
+        (F2, 3): (6, 6), (F2, 4): (17, 17), (HC, 3): (6, 6), (HC, 4): (17, 17),
+        (HC, 10): (464, 314), (F2, 10): (551, 376),
+    }
+    ordered = {(F1, 12): (728, 217), (F2, 8): (68, 65)}
+    for mode, pins in (("combed", combed), ("ordered", ordered)):
+        for (kind, n), (plain, memo) in pins.items():
+            assert reference_structured_nodes(monkeypatch, n, kind, mode) == plain, (kind, n)
+            assert structured_poly(n, kind, mode).nodes == memo, (kind, n)
+
+
+@pytest.mark.parametrize("kind, n, patterns", SEQ_DIFFERENTIAL)
+def test_seq_stage_matches_plain_search(kind, n, patterns):
+    # the dead-state memo and the kept witnesses skip no hit: every stage
+    # returns the plain search's first hit, with witnesses kept across k
+    # and patterns as in structured_poly
+    witnesses = []
+    for k in range(1, 7):
+        for pattern in patterns:
+            want = ref_seq_stage(n, kind, k, pattern)[0]
+            assert _seq_stage(n, kind, k, pattern, witnesses)[0] == want, (k, pattern)
+
+
+def kept_f2_witnesses(n):
+    """Members kept by the 2-factor sequence searches at n, k = 1..6; these
+    are the searches whose complete leaves fail."""
+    witnesses = []
+    for k in range(1, 7):
+        for pattern in sorted(_PATTERNS):
+            _seq_stage(n, F2, k, pattern, witnesses)
+    assert witnesses
+    pairs = all_edges(n)
+    for w in witnesses:
+        SubgraphWitness(F2, tuple(pairs[idx] for idx in w)).validate(n)
+    return witnesses
+
+
+def assert_refutes_exactly(witnesses, colorings):
+    # a coloring a kept member misses a color of is violated by the engines too
+    refuted = 0
+    for c in colorings:
+        if any(len(set(map(c.colors.__getitem__, w))) < c.k for w in witnesses):
+            refuted += 1
+            assert not is_polychromatic(c, F2).polychromatic, c.colors
+    assert refuted
+
+
+def test_kept_witnesses_refute_exactly():
+    assert_refutes_exactly(kept_f2_witnesses(9), all_combed_colorings(9))
+    n = 14
+    rng = random.Random(n)
+    sample = []
+    for _ in range(1_500):
+        fixed, _, recolorings = _PATTERNS[rng.choice(sorted(_PATTERNS))]
+        seq = (list(fixed) + [rng.randint(1, 5) for _ in range(n)])[: n - 1]
+        sample.append(pattern_coloring(n, seq + [seq[-1]], recolorings))
+    assert_refutes_exactly(kept_f2_witnesses(n), sample)
 
 
 @pytest.mark.parametrize("kind, n", DIFFERENTIAL)

@@ -22,7 +22,13 @@ from polykn import (
     twist,
     two_switch,
 )
-from helpers import permute_colors, permute_vertices, rgs, triple_from_tail
+from helpers import (
+    permute_colors,
+    permute_vertices,
+    ref_recolor_unitary_triple,
+    rgs,
+    triple_from_tail,
+)
 
 F1 = FamilyKind.ONE_FACTOR
 F2 = FamilyKind.TWO_FACTOR
@@ -194,6 +200,32 @@ def test_recolor_unitary_triple_rejections():
     two_colors = EdgeColoring.from_function(5, lambda i, j: 1 + (i + j) % 2)
     with pytest.raises(ValueError):
         recolor_unitary_triple(two_colors, 1, 2, 3)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_recolor_unitary_triple_matches_dict_build():
+    # rewriting the 3(n-1) edges at the triple equals rebuilding every edge,
+    # on seeded colorings, on the paper's 2-factor colorings, and on the
+    # rejected triples with the same messages
+    rng = random.Random(40)
+    cases = []
+    for n in range(3, 41):
+        cases.append(build(F2, n))
+        for kmax in (2, 3, 5, 9):
+            cases.append(EdgeColoring.from_function(n, lambda i, j: rng.randint(1, kmax)))
+    for c in cases:
+        n = c.n
+        triples = [rng.sample(range(1, n + 1), 3) for _ in range(3)]
+        triples += [(1, 2, 3), (n, n - 1, n - 2), (1, 1, 2), (1, 2, n + 1), (0, 1, 2)]
+        for x, y, z in triples:
+            want = _outcome(ref_recolor_unitary_triple, c, x, y, z)
+            assert _outcome(recolor_unitary_triple, c, x, y, z) == want, (c.colors, x, y, z)
 
 
 def test_recolor_unitary_triple_keeps_polychromaticity_on_max_vertex_fixture():
