@@ -369,11 +369,12 @@ def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
     return info
 
 
-def _greedy_order(c: EdgeColoring, prefix: list[int]) -> Optional[list[int]]:
-    """Extend prefix to a full ordering, always taking the smallest vertex
-    whose edges to the remaining vertices are monochromatic."""
+def _greedy_order(c: EdgeColoring, prefix: list[int]) -> tuple[list[int], list[int]]:
+    """Extend prefix, always taking the smallest remaining vertex whose
+    edges to the other remaining vertices are monochromatic, until two
+    vertices remain or none qualifies.  Returns (placed, remaining)."""
     n = c.n
-    remaining = sorted(v for v in range(1, n + 1) if v not in prefix)
+    remaining = sorted(set(range(1, n + 1)).difference(prefix))
     rest = 0  # bitset of remaining
     for v in remaining:
         rest |= 1 << v
@@ -383,12 +384,11 @@ def _greedy_order(c: EdgeColoring, prefix: list[int]) -> Optional[list[int]]:
             (v for v in remaining if _color_into(c, v, rest ^ (1 << v)) is not None), None
         )
         if pick is None:
-            return None
+            break
         placed.append(pick)
         remaining.remove(pick)
         rest ^= 1 << pick
-    placed.extend(remaining)
-    return placed
+    return placed, remaining
 
 
 def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
@@ -436,33 +436,35 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
     Returns None when no combing ordering exists.
     """
     unitary = _unitary_structure(c)
-    order = _greedy_order(c, sorted(unitary))
-    if order is None:
+    placed, remaining = _greedy_order(c, sorted(unitary))
+    if len(remaining) > 2:
         return None
-    return _inherited(c, VertexOrdering(tuple(order)), unitary)
+    return _inherited(c, VertexOrdering(tuple(placed + remaining)), unitary)
+
+
+def majority_moment(ic: InheritedColoring, t: int, strict: bool) -> Optional[int]:
+    """Smallest j in [n-1] with 2|M_t(j)| >= j + s, else None: the prefix
+    majority rule, with s = 1 in strict mode (|M_t(j)| > j/2, 1-factors)
+    and s = 0 in weak mode (|M_t(j)| >= j/2, 2-factors and cycles)."""
+    s = 1 if strict else 0
+    for j in range(1, ic.n):
+        if 2 * ic.prefix_count(t, j) >= j + s:
+            return j
+    return None
 
 
 def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:
     """Prefix-majority certificate over all colors of the coloring.
 
-    strict: smallest j in [n-1] with |M_t(j)| > j/2, else "fails".
+    strict: the majority moment of each color, else "fails".
     weak:   classes holding a unitary vertex are flagged "unitary"; other
-            classes get the smallest j with |M_t(j)| >= j/2, else "fails".
+            classes get their majority moment, else "fails".
     """
-    n = ic.n
     entries = []
     for t in range(1, ic.k + 1):
-        if not strict and ic.class_has_unitary(t):
-            entries.append(MajorityEntry(t, "unitary", None))
-            continue
-        j_found = None
-        for j in range(1, n):
-            twice = 2 * ic.prefix_count(t, j)
-            if (strict and twice > j) or (not strict and twice >= j):
-                j_found = j
-                break
-        if j_found is None:
-            entries.append(MajorityEntry(t, "fails", None))
+        if strict or not ic.class_has_unitary(t):
+            j = majority_moment(ic, t, strict)
+            entries.append(MajorityEntry(t, "fails" if j is None else "prefix", j))
         else:
-            entries.append(MajorityEntry(t, "prefix", j_found))
-    return MajorityCertificate(n, "strict" if strict else "weak", tuple(entries))
+            entries.append(MajorityEntry(t, "unitary", None))
+    return MajorityCertificate(ic.n, "strict" if strict else "weak", tuple(entries))

@@ -190,13 +190,13 @@ class _SeqState:
     """Shared bookkeeping for the main-color sequence search.
 
     Tracks per-color counts and whether each color has met its majority
-    condition; colors made unitary by the pattern prefix are exempt.
+    condition; colors made unitary by the pattern prefix are exempt.  The
+    rule is core.majority_moment's 2|M_t(j)| >= j + s, s fixed per stage.
     """
 
     def __init__(self, n, kind, k, pattern):
-        self.n = n
         self.k = k
-        self.strict = kind is FamilyKind.ONE_FACTOR
+        self.s = 1 if kind is FamilyKind.ONE_FACTOR else 0
         self.last = n - 1  # free positions 1..n-1; position n copies n-1
         fixed, exempt, self.recolorings = _PATTERNS[pattern]
         self.fixed = fixed
@@ -211,7 +211,7 @@ class _SeqState:
         self.counts[c] += 1
         self.used = max(self.used, c)
         was = self.satisfied[c]
-        if 2 * self.counts[c] > pos or (not self.strict and 2 * self.counts[c] >= pos):
+        if 2 * self.counts[c] >= pos + self.s:
             self.satisfied[c] = True
         return was
 
@@ -221,18 +221,20 @@ class _SeqState:
         self.used = used_before
 
     def viable(self, j):
-        """Can every pending color still reach its majority moment?"""
+        """Can every pending color still reach its majority moment?  A
+        pending color comes closest at position last; a new color holds at
+        most j' - j of the first j' positions, so it needs j' >= 2j + s."""
         left = self.last - j
+        need = self.last + self.s
         for t in range(1, self.used + 1):
             if self.satisfied[t]:
                 continue
-            top = 2 * (self.counts[t] + left)
-            if (self.strict and top <= self.last) or (not self.strict and top < self.last):
+            if 2 * (self.counts[t] + left) < need:
                 return False
         if self.used < self.k:
             if self.k - self.used > left:
                 return False
-            if (self.strict and 2 * j >= self.last) or (not self.strict and 2 * j > self.last):
+            if 2 * j + self.s > self.last:
                 return False
         return True
 
@@ -363,7 +365,8 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
             best_k, best = k, found
         elif mode == "ordered":
             break  # merging two colors keeps ordered colorings polychromatic
-    if best is None or not is_polychromatic(best, kind).polychromatic:
+    # every hit has passed is_polychromatic in _seq_stage's leaf
+    if best is None:
         raise RuntimeError("structured search produced no verified optimum")
     return SearchReport(
         n, kind, mode, best_k, best, total_nodes, time.perf_counter() - start

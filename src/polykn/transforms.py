@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .constructions import FamilyKind
-from .core import Edge, EdgeColoring, comb_certificate, edge_index
+from .core import Edge, EdgeColoring, _greedy_order, comb_certificate, edge_index
 from .families import (
     AllowedGraph,
     SubgraphWitness,
@@ -196,23 +196,11 @@ def improve_toward_combed(c: EdgeColoring, kind: FamilyKind) -> ImproveResult:
     if not cert.polychromatic:
         raise ValueError("input coloring is not polychromatic for this family")
     current = c
-    x_set: set[int] = set()
+    x_set: list[int] = []
     moves = 0
     while True:
         # accretion: monochromatic-toward-Z vertices join X
-        grew = True
-        while grew:
-            grew = False
-            zs = [v for v in range(1, current.n + 1) if v not in x_set]
-            if len(zs) <= 2:
-                break
-            for v in zs:
-                colors = {current.color(v, u) for u in zs if u != v}
-                if len(colors) == 1:
-                    x_set.add(v)
-                    grew = True
-                    break
-        zs = [v for v in range(1, current.n + 1) if v not in x_set]
+        x_set, zs = _greedy_order(current, x_set)
         if len(zs) <= 2:
             break
         profile = max_vertex_profile(current, frozenset(x_set))

@@ -2,9 +2,9 @@
 
 A coloring is polychromatic for a family when every member carries every
 color.  Violations are found exactly: color t is avoidable iff the family
-has a member inside K_n minus the color-t edges.  When the prefix-majority
-condition fails for a color, an explicit avoiding member can be written
-down directly; both constructions are implemented here.
+has a member inside K_n minus the color-t edges.  When a color fails the
+prefix-majority rule, one builder writes down an avoiding member in the
+edge layout of its family; a complete certificate bounds the palette.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .core import (
     Edge,
     InheritedColoring,
     MajorityCertificate,
+    majority_moment,
 )
 from .families import AllowedGraph, SubgraphWitness, find_member
 
@@ -64,13 +65,31 @@ def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
     return PolyCertificate(True, spot_checks=tuple(spot))
 
 
-def _class_split(ic: InheritedColoring, t: int) -> tuple[list[int], list[int]]:
-    """Vertices of class t and the remaining vertices, in position order."""
-    xs, ys = [], []
-    for p in range(1, ic.n + 1):
-        v = ic.ordering.vertex_at(p)
+def _adversarial(ic: InheritedColoring, t: int, kind: FamilyKind, layout) -> SubgraphWitness:
+    """The member of kind that layout(xs, ys) makes of the class-t vertices
+    xs and the others ys, in position order, once t fails kind's majority
+    rule (strict for 1-factors); it is validated and checked to avoid t."""
+    strict = kind is FamilyKind.ONE_FACTOR
+    if not (1 <= t <= ic.k):
+        raise ValueError(f"color {t} out of range")
+    if ic.class_has_unitary(t):
+        raise ValueError(f"class {t} contains a unitary vertex")
+    j = majority_moment(ic, t, strict)
+    if j is not None:
+        weak = "" if strict else "weak "
+        raise ValueError(f"{weak}majority condition holds for color {t} at j={j}")
+    xs, ys = [], []  # class t and the other vertices, in position order
+    for v in ic.ordering.order:
         (xs if ic.main[v - 1] == t else ys).append(v)
-    return xs, ys
+    if not xs:
+        raise ValueError(f"color {t} is not present")
+    witness = SubgraphWitness(kind, tuple(layout(xs, ys)))
+    witness.validate(ic.n)
+    for (i, j) in witness.edges:
+        if ic.coloring.color(i, j) == t:
+            member = "matching" if strict else "cycle"
+            raise RuntimeError(f"constructed {member} contains color {t} on ({i}, {j})")
+    return witness
 
 
 def adversarial_matching(ic: InheritedColoring, t: int) -> SubgraphWitness:
@@ -80,28 +99,18 @@ def adversarial_matching(ic: InheritedColoring, t: int) -> SubgraphWitness:
     the matching pairs y_i with x_i (y_i is guaranteed to sit left of x_i)
     and pairs the leftover y's consecutively; no edge can then carry t.
     """
-    n = ic.n
-    check_n(FamilyKind.ONE_FACTOR, n)
+    check_n(FamilyKind.ONE_FACTOR, ic.n)
     if ic.unitary_set:
         raise ValueError("adversarial 1-factor needs an ordered coloring")
-    if not (1 <= t <= ic.k):
-        raise ValueError(f"color {t} out of range")
-    for j in range(1, n):
-        if 2 * ic.prefix_count(t, j) > j:
-            raise ValueError(f"majority condition holds for color {t} at j={j}")
-    xs, ys = _class_split(ic, t)
-    if not xs:
-        raise ValueError(f"color {t} is not present")
-    m = len(xs)
-    edges = [(ys[i], xs[i]) for i in range(m)]
-    leftovers = ys[m:]
-    edges.extend((leftovers[i], leftovers[i + 1]) for i in range(0, len(leftovers), 2))
-    witness = SubgraphWitness(FamilyKind.ONE_FACTOR, tuple(edges))
-    witness.validate(n)
-    for (i, j) in witness.edges:
-        if ic.coloring.color(i, j) == t:
-            raise RuntimeError(f"constructed matching contains color {t} on ({i}, {j})")
-    return witness
+
+    def layout(xs, ys):
+        m = len(xs)
+        edges = [(ys[i], xs[i]) for i in range(m)]
+        leftovers = ys[m:]
+        edges.extend((leftovers[i], leftovers[i + 1]) for i in range(0, len(leftovers), 2))
+        return edges
+
+    return _adversarial(ic, t, FamilyKind.ONE_FACTOR, layout)
 
 
 def adversarial_hamcycle(ic: InheritedColoring, t: int) -> SubgraphWitness:
@@ -112,69 +121,36 @@ def adversarial_hamcycle(ic: InheritedColoring, t: int) -> SubgraphWitness:
     class-t vertices with earlier outsiders; every edge at a class-t vertex
     goes left, so none carries t.
     """
-    n = ic.n
-    check_n(FamilyKind.HAMILTONIAN_CYCLE, n)
-    if not (1 <= t <= ic.k):
-        raise ValueError(f"color {t} out of range")
-    if ic.class_has_unitary(t):
-        raise ValueError(f"class {t} contains a unitary vertex")
-    for j in range(1, n):
-        if 2 * ic.prefix_count(t, j) >= j:
-            raise ValueError(f"weak majority condition holds for color {t} at j={j}")
-    xs, ys = _class_split(ic, t)
-    if not xs:
-        raise ValueError(f"color {t} is not present")
-    m = len(xs)
-    seq = []
-    for i in range(m):
-        seq.append(ys[i])
-        seq.append(xs[i])
-    seq.extend(ys[m:])
-    edges = [(seq[i], seq[i + 1]) for i in range(n - 1)] + [(seq[-1], seq[0])]
-    witness = SubgraphWitness(FamilyKind.HAMILTONIAN_CYCLE, tuple(edges))
-    witness.validate(n)
-    for (i, j) in witness.edges:
-        if ic.coloring.color(i, j) == t:
-            raise RuntimeError(f"constructed cycle contains color {t} on ({i}, {j})")
-    return witness
+    check_n(FamilyKind.HAMILTONIAN_CYCLE, ic.n)
+
+    def layout(xs, ys):
+        m = len(xs)
+        seq = []
+        for i in range(m):
+            seq.append(ys[i])
+            seq.append(xs[i])
+        seq.extend(ys[m:])
+        return [(seq[i], seq[i + 1]) for i in range(ic.n - 1)] + [(seq[-1], seq[0])]
+
+    return _adversarial(ic, t, FamilyKind.HAMILTONIAN_CYCLE, layout)
 
 
-def majority_upper_bound(cert: MajorityCertificate, mode: str, unitary_count: int) -> int:
-    """Largest color count allowed by the majority counting chain.
+def majority_upper_bound(cert: MajorityCertificate) -> int:
+    """Largest color count allowed by the counting chain of a complete cert.
 
     strict: sorted prefix witnesses force |M_t| >= 2^(t-1), so
             2^k - 1 <= n, and 2^k <= n when n is even.
-    weak:   classes holding unitary vertices are set aside (3 vertices span
-            3 colors, 4 span 2); the rest force |M_t| >= 2^(t-2), giving
-            k <= floor(log2 n) + 1 + excluded.
+    weak:   the classes cert flags unitary are set aside (3 unitary
+            vertices span 3 colors, 4 span 2; so 0, 2 or 3 classes); the
+            rest force |M_t| >= 2^(t-2), giving k <= floor(log2 n) + 1 + excluded.
     """
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != cert.mode:
-        raise ValueError(f"certificate was computed in {cert.mode} mode, not {mode}")
     if not cert.complete:
         raise ValueError(f"certificate incomplete: colors {cert.failing_colors()} fail")
+    strict = cert.mode == "strict"
+    excluded = len(cert.unitary_colors())
+    if excluded not in ((0,) if strict else (0, 2, 3)):
+        raise ValueError(f"{cert.mode} certificate flags {excluded} unitary classes")
     n = cert.n
-    if mode == "strict":
-        if unitary_count != 0:
-            raise ValueError("strict mode has no unitary escape")
-        limit = n if n % 2 == 0 else n + 1
-        k = 0
-        while 2 ** (k + 1) <= limit:
-            k += 1
-        return k
-    excluded_by_count = {0: 0, 3: 3, 4: 2}
-    if unitary_count not in excluded_by_count:
-        raise ValueError("unitary vertex count must be 0, 3 or 4")
-    excluded = excluded_by_count[unitary_count]
-    if len(cert.unitary_colors()) != excluded:
-        raise ValueError(
-            f"certificate flags {len(cert.unitary_colors())} unitary classes, "
-            f"expected {excluded}"
-        )
-    k = 0
-    while True:
-        exp = k - excluded  # chain needs n >= 2^((k+1) - excluded - 1)
-        if exp >= 0 and 2 ** exp > n:
-            return k
-        k += 1
+    if strict:
+        return (n + n % 2).bit_length() - 1
+    return n.bit_length() + excluded

@@ -11,10 +11,10 @@ import itertools
 import math
 from collections import Counter
 
-from polykn import EdgeColoring, VertexOrdering, build_ordered, is_polychromatic
+from polykn import EdgeColoring, FamilyKind, VertexOrdering, build_ordered, is_polychromatic
 from polykn.cli import CliError
 from polykn.core import all_edges, edge_index, is_ordered_at, is_unitary
-from polykn.search import _SeqState, _pattern_coloring
+from polykn.search import _PATTERNS, _pattern_coloring
 
 
 def rgs(length: int, used0: int = 0, max_colors: int | None = None) -> list[tuple[int, ...]]:
@@ -327,9 +327,85 @@ def ref_recolor_unitary_triple(c: EdgeColoring, x: int, y: int, z: int) -> EdgeC
 
 
 # ---------------------------------------------------------------------------
+# the counting bound of a complete majority certificate, one color at a time
+
+
+def ref_majority_upper_bound(n: int, strict: bool, excluded: int) -> int:
+    """The counting bound stepped up one color at a time: strict, the
+    largest k with 2^k <= n rounded up to even; weak, the smallest k with
+    2^(k - excluded) > n."""
+    if strict:
+        limit = n if n % 2 == 0 else n + 1
+        k = 0
+        while 2 ** (k + 1) <= limit:
+            k += 1
+        return k
+    k = 0
+    while True:
+        exp = k - excluded  # chain needs n >= 2^((k+1) - excluded - 1)
+        if exp >= 0 and 2 ** exp > n:
+            return k
+        k += 1
+
+
+# ---------------------------------------------------------------------------
 # reference searches: the plain depth-first searches, which the package's
-# searches must agree with; the sequence search shares the package's state
-# bookkeeping and engines but takes none of its shortcuts
+# searches must agree with; the sequence search keeps its own state
+# bookkeeping, with the strict and weak majority tests written out apart,
+# shares the package's engines and takes none of its shortcuts
+
+
+class RefSeqState:
+    """Per-color counts and majority flags of the main-color sequence
+    search; colors made unitary by the pattern prefix are exempt."""
+
+    def __init__(self, n, kind, k, pattern):
+        self.n = n
+        self.k = k
+        self.strict = kind is FamilyKind.ONE_FACTOR
+        self.last = n - 1  # free positions 1..n-1; position n copies n-1
+        fixed, exempt, self.recolorings = _PATTERNS[pattern]
+        self.fixed = fixed
+        self.counts = [0] * (n + 2)
+        self.satisfied = [False] * (n + 2)
+        self.used = 0
+        for t in exempt:
+            self.satisfied[t] = True
+            self.used = max(self.used, t)
+
+    def push(self, pos, c):
+        self.counts[c] += 1
+        self.used = max(self.used, c)
+        was = self.satisfied[c]
+        if 2 * self.counts[c] > pos or (not self.strict and 2 * self.counts[c] >= pos):
+            self.satisfied[c] = True
+        return was
+
+    def pop(self, c, was, used_before):
+        self.counts[c] -= 1
+        self.satisfied[c] = was
+        self.used = used_before
+
+    def viable(self, j):
+        """Can every pending color still reach its majority moment?"""
+        left = self.last - j
+        for t in range(1, self.used + 1):
+            if self.satisfied[t]:
+                continue
+            top = 2 * (self.counts[t] + left)
+            if (self.strict and top <= self.last) or (not self.strict and top < self.last):
+                return False
+        if self.used < self.k:
+            if self.k - self.used > left:
+                return False
+            if (self.strict and 2 * j >= self.last) or (not self.strict and 2 * j > self.last):
+                return False
+        return True
+
+    def complete(self):
+        return self.used == self.k and all(
+            self.satisfied[t] for t in range(1, self.used + 1)
+        )
 
 
 def ref_bf_stage(members, m, k):
@@ -385,7 +461,7 @@ def ref_seq_stage(n, kind, k, pattern):
 
     Returns (the verified EdgeColoring or None, nodes explored).
     """
-    state = _SeqState(n, kind, k, pattern)
+    state = RefSeqState(n, kind, k, pattern)
     fixed = state.fixed
     if state.used > k or len(fixed) > n:
         return None, 0

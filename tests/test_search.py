@@ -221,6 +221,22 @@ def test_search_node_counts_pinned(monkeypatch):
             assert structured_poly(n, kind, mode).nodes == memo, (kind, n)
 
 
+def test_structured_optimum_verified_once(monkeypatch):
+    # the hit leaf's verdict is the optimum's one verification
+    verdicts = []
+
+    def counting(c, kind):
+        cert = is_polychromatic(c, kind)
+        verdicts.append((c, cert.polychromatic))
+        return cert
+
+    monkeypatch.setattr(search, "is_polychromatic", counting)
+    for kind, n, mode in ((F1, 12, "ordered"), (F2, 10, "combed"), (HC, 10, "combed")):
+        verdicts.clear()
+        report = structured_poly(n, kind, mode)
+        assert [ok for c, ok in verdicts if c is report.coloring] == [True], (kind, n)
+
+
 @pytest.mark.parametrize("kind, n, patterns", SEQ_DIFFERENTIAL)
 def test_seq_stage_matches_plain_search(kind, n, patterns):
     # the dead-state memo and the kept witnesses skip no hit: every stage

@@ -9,6 +9,8 @@ import pytest
 from polykn import (
     EdgeColoring,
     FamilyKind,
+    InheritedColoring,
+    MajorityCertificate,
     VertexOrdering,
     adversarial_hamcycle,
     adversarial_matching,
@@ -21,7 +23,14 @@ from polykn import (
     majority_upper_bound,
     palette_size,
 )
-from helpers import all_combed_colorings, all_ordered_colorings, ordered_from_seq, rgs
+from polykn.core import MajorityEntry
+from helpers import (
+    all_combed_colorings,
+    all_ordered_colorings,
+    ordered_from_seq,
+    ref_majority_upper_bound,
+    rgs,
+)
 
 F1 = FamilyKind.ONE_FACTOR
 F2 = FamilyKind.TWO_FACTOR
@@ -95,9 +104,9 @@ def test_adversarial_matching_shifted_blocks():
 
 def test_adversarial_matching_rejects_satisfied_color():
     ic = inherited_coloring(build_ordered((1, 2, 2, 2)), VertexOrdering.identity(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^majority condition holds for color 2 at j=3$"):
         adversarial_matching(ic, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^majority condition holds for color 1 at j=1$"):
         adversarial_matching(ic, 1)
 
 
@@ -129,13 +138,35 @@ def test_adversarial_hamcycle_example():
 def test_adversarial_hamcycle_rejections():
     c = build_ordered((1, 1, 1, 2, 1, 1))
     ic = inherited_coloring(c, VertexOrdering.identity(6))
-    with pytest.raises(ValueError):
-        adversarial_hamcycle(ic, 3)  # color not present
-    with pytest.raises(ValueError):
-        adversarial_hamcycle(ic, 1)  # condition holds
+    with pytest.raises(ValueError, match=r"^color 3 out of range$"):
+        adversarial_hamcycle(ic, 3)
+    with pytest.raises(ValueError, match=r"^weak majority condition holds for color 1 at j=1$"):
+        adversarial_hamcycle(ic, 1)
     comb = comb_certificate(build(F2, 8))
-    with pytest.raises(ValueError):
-        adversarial_hamcycle(comb, 1)  # unitary class
+    with pytest.raises(ValueError, match=r"^class 1 contains a unitary vertex$"):
+        adversarial_hamcycle(comb, 1)
+
+
+def test_adversarial_rejection_messages():
+    # the ValueErrors the two tests above leave out, word for word;
+    # (1, 2, 2, 2) meets the weak rule for color 2 at j=2, one position
+    # before the strict rule
+    ic = inherited_coloring(build_ordered((1, 2, 2, 2)), VertexOrdering.identity(4))
+    for build_witness in (adversarial_matching, adversarial_hamcycle):
+        for t in (0, 3):
+            with pytest.raises(ValueError, match=rf"^color {t} out of range$"):
+                build_witness(ic, t)
+    with pytest.raises(ValueError, match=r"^weak majority condition holds for color 2 at j=2$"):
+        adversarial_hamcycle(ic, 2)
+    # mains that leave class 2 empty fail both rules for color 2
+    c = build_ordered((1, 1, 2, 2))
+    empty = InheritedColoring(c, VertexOrdering.identity(4), (1, 1, 1, 1), ())
+    for build_witness in (adversarial_matching, adversarial_hamcycle):
+        with pytest.raises(ValueError, match=r"^color 2 is not present$"):
+            build_witness(empty, 2)
+    comb = comb_certificate(build(F2, 8))
+    with pytest.raises(ValueError, match=r"^adversarial 1-factor needs an ordered coloring$"):
+        adversarial_matching(comb, 4)
 
 
 def test_adversarial_hamcycle_randomized_failing_instances():
@@ -159,35 +190,50 @@ def test_adversarial_hamcycle_randomized_failing_instances():
 def test_majority_upper_bound_strict():
     ic = inherited_coloring(build(F1, 8), VertexOrdering.identity(8))
     cert = majority_certificate(ic, strict=True)
-    assert majority_upper_bound(cert, "strict", 0) == 3
+    assert majority_upper_bound(cert) == 3
     tiny = inherited_coloring(EdgeColoring.from_pairs(2, {(1, 2): 1}), VertexOrdering.identity(2))
-    assert majority_upper_bound(majority_certificate(tiny, strict=True), "strict", 0) == 1
+    assert majority_upper_bound(majority_certificate(tiny, strict=True)) == 1
 
 
 def test_majority_upper_bound_weak():
     ic = comb_certificate(build(F2, 12))
     cert = majority_certificate(ic, strict=False)
-    bound = majority_upper_bound(cert, "weak", 3)
+    bound = majority_upper_bound(cert)
     assert bound == 7  # floor(log2 12) + 4
     assert bound >= palette_size(F2, 12)
     ordered = inherited_coloring(build(F1, 8), VertexOrdering.identity(8))
     weak = majority_certificate(ordered, strict=False)
-    assert majority_upper_bound(weak, "weak", 0) == 4  # floor(log2 8) + 1
+    assert majority_upper_bound(weak) == 4  # floor(log2 8) + 1
 
 
 def test_majority_upper_bound_rejections():
     ic = inherited_coloring(build_ordered((1, 1, 2, 2)), VertexOrdering.identity(4))
     incomplete = majority_certificate(ic, strict=True)
     with pytest.raises(ValueError):
-        majority_upper_bound(incomplete, "strict", 0)
-    good = majority_certificate(
-        inherited_coloring(build(F1, 8), VertexOrdering.identity(8)), strict=True
-    )
-    with pytest.raises(ValueError):
-        majority_upper_bound(good, "weak", 0)  # mode mismatch
-    weak12 = majority_certificate(comb_certificate(build(F2, 12)), strict=False)
-    with pytest.raises(ValueError):
-        majority_upper_bound(weak12, "weak", 0)  # wrong unitary count
+        majority_upper_bound(incomplete)
+    # only 3 or 4 unitary vertices exist, spanning 3 or 2 classes, and a
+    # strict certificate flags none
+    for mode, excluded in (("weak", 1), ("weak", 4), ("strict", 2), ("strict", 3)):
+        with pytest.raises(ValueError):
+            majority_upper_bound(hand_certificate(8, mode, excluded))
+
+
+def hand_certificate(n, mode, excluded):
+    """A complete certificate with `excluded` unitary classes and one
+    prefix class."""
+    entries = [MajorityEntry(t, "unitary", None) for t in range(1, excluded + 1)]
+    entries.append(MajorityEntry(excluded + 1, "prefix", 1))
+    return MajorityCertificate(n, mode, tuple(entries))
+
+
+def test_majority_upper_bound_matches_counting_loops():
+    # the closed forms against the loops that step k up one color at a time
+    for n in range(1, 4097):
+        strict = majority_upper_bound(hand_certificate(n, "strict", 0))
+        assert strict == ref_majority_upper_bound(n, True, 0), n
+        for excluded in (0, 2, 3):
+            weak = majority_upper_bound(hand_certificate(n, "weak", excluded))
+            assert weak == ref_majority_upper_bound(n, False, excluded), (n, excluded)
 
 
 def test_majority_biconditional_small_exhaustive():
@@ -234,8 +280,7 @@ def test_majority_upper_bound_dominates_search():
         optimum = brute_force_poly(n, F2).optimum
         ic = comb_certificate(build(F2, n))
         cert = majority_certificate(ic, strict=False)
-        unitary_count = len(ic.unitary_set)
-        assert majority_upper_bound(cert, "weak", unitary_count) >= optimum
+        assert majority_upper_bound(cert) >= optimum
 
 
 def test_majority_upper_bound_weak_with_quad_prefix():
@@ -249,11 +294,11 @@ def test_majority_upper_bound_weak_with_quad_prefix():
     cert = majority_certificate(ic, strict=False)
     assert cert.complete
     assert len(cert.unitary_colors()) == 2
-    assert majority_upper_bound(cert, "weak", 4) == 6  # floor(log2 9) + 3
+    assert majority_upper_bound(cert) == 6  # floor(log2 9) + 3
 
     plain = quad_from_tail(6, (1,))
     cert2 = majority_certificate(comb_certificate(plain), strict=False)
-    assert majority_upper_bound(cert2, "weak", 4) == 5
+    assert majority_upper_bound(cert2) == 5
 
 
 def test_majority_upper_bound_strict_odd_n():
@@ -262,4 +307,4 @@ def test_majority_upper_bound_strict_odd_n():
     cert = majority_certificate(ic, strict=True)
     assert cert.complete
     # odd n only forces 2^k - 1 <= n
-    assert majority_upper_bound(cert, "strict", 0) == 3
+    assert majority_upper_bound(cert) == 3
