@@ -19,6 +19,7 @@ from operator import add, itemgetter, lt, setitem
 
 from .constructions import FamilyKind, build
 from .core import EdgeColoring, comb_certificate, edge_index, majority_certificate
+from .families import SubgraphWitness
 from .search import SearchReport, brute_force_poly, structured_poly, theorem_table
 from .transforms import improve_toward_combed, recolor_unitary_triple
 from .verify import adversarial_hamcycle, adversarial_matching, is_polychromatic
@@ -186,8 +187,10 @@ def _cmd_witness(args) -> int:
         witness = adversarial_matching(ic, args.color)
     else:
         witness = adversarial_hamcycle(ic, args.color)
+    # the weak builder's Hamiltonian cycle is also a 2-factor
+    SubgraphWitness(kind, witness.edges).validate(c.n)
     doc = {
-        "family": witness.kind.value,
+        "family": kind.value,
         "avoided_color": args.color,
         "edges": [list(e) for e in witness.edges],
     }
@@ -302,9 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_family=True):
-        if need_family:
-            p.add_argument("--family", required=True, choices=["f1", "f2", "hc"])
+    def common(p):
+        p.add_argument("--family", required=True, choices=["f1", "f2", "hc"])
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("construct", help="emit the built-in polychromatic coloring")

@@ -1,7 +1,8 @@
 """Builders for polychromatic colorings of K_n.
 
 Three concrete colorings, one per subgraph family, plus the generic
-ordered-coloring builder.  Palette sizes come from integer inequalities,
+ordered-coloring builder and the unitary-prefix patterns that build and
+the combed search share.  Palette sizes come from integer inequalities,
 never from floating-point logs.
 """
 
@@ -90,6 +91,25 @@ def _ordered_colors(main) -> list[int]:
     return colors
 
 
+# the unitary prefixes of combed colorings: pattern name -> (fixed leading
+# mains, colors exempt via unitarity, edge recolorings applied after the
+# ordered build); "triple" is the rainbow triangle on v_1, v_2, v_3 and
+# "quad" the 4-vertex unitary prefix
+_PATTERNS = {
+    "ordered": ((), (), ()),
+    "triple": ((1, 2, 3), (1, 2, 3), (((1, 3), 3),)),
+    "quad": ((1, 1, 2, 2), (1, 2), (((1, 3), 2), ((2, 4), 2))),
+}
+
+
+def _pattern_coloring(n, mains, recolorings) -> EdgeColoring:
+    """The ordered coloring of mains with the given edges recolored."""
+    colors = _ordered_colors(mains)
+    for ((i, j), c) in recolorings:
+        colors[edge_index(n, i, j)] = c
+    return EdgeColoring.from_colors(n, colors)
+
+
 def build_ordered(main: tuple[int, ...] | list[int]) -> EdgeColoring:
     """Ordered coloring determined by a main-color sequence.
 
@@ -106,15 +126,12 @@ def build(kind: FamilyKind, n: int) -> EdgeColoring:
     """The polychromatic coloring of K_n for the given family.
 
     Inherited class sizes follow class_sizes(kind, n); classes occupy
-    consecutive vertex blocks.  For two-factors and Hamiltonian cycles with
-    at least 3 colors, edge v_1 v_3 is then recolored from 1 to 3, which
-    makes v_1, v_2, v_3 unitary with a rainbow triangle between them.
+    consecutive vertex blocks.  Two-factors and Hamiltonian cycles with at
+    least 3 colors take the "triple" pattern's recoloring of edge v_1 v_3
+    from 1 to 3, which makes v_1, v_2, v_3 unitary with a rainbow triangle
+    between them.
     """
     sizes = class_sizes(kind, n)
-    mains = []
-    for t, size in enumerate(sizes, start=1):
-        mains.extend([t] * size)
-    colors = _ordered_colors(mains)
-    if kind is not FamilyKind.ONE_FACTOR and len(sizes) >= 3:
-        colors[edge_index(n, 1, 3)] = 3
-    return EdgeColoring.from_colors(n, colors)
+    mains = [t for t, size in enumerate(sizes, start=1) for _ in range(size)]
+    triple = kind is not FamilyKind.ONE_FACTOR and len(sizes) >= 3
+    return _pattern_coloring(n, mains, _PATTERNS["triple" if triple else "ordered"][2])

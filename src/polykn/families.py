@@ -84,9 +84,11 @@ class AllowedGraph:
 
     @staticmethod
     def minus_color(c: EdgeColoring, t: int) -> "AllowedGraph":
-        """K_n minus the color-t edges, from the coloring's per-color bitsets."""
+        """K_n minus the color-t edges of c (t in 1..c.k), from its per-color bitsets."""
+        if not 1 <= t <= c.k:
+            raise ValueError(f"color {t} outside 1..{c.k}")
         full = (2 << c.n) - 2
-        drop = c.color_masks[t if 1 <= t <= c.k else 0]
+        drop = c.color_masks[t]
         masks = (full & ~(1 << v) & ~drop[v] for v in range(1, c.n + 1))
         return AllowedGraph(c.n, (0, *masks))
 

@@ -8,6 +8,9 @@ depth-first search packs them; its node count covers the whole search.
 
 Ordered and combed modes search main-color sequences instead, pruning with
 the majority conditions and verifying finalists with the exact engines.
+The unitary-prefix patterns live in constructions, where build reads the
+paper's rainbow triple from the same table; _seq_stage keeps the
+sequence's per-color counts and majority flags in its own locals.
 Each palette size is one serial depth-first search from the root that
 stops at its first (lexicographically least) hit.  Two exact shortcuts
 keep it small: a count state whose subtree reached no complete sequence is
@@ -24,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import FamilyKind, _ordered_colors, build, check_n, palette_size
+from .constructions import _PATTERNS, FamilyKind, _pattern_coloring, build, check_n, palette_size
 from .core import EdgeColoring, edge_index
 from .families import CapExceededError, enumerate_members
 from .verify import is_polychromatic
@@ -170,89 +173,13 @@ def brute_force_poly(
 # ---------------------------------------------------------------------------
 # ordered / combed search over main-color sequences
 
-# pattern name -> (fixed leading mains, colors exempt via unitarity,
-#                  edge recolorings applied after the ordered build)
-_PATTERNS = {
-    "ordered": ((), (), ()),
-    "triple": ((1, 2, 3), (1, 2, 3), (((1, 3), 3),)),
-    "quad": ((1, 1, 2, 2), (1, 2), (((1, 3), 2), ((2, 4), 2))),
-}
-
-
-def _pattern_coloring(n, mains, recolorings) -> EdgeColoring:
-    colors = _ordered_colors(mains)
-    for ((i, j), c) in recolorings:
-        colors[edge_index(n, i, j)] = c
-    return EdgeColoring.from_colors(n, colors)
-
-
-class _SeqState:
-    """Shared bookkeeping for the main-color sequence search.
-
-    Tracks per-color counts and whether each color has met its majority
-    condition; colors made unitary by the pattern prefix are exempt.  The
-    rule is core.majority_moment's 2|M_t(j)| >= j + s, s fixed per stage.
-    """
-
-    def __init__(self, n, kind, k, pattern):
-        self.k = k
-        self.s = 1 if kind is FamilyKind.ONE_FACTOR else 0
-        self.last = n - 1  # free positions 1..n-1; position n copies n-1
-        fixed, exempt, self.recolorings = _PATTERNS[pattern]
-        self.fixed = fixed
-        self.counts = [0] * (n + 2)
-        self.satisfied = [False] * (n + 2)
-        self.used = 0
-        for t in exempt:
-            self.satisfied[t] = True
-            self.used = max(self.used, t)
-
-    def push(self, pos, c):
-        self.counts[c] += 1
-        self.used = max(self.used, c)
-        was = self.satisfied[c]
-        if 2 * self.counts[c] >= pos + self.s:
-            self.satisfied[c] = True
-        return was
-
-    def pop(self, c, was, used_before):
-        self.counts[c] -= 1
-        self.satisfied[c] = was
-        self.used = used_before
-
-    def viable(self, j):
-        """Can every pending color still reach its majority moment?  A
-        pending color comes closest at position last; a new color holds at
-        most j' - j of the first j' positions, so it needs j' >= 2j + s."""
-        left = self.last - j
-        need = self.last + self.s
-        for t in range(1, self.used + 1):
-            if self.satisfied[t]:
-                continue
-            if 2 * (self.counts[t] + left) < need:
-                return False
-        if self.used < self.k:
-            if self.k - self.used > left:
-                return False
-            if 2 * j + self.s > self.last:
-                return False
-        return True
-
-    def complete(self):
-        return self.used == self.k and all(
-            self.satisfied[t] for t in range(1, self.used + 1)
-        )
-
-    def key(self, j):
-        """The state after position j as push, viable and complete see it:
-        they read only the counts and flags of colors 1..used and treat
-        those colors alike, so the colors' names are dropped."""
-        top = self.used + 1
-        return j, self.used, tuple(sorted(zip(self.counts[1:top], self.satisfied[1:top])))
-
 
 def _seq_stage(n, kind, k, pattern, witnesses=None):
     """First (lex) main-color sequence completing the pattern at palette size k.
+
+    The count state holds each color's count and whether it has met its
+    majority moment, core.majority_moment's 2|M_t(j)| >= j + s with s fixed
+    per stage; colors made unitary by the pattern prefix are exempt.
 
     `witnesses` holds the edge indices of members of K_n's family that
     refuted earlier leaves (a fresh list when None); a leaf whose colors
@@ -262,25 +189,42 @@ def _seq_stage(n, kind, k, pattern, witnesses=None):
     """
     if witnesses is None:
         witnesses = []
-    state = _SeqState(n, kind, k, pattern)
-    fixed = state.fixed
-    if state.used > k or len(fixed) > n:
+    fixed, exempt, recolorings = _PATTERNS[pattern]
+    used = max(exempt, default=0)
+    if used > k or len(fixed) > n:
         return None, 0
-    seq = []
-    # position n colors no edge; the leaf copies position n-1 into it
-    for p, c in enumerate(fixed[: state.last], start=1):
-        state.push(p, c)
-        seq.append(c)
-    nodes = 0
-    leaves = 0  # complete sequences reached, verified or not
+    s = 1 if kind is FamilyKind.ONE_FACTOR else 0
+    last = n - 1  # free positions 1..n-1; position n copies n-1
+    counts = [0] * (n + 2)
+    satisfied = [t in exempt for t in range(n + 2)]
+    seq = list(fixed[:last])
+    for p, c in enumerate(seq, start=1):
+        counts[c] += 1
+        used = max(used, c)
+        satisfied[c] = satisfied[c] or 2 * counts[c] >= p + s
+    nodes = leaves = 0  # leaves: complete sequences reached, verified or not
     # keys whose subtree held no complete sequence; one whose complete
     # sequences merely failed verification stays out, since another
     # sequence with the same key can pass
     dead = set()
 
+    def viable(j):
+        """Can every pending color still reach its majority moment?  A
+        pending color comes closest at position last; a new color holds at
+        most j' - j of the first j' positions, so it needs j' >= 2j + s."""
+        left = last - j
+        need = last + s
+        for t in range(1, used + 1):
+            if not satisfied[t] and 2 * (counts[t] + left) < need:
+                return False
+        return used >= k or (k - used <= left and 2 * j + s <= last)
+
+    def complete():
+        return used == k and all(satisfied[1 : k + 1])
+
     def leaf():
-        mains = seq + [seq[-1]]
-        coloring = _pattern_coloring(n, mains, state.recolorings)
+        # position n colors no edge; the leaf copies position n-1 into it
+        coloring = _pattern_coloring(n, seq + [seq[-1]], recolorings)
         if coloring.k != k:
             return None
         colors = coloring.colors
@@ -294,36 +238,45 @@ def _seq_stage(n, kind, k, pattern, witnesses=None):
         return None
 
     def rec(j):
-        nonlocal nodes, leaves
-        if j == state.last:
-            if not state.complete():
+        nonlocal nodes, leaves, used
+        if j == last:
+            if not complete():
                 return None
             leaves += 1
             return leaf()
-        key = state.key(j)
+        # the loop's update, viable and complete read only the counts and flags
+        # of colors 1..used and treat those colors alike, so the key drops
+        # their names
+        top = used + 1
+        key = (j, used, tuple(sorted(zip(counts[1:top], satisfied[1:top]))))
         if key in dead:
             return None
         before = leaves
         pos = j + 1
-        used_before = state.used
+        used_before = used
         for c in range(1, min(used_before + 1, k) + 1):
             nodes += 1
-            was = state.push(pos, c)
+            counts[c] += 1
+            used = max(used_before, c)
+            was = satisfied[c]
+            satisfied[c] = was or 2 * counts[c] >= pos + s
             seq.append(c)
-            if state.viable(pos):
+            if viable(pos):
                 res = rec(pos)
                 if res is not None:
                     return res
             seq.pop()
-            state.pop(c, was, used_before)
+            counts[c] -= 1
+            satisfied[c] = was
+        used = used_before
         if leaves == before:
             dead.add(key)
         return None
 
     j0 = len(seq)
-    if j0 == state.last:
-        return (leaf() if state.complete() else None), 1
-    if not state.viable(j0):
+    if j0 == last:
+        return (leaf() if complete() else None), 1
+    if not viable(j0):
         return None, 0
     return rec(j0), nodes
 
@@ -347,30 +300,25 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     patterns = ("ordered",) if mode == "ordered" else ("ordered", "triple", "quad")
     start = time.perf_counter()
     total_nodes = 0
-    best_k = 0
     best: Optional[EdgeColoring] = None
     witnesses: list[tuple[int, ...]] = []  # refuting members, kept across k and patterns
     k_hi = min((n.bit_length() - 1) + 4, n * (n - 1) // 2)
     for k in range(1, k_hi + 1):
         found = None
         for pattern in patterns:
-            if pattern == "quad" and n < 4:
-                continue
             coloring, nodes = _seq_stage(n, kind, k, pattern, witnesses)
             total_nodes += nodes
             if coloring is not None:
                 found = coloring
                 break
         if found is not None:
-            best_k, best = k, found
+            best = found
         elif mode == "ordered":
             break  # merging two colors keeps ordered colorings polychromatic
     # every hit has passed is_polychromatic in _seq_stage's leaf
     if best is None:
         raise RuntimeError("structured search produced no verified optimum")
-    return SearchReport(
-        n, kind, mode, best_k, best, total_nodes, time.perf_counter() - start
-    )
+    return SearchReport(n, kind, mode, best.k, best, total_nodes, time.perf_counter() - start)
 
 
 def theorem_table(kind: FamilyKind, n_range) -> list[TheoremRow]:

@@ -158,6 +158,19 @@ def test_witness_weak_mode(tmp_path, capsys):
     assert "avoided_color" in out
 
 
+def test_witness_reports_requested_weak_family(tmp_path, capsys):
+    # the weak builder returns a Hamiltonian cycle, which is also a 2-factor;
+    # the document names the family that was asked for
+    path = _write_doc(tmp_path, build_ordered((1, 1, 1, 2, 1, 1)))
+    docs = {}
+    for family in ("f2", "hc"):
+        assert run(["witness", "--family", family, "--input", path, "--color", "2"]) == 0
+        docs[family] = json.loads(capsys.readouterr().out)
+    assert docs["f2"]["family"] == "f2"
+    assert docs["hc"]["family"] == "hc"
+    assert docs["f2"]["edges"] == docs["hc"]["edges"]
+
+
 def test_search_command(tmp_path, capsys):
     assert run(["search", "--family", "f2", "--n", "4", "--mode", "full"]) == 0
     out = capsys.readouterr().out

@@ -47,6 +47,18 @@ def test_minus_color():
     assert g.has_edge(1, 2)
 
 
+@pytest.mark.parametrize("t", [0, 5, 99, -1], ids=["zero", "k-plus-1", "large", "negative"])
+def test_minus_color_rejects_missing_color(t):
+    # K_n minus a color the coloring lacks would let find_member report a
+    # member "avoiding" it
+    from polykn import build
+
+    c = build(F2, 7)
+    assert c.k == 4
+    with pytest.raises(ValueError, match=rf"color {t} outside 1\.\.4"):
+        AllowedGraph.minus_color(c, t)
+
+
 @pytest.mark.parametrize(
     "n, masks, message",
     [

@@ -156,6 +156,9 @@ def test_structured_one_factor_at_ordered_cap():
     report = structured_poly(32, F1, "ordered")
     assert report.optimum == report.coloring.k == 5 == (32).bit_length() - 1
     assert is_polychromatic(report.coloring, F1).polychromatic
+    # the memoized search's node count, pinned at a depth the small pins
+    # of test_search_node_counts_pinned never reach
+    assert report.nodes == 36_089
 
 
 @pytest.mark.parametrize("kind", [F2, HC])
@@ -163,6 +166,7 @@ def test_structured_combed_at_combed_cap(kind):
     report = structured_poly(20, kind, "combed")
     assert report.optimum == report.coloring.k == palette_size(kind, 20) == 5
     assert is_polychromatic(report.coloring, kind).polychromatic
+    assert report.nodes == {F2: 15_224, HC: 11_579}[kind]
 
 
 def test_theorem_table_one_factor():
