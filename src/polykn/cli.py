@@ -125,8 +125,11 @@ def coloring_to_dot(c: EdgeColoring) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -235,7 +238,7 @@ def _cmd_table(args) -> int:
     kind = FamilyKind.parse(args.family)
     if args.n_range:
         ns = _parse_range(args.n_range)
-    elif args.n:
+    elif args.n is not None:
         ns = range(args.n, args.n + 1)
     else:
         raise CliError("table needs --n or --n-range")

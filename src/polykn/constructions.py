@@ -39,21 +39,16 @@ def palette_size(kind: FamilyKind, n: int) -> int:
     """Number of colors used by build(kind, n).
 
     Largest k satisfying, respectively: 2^k <= n; 2^(k-1) - 1 <= n;
-    3*2^(k-3) + 1 <= n.  All three are evaluated with integers only
-    (the last two cleared of fractions: 2^k <= 2(n+1) and 3*2^k <= 8(n-1)).
+    3*2^(k-3) + 1 <= n.  Cleared of fractions these read 2^k <= n,
+    2^k <= 2(n+1) and 2^k <= floor(8(n-1)/3), so k is one less than the
+    bit length of the right-hand side; integers only, no logs.
     """
     check_n(kind, n)
-    k = 1
     if kind is FamilyKind.ONE_FACTOR:
-        while 2 ** (k + 1) <= n:
-            k += 1
-    elif kind is FamilyKind.TWO_FACTOR:
-        while 2 ** (k + 1) <= 2 * (n + 1):
-            k += 1
-    else:
-        while 3 * 2 ** (k + 1) <= 8 * (n - 1):
-            k += 1
-    return k
+        return n.bit_length() - 1
+    if kind is FamilyKind.TWO_FACTOR:
+        return (2 * (n + 1)).bit_length() - 1
+    return (8 * (n - 1) // 3).bit_length() - 1
 
 
 def class_sizes(kind: FamilyKind, n: int) -> tuple[int, ...]:

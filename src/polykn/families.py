@@ -15,11 +15,12 @@ rest:
   contracts locally, relabelling only the vertices of the merged blossoms,
   and drops the vertices of every failed (Hungarian) search tree from the
   later searches,
-* Hamiltonian cycles via polynomial refutations first (degree check,
-  2-factor relaxation, separator test) at every n, then one exact
-  Hamiltonian path search closing the cycle: a pruned depth-first search,
-  run on an explicit stack, that never expands a failed (free set, current
-  vertex) state twice.
+* Hamiltonian cycles via a ladder of refutations, cheapest first, at
+  every n: the separator test (which, with no edge forced, already cuts
+  off every vertex of degree below 2), then the degree check and the
+  2-factor relaxation, then one exact Hamiltonian path search closing the
+  cycle: a pruned depth-first search, run on an explicit stack, that never
+  expands a failed (free set, current vertex) state twice.
 
 Enumeration is a separate brute-force oracle that emits members in
 lexicographic order of their sorted edge lists.
@@ -40,6 +41,9 @@ ENUMERATION_CAPS = {
     FamilyKind.TWO_FACTOR: 12,
     FamilyKind.HAMILTONIAN_CYCLE: 12,
 }
+
+# the degree of every vertex in a member of the family
+_DEGREE = {FamilyKind.ONE_FACTOR: 1, FamilyKind.TWO_FACTOR: 2, FamilyKind.HAMILTONIAN_CYCLE: 2}
 
 
 class CapExceededError(ValueError):
@@ -142,13 +146,12 @@ class SubgraphWitness:
                 raise ValueError(f"repeated witness edge ({i}, {j})")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        target = 1 if self.kind is FamilyKind.ONE_FACTOR else 2
+        target = _DEGREE[self.kind]
         for v in range(1, n + 1):
             deg = masks[v].bit_count()
             if deg != target:
                 raise ValueError(f"vertex {v} has degree {deg}, expected {target}")
-        all_bits = (2 << n) - 2
-        if self.kind is FamilyKind.HAMILTONIAN_CYCLE and _reach(masks, 2, all_bits) != all_bits:
+        if self.kind is FamilyKind.HAMILTONIAN_CYCLE and not _spans(n, self.edges):
             raise ValueError("Hamiltonian cycle witness is disconnected")
 
 
@@ -328,6 +331,16 @@ def _reach(masks, seed: int, within: int) -> int:
     return reach
 
 
+def _spans(n: int, edges) -> bool:
+    """Whether the edges join vertex 1 to every vertex of 1..n."""
+    masks = [0] * (n + 1)
+    for (i, j) in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    all_bits = (2 << n) - 2
+    return _reach(masks, 2, all_bits) == all_bits
+
+
 def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[int]]:
     """Hamiltonian path from start to end (to a neighbor of start when end
     is None, so that it closes into a cycle), or None.
@@ -393,46 +406,22 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
     return None
 
 
-def _components_after_removal(g: AllowedGraph, removed: int) -> int:
-    all_bits = (2 << g.n) - 2
-    left = all_bits & ~removed
-    comps = 0
-    while left:
-        comps += 1
-        left &= ~_reach(g.masks, left & -left, left)
-    return comps
-
-
 def _separator_refutes(g: AllowedGraph, slack: int) -> bool:
     """Hamiltonian refutation: removing S must leave at most |S| components
-    (|S| + 1 for a Hamiltonian path).  Tries each closed neighborhood."""
+    (|S| + 1 for a Hamiltonian path).  Tries S = N(u), the open
+    neighborhood of u, for every u."""
+    all_bits = (2 << g.n) - 2
     for u in range(1, g.n + 1):
         s_bits = g.masks[u]
         size = s_bits.bit_count()
         if size >= g.n - 1:
             continue
-        if _components_after_removal(g, s_bits) > size + slack:
+        left = all_bits & ~s_bits
+        for _ in range(size + slack):  # drop the allowed number of components
+            left &= ~_reach(g.masks, left & -left, left)
+        if left:
             return True
     return False
-
-
-def _ham_cycle(g: AllowedGraph, targets: list[int], forced: Optional[Edge]) -> Optional[list[Edge]]:
-    """Hamiltonian cycle of g, or of g plus `forced` through `forced`.
-
-    With an edge forced, g no longer holds it and the rest of the cycle is
-    a Hamiltonian path between its endpoints.  The degree check, the
-    2-factor relaxation and the separator test run first at every n; the
-    exact search runs only on what they leave.
-    """
-    if _degree_constrained_subgraph(g, targets) is None:
-        return None
-    if _separator_refutes(g, 0 if forced is None else 1):
-        return None
-    start, end = forced if forced is not None else (1, None)
-    path = _ham_path(g, start, end)
-    if path is None:
-        return None
-    return list(zip(path, path[1:] + path[:1]))  # closes with (end, start)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +429,11 @@ def _ham_cycle(g: AllowedGraph, targets: list[int], forced: Optional[Edge]) -> O
 
 
 def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional[SubgraphWitness]:
-    """Member of the family in g, containing `forced` when given, or None."""
+    """Member of the family in g, containing `forced` when given, or None;
+    Hamiltonian queries go down the refutation ladder, cheapest first."""
     n = g.n
     check_n(kind, n)
-    targets = [0] + [1 if kind is FamilyKind.ONE_FACTOR else 2] * n
+    targets = [0] + [_DEGREE[kind]] * n
     if forced is not None:
         u, v = forced
         masks = list(g.masks)
@@ -452,12 +442,18 @@ def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional
         g = AllowedGraph(n, tuple(masks))
         targets[u] -= 1
         targets[v] -= 1
-    if kind is FamilyKind.HAMILTONIAN_CYCLE:
-        found = _ham_cycle(g, targets, forced)  # closes through `forced`
-    else:
+    if kind is not FamilyKind.HAMILTONIAN_CYCLE:
         found = _degree_constrained_subgraph(g, targets)
         if found is not None and forced is not None:
             found.append(forced)
+    elif (_separator_refutes(g, 0 if forced is None else 1)
+          or _degree_constrained_subgraph(g, targets) is None):
+        found = None
+    else:
+        start, end = forced if forced is not None else (1, None)
+        path = _ham_path(g, start, end)
+        # the cycle closes with (end, start): `forced`, or an edge of g
+        found = None if path is None else list(zip(path, path[1:] + path[:1]))
     if found is None:
         return None
     witness = SubgraphWitness(kind, tuple(found))
@@ -503,39 +499,19 @@ def _degree_regular_members(n: int, target: int, allowed: AllowedGraph) -> Itera
             yield tuple(edges)
             return
         start = edges[-1][1] + 1 if edges and edges[-1][0] == v else v + 1
-        need = target - deg[v]
-        avail = sum(
-            1 for w in range(start, n + 1) if deg[w] < target and allowed.has_edge(v, w)
-        )
-        if avail < need:
+        partners = [w for w in range(start, n + 1) if deg[w] < target and allowed.has_edge(v, w)]
+        if len(partners) < target - deg[v]:
             return
-        for w in range(start, n + 1):
-            if deg[w] < target and allowed.has_edge(v, w):
-                deg[v] += 1
-                deg[w] += 1
-                edges.append((v, w))
-                yield from rec(v)
-                edges.pop()
-                deg[v] -= 1
-                deg[w] -= 1
+        for w in partners:  # each branch restores deg, so the list stays valid
+            deg[v] += 1
+            deg[w] += 1
+            edges.append((v, w))
+            yield from rec(v)
+            edges.pop()
+            deg[v] -= 1
+            deg[w] -= 1
 
     yield from rec(1)
-
-
-def _is_single_cycle(n: int, edges: tuple[Edge, ...]) -> bool:
-    adj = {v: [] for v in range(1, n + 1)}
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def enumerate_members(
@@ -557,10 +533,9 @@ def enumerate_members(
     g = allowed if allowed is not None else AllowedGraph.complete(n)
     if g.n != n:
         raise ValueError("allowed graph size mismatch")
-    target = 1 if kind is FamilyKind.ONE_FACTOR else 2
-    for edges in _degree_regular_members(n, target, g):
-        if kind is FamilyKind.HAMILTONIAN_CYCLE and not _is_single_cycle(n, edges):
-            continue
+    for edges in _degree_regular_members(n, _DEGREE[kind], g):
+        if kind is FamilyKind.HAMILTONIAN_CYCLE and not _spans(n, edges):
+            continue  # a 2-factor with several cycles
         yield SubgraphWitness(kind, edges)
 
 

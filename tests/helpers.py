@@ -327,6 +327,26 @@ def ref_recolor_unitary_triple(c: EdgeColoring, x: int, y: int, z: int) -> EdgeC
 
 
 # ---------------------------------------------------------------------------
+# the palette of build(kind, n), one color at a time
+
+
+def ref_palette_size(kind: FamilyKind, n: int) -> int:
+    """Largest k >= 1 with 2^k <= n (1-factors), 2^k <= 2(n+1) (2-factors)
+    or 3*2^k <= 8(n-1) (Hamiltonian cycles), stepped up one k at a time."""
+    k = 1
+    if kind is FamilyKind.ONE_FACTOR:
+        while 2 ** (k + 1) <= n:
+            k += 1
+    elif kind is FamilyKind.TWO_FACTOR:
+        while 2 ** (k + 1) <= 2 * (n + 1):
+            k += 1
+    else:
+        while 3 * 2 ** (k + 1) <= 8 * (n - 1):
+            k += 1
+    return k
+
+
+# ---------------------------------------------------------------------------
 # the counting bound of a complete majority certificate, one color at a time
 
 

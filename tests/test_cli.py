@@ -171,6 +171,19 @@ def test_witness_reports_requested_weak_family(tmp_path, capsys):
     assert docs["f2"]["edges"] == docs["hc"]["edges"]
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "c.json"
+    assert run(["construct", "--family", "f1", "--n", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_table_n_zero_is_not_missing(capsys):
+    assert run(["table", "--family", "f1", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: no n in 0..0 is valid for family f1\n"
+
+
 def test_search_command(tmp_path, capsys):
     assert run(["search", "--family", "f2", "--n", "4", "--mode", "full"]) == 0
     out = capsys.readouterr().out

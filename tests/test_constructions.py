@@ -15,6 +15,7 @@ from polykn import (
     majority_certificate,
     palette_size,
 )
+from helpers import ref_palette_size
 
 F1 = FamilyKind.ONE_FACTOR
 F2 = FamilyKind.TWO_FACTOR
@@ -45,6 +46,12 @@ def test_palette_size_matches_bitlength_formulas():
     for n in range(3, 2000):
         assert palette_size(F2, n) == (2 * (n + 1)).bit_length() - 1
         assert palette_size(HC, n) == ((8 * (n - 1)) // 3).bit_length() - 1
+
+
+def test_palette_size_matches_stepped_inequalities():
+    for kind in FamilyKind:
+        for n in range(2, 4097, 2) if kind is F1 else range(3, 4097):
+            assert palette_size(kind, n) == ref_palette_size(kind, n), (kind, n)
 
 
 def test_palette_size_rejects_bad_n():

@@ -249,7 +249,7 @@ def test_ham_path_matches_enumeration():
 def test_exact_search_refutes_graph_past_every_refutation():
     # three separator vertices over four 4-cliques: deleting them leaves four
     # components, so no Hamiltonian cycle, yet the degree, 2-factor and
-    # closed-neighborhood separator checks all pass and the exact search decides
+    # open-neighborhood separator checks all pass and the exact search decides
     from polykn.families import _degree_constrained_subgraph, _separator_refutes
 
     n = 19
@@ -360,6 +360,56 @@ def test_separator_refutation_is_sound():
             g = AllowedGraph.from_edges(n, edges)
             if _separator_refutes(g, 0):
                 assert find_member(HC, g) is None
+
+
+def test_relaxation_refutes_bowtie_past_separator(monkeypatch):
+    # two triangles sharing vertex 1: every degree is at least 2 and no open
+    # neighborhood N(u) separates, but no 2-factor exists, so the 2-factor
+    # relaxation refutes and the exact search never runs
+    import polykn.families as families
+
+    g = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
+    assert not families._separator_refutes(g, 0)
+    assert families._degree_constrained_subgraph(g, [0] + [2] * 5) is None
+    monkeypatch.setattr(families, "_ham_path", lambda *a: pytest.fail("exact search ran"))
+    assert find_member(HC, g) is None
+
+
+@pytest.mark.parametrize("n", [13, 18, 19, 24, 32])
+def test_hamiltonian_refutations_run_cheapest_first(monkeypatch, n):
+    # the separator test runs before the 2-factor relaxation and refutes
+    # every color of the paper's Hamiltonian coloring, so no blossom runs
+    import polykn.families as families
+    from polykn import build, is_polychromatic
+
+    calls = []
+    matching = families.maximum_matching
+    monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a[0]) or matching(*a))
+    assert is_polychromatic(build(HC, n), HC).polychromatic
+    assert calls == []
+
+
+def test_reach_matches_breadth_first_search():
+    from collections import deque
+
+    from polykn.families import _reach
+
+    rng = random.Random(30_7)
+    for n in range(1, 31):
+        for _ in range(20):
+            p = rng.choice([0.05, 0.15, 0.4])
+            g = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
+            within = sum(1 << v for v in range(1, n + 1) if rng.random() < 0.7)
+            seeds = [v for v in range(1, n + 1) if rng.random() < 0.1] or [rng.randint(1, n)]
+            seen, queue = set(seeds), deque(seeds)
+            while queue:
+                u = queue.popleft()
+                for w in range(1, n + 1):
+                    if g.has_edge(u, w) and (within >> w) & 1 and w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            seed = sum(1 << v for v in seeds)
+            assert _reach(g.masks, seed, within) == sum(1 << v for v in seen)
 
 
 def test_witness_validation_catches_breakage():
