@@ -17,7 +17,7 @@ from collections import deque
 from itertools import chain, repeat
 from operator import add, itemgetter, lt, setitem
 
-from .constructions import FamilyKind, build
+from .constructions import FamilyKind, build, check_n
 from .core import EdgeColoring, comb_certificate, edge_index, majority_certificate
 from .families import SubgraphWitness
 from .search import SearchReport, brute_force_poly, structured_poly, theorem_table
@@ -144,12 +144,10 @@ def _load_coloring(path: str) -> EdgeColoring:
 
 
 def _emit_coloring(c: EdgeColoring, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit(json.dumps(coloring_to_document(c), indent=2) + "\n", out)
-    elif fmt == "dot":
+    if fmt == "dot":
         _emit(coloring_to_dot(c), out)
     else:
-        raise CliError(f"format {fmt!r} not supported for colorings (use json or dot)")
+        _emit(json.dumps(coloring_to_document(c), indent=2) + "\n", out)
 
 
 def _cmd_construct(args) -> int:
@@ -176,6 +174,7 @@ def _cmd_verify(args) -> int:
 def _cmd_witness(args) -> int:
     kind = FamilyKind.parse(args.family)
     c = _load_coloring(args.input)
+    check_n(kind, c.n)
     ic = comb_certificate(c)
     if ic is None:
         raise CliError("input coloring is not combed; no inherited classes exist")
@@ -245,31 +244,23 @@ def _cmd_table(args) -> int:
     rows = theorem_table(kind, ns)
     if not rows:
         raise CliError(f"no n in {ns.start}..{ns.stop - 1} is valid for family {kind.value}")
+    records = [
+        {
+            "n": r.n, "family": r.kind.value,
+            "construction_k": r.construction_k, "formula_k": r.formula_k,
+            "search_k": r.search_k, "search_mode": r.search_mode,
+            "agrees": r.agrees,
+        }
+        for r in rows
+    ]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["n", "family", "construction_k", "formula_k", "search_k", "search_mode", "agrees"]
-        )
-        for r in rows:
-            writer.writerow([
-                r.n, r.kind.value, r.construction_k, r.formula_k,
-                r.search_k if r.search_k is not None else "",
-                r.search_mode or "",
-                str(r.agrees).lower(),
-            ])
+        writer.writerow(records[0])
+        writer.writerows(["" if v is None else str(v).lower() for v in rec.values()] for rec in records)
         _emit(buf.getvalue(), args.out)
     elif args.format == "json":
-        payload = [
-            {
-                "n": r.n, "family": r.kind.value,
-                "construction_k": r.construction_k, "formula_k": r.formula_k,
-                "search_k": r.search_k, "search_mode": r.search_mode,
-                "agrees": r.agrees,
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(records, indent=2) + "\n", args.out)
     else:
         lines = ["   n construction formula search agree"]
         for r in rows:

@@ -3,14 +3,14 @@
 A 2-switch exchanges two disjoint 2-factor edges for a cross pair, where
 both reconnections can be legal; a twist is the one 2-switch of a
 Hamiltonian cycle that keeps a single cycle.  Max-vertex profiles
-record monochromatic degrees outside a frozen vertex set, and the greedy
+read monochromatic degrees outside a frozen vertex set as popcounts of the
+per-color bitsets `EdgeColoring.color_masks`, and the greedy
 comb-improvement loop recolors off-color edges at max-vertices whenever an
 exact feasibility query shows polychromaticity cannot break.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -103,48 +103,39 @@ class MaxVertexProfile:
 def max_vertex_profile(c: EdgeColoring, outside: frozenset[int] | set[int]) -> MaxVertexProfile:
     """Per-vertex monochromatic degrees in K_n restricted to V minus X.
 
-    When the minority pairs of the max-vertices use exactly two colors in
-    opposite roles, the vertices split into S ((x,y)-max), T ((y,x)-max)
-    and W (the rest), mirroring the exchange analysis.
+    Color t's degree at v is the popcount of color_masks[t][v] on the bitset
+    of V minus X.  When the minority pairs of the max-vertices use exactly
+    two colors, the vertices split into S ((x,y)-max), T ((y,x)-max) and W
+    (the rest), mirroring the exchange analysis.
     """
     X = frozenset(outside)
     zs = [v for v in range(1, c.n + 1) if v not in X]
     if not zs:
         raise ValueError("V minus X must be nonempty")
+    z = sum(1 << v for v in zs)
     stats = []
     for v in zs:
-        counts = Counter(c.color(v, u) for u in zs if u != v)
-        if not counts:
-            stats.append(VertexStats(v, 0, 0, None))
-            continue
-        degree = max(counts.values())
-        color = min(t for t, cnt in counts.items() if cnt == degree)
-        rest = [c.color(v, u) for u in zs if u != v and c.color(v, u) != color]
-        minority = rest[0] if rest and len(set(rest)) == 1 else None
-        stats.append(VertexStats(v, degree, color, minority))
+        counts = [(row[v] & z).bit_count() for row in c.color_masks]
+        degree = max(counts)
+        color = counts.index(degree)  # row 0 is empty: a lone vertex gets color 0
+        others = [t for t, cnt in enumerate(counts) if cnt and t != color]
+        stats.append(VertexStats(v, degree, color, others[0] if len(others) == 1 else None))
     max_degree = max(s.degree for s in stats)
-    max_vertices = tuple(s.vertex for s in stats if s.degree == max_degree)
-    pairs = {
-        (s.color, s.minority)
-        for s in stats
-        if s.vertex in max_vertices and s.minority is not None
-    }
+    max_vertices = []
+    by_pair: dict[tuple[int, int], list[int]] = {}  # (color, minority) -> max-vertices
+    for s in stats:
+        if s.degree == max_degree:
+            max_vertices.append(s.vertex)
+            if s.minority is not None:
+                by_pair.setdefault((s.color, s.minority), []).append(s.vertex)
     s_set = t_set = w_set = None
-    if pairs:
-        colors = sorted({x for p in pairs for x in p})
-        if len(colors) == 2 and pairs <= {(colors[0], colors[1]), (colors[1], colors[0])}:
-            fwd, back = (colors[0], colors[1]), (colors[1], colors[0])
-            s_set = tuple(
-                s.vertex for s in stats
-                if s.vertex in max_vertices and (s.color, s.minority) == fwd
-            )
-            t_set = tuple(
-                s.vertex for s in stats
-                if s.vertex in max_vertices and (s.color, s.minority) == back
-            )
-            w_set = tuple(v for v in zs if v not in s_set and v not in t_set)
+    colors = sorted({t for pair in by_pair for t in pair})
+    if len(colors) == 2:  # minority != color, so every pair is (x, y) or (y, x)
+        x, y = colors
+        s_set, t_set = tuple(by_pair.get((x, y), ())), tuple(by_pair.get((y, x), ()))
+        w_set = tuple(v for v in zs if v not in s_set and v not in t_set)
     return MaxVertexProfile(
-        c.n, X, tuple(stats), max_degree, max_vertices, s_set, t_set, w_set
+        c.n, X, tuple(stats), max_degree, tuple(max_vertices), s_set, t_set, w_set
     )
 
 
@@ -181,6 +172,32 @@ class ImproveResult:
     constant_set_size: int
 
 
+def _safe_move(c: EdgeColoring, kind: FamilyKind, profile: MaxVertexProfile, zs: list[int]):
+    """The first safe recoloring, checked, or None.  Max-vertices v go in
+    ascending order, then u ascending over Z; an edge uv of color t other
+    than v's majority color a turns a when no member through uv avoids the
+    other color-t edges.  The result must keep the palette and
+    polychromaticity and raise the max monochromatic degree."""
+    for v, degree, a, _ in profile.stats:
+        if degree < profile.max_degree:
+            continue
+        for u in zs:
+            if u == v or (t := c.color(u, v)) == a:
+                continue
+            lone = find_member_containing(kind, AllowedGraph.minus_color(c, t), (u, v))
+            if lone is not None:
+                continue  # some member would lose its only t edge
+            candidate = c.recolored(u, v, a)
+            if candidate.k != c.k:
+                raise RuntimeError("palette changed by a safe recoloring")
+            if not is_polychromatic(candidate, kind).polychromatic:
+                raise RuntimeError("polychromaticity lost by a safe recoloring")
+            if max_vertex_profile(candidate, profile.outside).max_degree <= profile.max_degree:
+                raise RuntimeError("accepted move did not raise the measure")
+            return candidate
+    return None
+
+
 def improve_toward_combed(c: EdgeColoring, kind: FamilyKind) -> ImproveResult:
     """Greedy polychromaticity-preserving push toward a combed coloring.
 
@@ -203,33 +220,10 @@ def improve_toward_combed(c: EdgeColoring, kind: FamilyKind) -> ImproveResult:
         x_set, zs = _greedy_order(current, x_set)
         if len(zs) <= 2:
             break
-        profile = max_vertex_profile(current, frozenset(x_set))
-        moved = False
-        for v in profile.max_vertices:
-            a = profile.stat(v).color
-            for u in zs:
-                if u == v or current.color(u, v) == a:
-                    continue
-                t = current.color(u, v)
-                allowed = AllowedGraph.minus_color(current, t)
-                lone = find_member_containing(kind, allowed, (u, v))
-                if lone is not None:
-                    continue  # some member would lose its only t edge
-                candidate = current.recolored(u, v, a)
-                if candidate.k != current.k:
-                    raise RuntimeError("palette changed by a safe recoloring")
-                if not is_polychromatic(candidate, kind).polychromatic:
-                    raise RuntimeError("polychromaticity lost by a safe recoloring")
-                after = max_vertex_profile(candidate, frozenset(x_set))
-                if after.max_degree <= profile.max_degree:
-                    raise RuntimeError("accepted move did not raise the measure")
-                current = candidate
-                moves += 1
-                moved = True
-                break
-            if moved:
-                break
-        if not moved:
+        moved = _safe_move(current, kind, max_vertex_profile(current, frozenset(x_set)), zs)
+        if moved is None:
             break
+        current = moved
+        moves += 1
     combed = comb_certificate(current) is not None
     return ImproveResult(current, combed, moves, len(x_set))

@@ -15,6 +15,7 @@ from polykn import EdgeColoring, FamilyKind, VertexOrdering, build_ordered, is_p
 from polykn.cli import CliError
 from polykn.core import all_edges, edge_index, is_ordered_at, is_unitary
 from polykn.search import _PATTERNS, _pattern_coloring
+from polykn.transforms import MaxVertexProfile, VertexStats
 
 
 def rgs(length: int, used0: int = 0, max_colors: int | None = None) -> list[tuple[int, ...]]:
@@ -324,6 +325,81 @@ def ref_recolor_unitary_triple(c: EdgeColoring, x: int, y: int, z: int) -> EdgeC
             col = 3
         mapping[(i, j)] = col
     return EdgeColoring.from_pairs(c.n, mapping)
+
+
+def sample_polychromatic(rng) -> tuple[EdgeColoring, FamilyKind]:
+    """A seeded polychromatic input for improve_toward_combed: an ordered,
+    triple- or quad-tailed coloring, vertex- and color-permuted, with one
+    edge recolored 30% of the time, for a random family it satisfies."""
+    F1, F2, HC = FamilyKind.ONE_FACTOR, FamilyKind.TWO_FACTOR, FamilyKind.HAMILTONIAN_CYCLE
+    while True:
+        kind = rng.choice((F1, F2, HC))
+        n = rng.choice((4, 6, 8)) if kind is F1 else rng.choice((4, 5, 6, 7, 8))
+        style = rng.random()
+        if kind is F1 or style < 0.5:
+            mains = [rng.randint(1, 3) for _ in range(n - 1)]
+            c = EdgeColoring.from_function(n, lambda i, j: mains[i - 1])
+        elif style < 0.8:
+            c = triple_from_tail(n, [rng.randint(1, 4) for _ in range(n - 4)])
+        elif n >= 5:
+            c = quad_from_tail(n, [rng.randint(1, 3) for _ in range(n - 5)])
+        else:
+            continue
+        vperm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+        c = permute_vertices(c, vperm)
+        cperm = dict(zip(range(1, c.k + 1), rng.sample(range(1, c.k + 1), c.k)))
+        c = permute_colors(c, cperm)
+        if rng.random() < 0.3:
+            i = rng.randint(1, n - 1)
+            j = rng.randint(i + 1, n)
+            c2 = c.recolored(i, j, rng.randint(1, c.k))
+            if c2.k == c.k:
+                c = c2
+        if is_polychromatic(c, kind).polychromatic:
+            return c, kind
+
+
+def ref_max_vertex_profile(c: EdgeColoring, outside) -> MaxVertexProfile:
+    """max_vertex_profile by per-pair color lookups over V minus X."""
+    X = frozenset(outside)
+    zs = [v for v in range(1, c.n + 1) if v not in X]
+    if not zs:
+        raise ValueError("V minus X must be nonempty")
+    stats = []
+    for v in zs:
+        counts = Counter(c.color(v, u) for u in zs if u != v)
+        if not counts:
+            stats.append(VertexStats(v, 0, 0, None))
+            continue
+        degree = max(counts.values())
+        color = min(t for t, cnt in counts.items() if cnt == degree)
+        rest = [c.color(v, u) for u in zs if u != v and c.color(v, u) != color]
+        minority = rest[0] if rest and len(set(rest)) == 1 else None
+        stats.append(VertexStats(v, degree, color, minority))
+    max_degree = max(s.degree for s in stats)
+    max_vertices = tuple(s.vertex for s in stats if s.degree == max_degree)
+    pairs = {
+        (s.color, s.minority)
+        for s in stats
+        if s.vertex in max_vertices and s.minority is not None
+    }
+    s_set = t_set = w_set = None
+    if pairs:
+        colors = sorted({x for p in pairs for x in p})
+        if len(colors) == 2 and pairs <= {(colors[0], colors[1]), (colors[1], colors[0])}:
+            fwd, back = (colors[0], colors[1]), (colors[1], colors[0])
+            s_set = tuple(
+                s.vertex for s in stats
+                if s.vertex in max_vertices and (s.color, s.minority) == fwd
+            )
+            t_set = tuple(
+                s.vertex for s in stats
+                if s.vertex in max_vertices and (s.color, s.minority) == back
+            )
+            w_set = tuple(v for v in zs if v not in s_set and v not in t_set)
+    return MaxVertexProfile(
+        c.n, X, tuple(stats), max_degree, max_vertices, s_set, t_set, w_set
+    )
 
 
 # ---------------------------------------------------------------------------

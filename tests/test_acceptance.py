@@ -43,11 +43,8 @@ from helpers import (
     all_combed_colorings,
     all_ordered_colorings,
     double_factorial,
-    permute_colors,
-    permute_vertices,
-    quad_from_tail,
     rgs,
-    triple_from_tail,
+    sample_polychromatic,
 )
 
 F1 = FamilyKind.ONE_FACTOR
@@ -190,34 +187,6 @@ def _disjoint_pairs(edges):
     ]
 
 
-def _sample_polychromatic(rng) -> tuple[EdgeColoring, FamilyKind]:
-    while True:
-        kind = rng.choice((F1, F2, HC))
-        n = rng.choice((4, 6, 8)) if kind is F1 else rng.choice((4, 5, 6, 7, 8))
-        style = rng.random()
-        if kind is F1 or style < 0.5:
-            mains = [rng.randint(1, 3) for _ in range(n - 1)]
-            c = EdgeColoring.from_function(n, lambda i, j: mains[i - 1])
-        elif style < 0.8:
-            c = triple_from_tail(n, [rng.randint(1, 4) for _ in range(n - 4)])
-        elif n >= 5:
-            c = quad_from_tail(n, [rng.randint(1, 3) for _ in range(n - 5)])
-        else:
-            continue
-        vperm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
-        c = permute_vertices(c, vperm)
-        cperm = dict(zip(range(1, c.k + 1), rng.sample(range(1, c.k + 1), c.k)))
-        c = permute_colors(c, cperm)
-        if rng.random() < 0.3:
-            i = rng.randint(1, n - 1)
-            j = rng.randint(i + 1, n)
-            c2 = c.recolored(i, j, rng.randint(1, c.k))
-            if c2.k == c.k:
-                c = c2
-        if is_polychromatic(c, kind).polychromatic:
-            return c, kind
-
-
 def test_criterion_7_transform_suite():
     with criterion(7, "transform suite"):
         # twists: exhaustive validity and involution through n = 7
@@ -256,7 +225,7 @@ def test_criterion_7_transform_suite():
         # comb improvement preserves polychromaticity and palette, 10^3 runs
         rng = random.Random(2_717)
         for _ in range(1000):
-            c, kind = _sample_polychromatic(rng)
+            c, kind = sample_polychromatic(rng)
             res = improve_toward_combed(c, kind)
             assert res.coloring.k == c.k
             assert is_polychromatic(res.coloring, kind).polychromatic

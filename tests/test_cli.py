@@ -171,6 +171,19 @@ def test_witness_reports_requested_weak_family(tmp_path, capsys):
     assert docs["f2"]["edges"] == docs["hc"]["edges"]
 
 
+def test_witness_rejects_n_without_members(tmp_path, capsys):
+    # n = 5 has no 1-factor and n = 2 no Hamiltonian cycle: every color of
+    # such a document is bad input, as in verify, not "no witness"
+    odd = _write_doc(tmp_path, build_ordered((1, 1, 2, 2, 2)), "odd.json")
+    k2 = _write_doc(tmp_path, EdgeColoring.from_colors(2, [1]), "k2.json")
+    for family, path, color in (("f1", odd, "1"), ("f1", odd, "2"), ("hc", k2, "1")):
+        assert run(["witness", "--family", family, "--input", path, "--color", color]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), (family, color)
+        assert run(["verify", "--family", family, "--input", path]) == 2
+        capsys.readouterr()
+
+
 def test_unwritable_out_exits_two(tmp_path, capsys):
     out = tmp_path / "missing" / "c.json"
     assert run(["construct", "--family", "f1", "--n", "8", "--out", str(out)]) == 2
@@ -198,6 +211,27 @@ def test_table_csv_schema(capsys):
     assert lines[0] == "n,family,construction_k,formula_k,search_k,search_mode,agrees"
     assert lines[1] == "2,f1,1,1,1,full,true"
     assert len(lines) == 7  # six even values of n
+
+
+def test_table_json_and_csv_records(capsys):
+    # one record per row: JSON keeps None and booleans, CSV writes "" and
+    # lowercase text
+    def record(n, k, search_k, search_mode, agrees):
+        return {"n": n, "family": "hc", "construction_k": k, "formula_k": k,
+                "search_k": search_k, "search_mode": search_mode, "agrees": agrees}
+
+    records = [record(3, 2, 3, "full", False), record(4, 3, 3, "full", True),
+               record(5, 3, 3, "full", True), record(6, 3, None, None, True)]
+    assert run(["table", "--family", "hc", "--n-range", "3:6", "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(records, indent=2) + "\n"
+    assert run(["table", "--family", "hc", "--n-range", "3:6", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n,family,construction_k,formula_k,search_k,search_mode,agrees",
+        "3,hc,2,2,3,full,false",
+        "4,hc,3,3,3,full,true",
+        "5,hc,3,3,3,full,true",
+        "6,hc,3,3,,,true",
+    ]
 
 
 def test_dot_output_deterministic(tmp_path):

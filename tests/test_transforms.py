@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -23,10 +24,13 @@ from polykn import (
     two_switch,
 )
 from helpers import (
+    ordered_from_seq,
     permute_colors,
     permute_vertices,
+    ref_max_vertex_profile,
     ref_recolor_unitary_triple,
     rgs,
+    sample_polychromatic,
     triple_from_tail,
 )
 
@@ -165,6 +169,51 @@ def test_max_vertex_profile_respects_outside_set():
     assert set(s.vertex for s in prof.stats) == {4, 5, 6, 7, 8}
     with pytest.raises(ValueError):
         max_vertex_profile(c, frozenset(range(1, 9)))
+
+
+def test_max_vertex_profile_matches_pair_scan():
+    # popcounts of color_masks against per-pair lookups: seeded colorings
+    # with 1..5 colors, one dominant color or two colored halves, ordered
+    # ones, and the paper's colorings, each under X empty, a random X and
+    # an X that leaves one vertex
+    rng = random.Random(15)
+    cases = []
+    for n in range(2, 15):
+        for kmax in (1, 2, 2, 3, 5):
+            cases.append(EdgeColoring.from_function(n, lambda i, j: rng.randint(1, kmax)))
+        for rare in (2, 3):  # mostly color 1: max-vertices with one minority color
+            cases.append(EdgeColoring.from_function(
+                n, lambda i, j: 1 if rng.random() < 0.6 else rng.randint(2, rare)))
+        for _ in range(6):  # color 1 inside A, 2 inside B, random across: S and T
+            A = set(rng.sample(range(1, n + 1), n // 2))
+            cases.append(EdgeColoring.from_function(
+                n, lambda i, j: rng.randint(1, 2) if (i in A) != (j in A) else 2 - (i in A)))
+        cases.append(ordered_from_seq([rng.randint(1, 3) for _ in range(n - 1)]))
+        cases += [build(kind, n) for kind in (F1, F2, HC) if (n % 2 == 0 if kind is F1 else n >= 3)]
+    split = both = 0
+    for c in cases:
+        n = c.n
+        vs = list(range(1, n + 1))
+        lone = rng.choice(vs)
+        for X in (frozenset(), frozenset(rng.sample(vs, rng.randint(0, n - 1))),
+                  frozenset(vs) - {lone}):
+            got = max_vertex_profile(c, X)
+            assert got == ref_max_vertex_profile(c, X), (c.colors, sorted(X))
+            split += got.s_vertices is not None
+            both += bool(got.s_vertices) and bool(got.t_vertices)
+    assert split >= 100 and both >= 30  # the S/T/W split is exercised
+
+
+def test_improve_results_pinned():
+    # moves, flags and output colorings of 600 seeded runs, as a digest
+    rng = random.Random(2_717)
+    results = []
+    for _ in range(600):
+        c, kind = sample_polychromatic(rng)
+        res = improve_toward_combed(c, kind)
+        results.append((res.moves, res.combed, res.constant_set_size, res.coloring.colors))
+    assert sum(r[0] > 0 for r in results) == 224
+    assert hashlib.sha256(repr(results).encode()).hexdigest()[:16] == "2a7e1ccd7089f729"
 
 
 def test_recolor_unitary_triple_postconditions():
