@@ -162,12 +162,10 @@ def _cmd_verify(args) -> int:
     c = _load_coloring(args.input)
     cert = is_polychromatic(c, kind)
     if cert.polychromatic:
-        print(f"polychromatic: n={c.n} k={c.k} family={kind.value}")
+        _emit(f"polychromatic: n={c.n} k={c.k} family={kind.value}\n", args.out)
         return 0
-    print(
-        f"violated: color {cert.violating_color} avoided by "
-        f"{kind.value} member {list(cert.witness.edges)}"
-    )
+    edges = list(cert.witness.edges)
+    _emit(f"violated: color {cert.violating_color} avoided by {kind.value} member {edges}\n", args.out)
     return 1
 
 

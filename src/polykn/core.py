@@ -162,9 +162,13 @@ class VertexOrdering:
         return len(self.order)
 
     def vertex_at(self, p: int) -> int:
+        if not 1 <= p <= len(self.order):
+            raise ValueError(f"position out of range: {p}")
         return self.order[p - 1]
 
     def position_of(self, v: int) -> int:
+        if not 1 <= v <= len(self.order):
+            raise ValueError(f"vertex out of range: {v}")
         return self.positions[v]
 
 
@@ -223,6 +227,10 @@ class InheritedColoring:
 
     def prefix_count(self, t: int, j: int) -> int:
         """|M_t(j)|: members of class t among the first j positions."""
+        if not 1 <= t <= self.k:
+            raise ValueError(f"color {t} outside 1..{self.k}")
+        if not 0 <= j <= self.n:
+            raise ValueError(f"prefix length {j} outside 0..{self.n}")
         return self._prefix[t - 1][j]
 
     def unitary_vertices(self) -> frozenset[int]:
@@ -405,12 +413,11 @@ def _inherited(
 ) -> InheritedColoring:
     """inherited_coloring given the unitary structure of c."""
     n = c.n
-    last = c.color(o.vertex_at(n - 1), o.vertex_at(n))
+    last = c.color(*o.order[-2:])
     mains = [0] * n
     later = 0  # bitset of the vertices after position p
     bad = None  # the lowest position that is neither ordered nor unitary
-    for p in range(n, 0, -1):
-        v = o.vertex_at(p)
+    for p, v in zip(range(n, 0, -1), reversed(o.order)):
         if v in unitary:
             mains[v - 1] = unitary[v][0]
         elif p >= n - 1:
@@ -446,11 +453,11 @@ def majority_moment(ic: InheritedColoring, t: int, strict: bool) -> Optional[int
     """Smallest j in [n-1] with 2|M_t(j)| >= j + s, else None: the prefix
     majority rule, with s = 1 in strict mode (|M_t(j)| > j/2, 1-factors)
     and s = 0 in weak mode (|M_t(j)| >= j/2, 2-factors and cycles)."""
+    if not 1 <= t <= ic.k:
+        raise ValueError(f"color {t} outside 1..{ic.k}")
     s = 1 if strict else 0
-    for j in range(1, ic.n):
-        if 2 * ic.prefix_count(t, j) >= j + s:
-            return j
-    return None
+    row = ic._prefix[t - 1]
+    return next((j for j in range(1, ic.n) if 2 * row[j] >= j + s), None)
 
 
 def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:

@@ -13,8 +13,8 @@ rest:
   vertices directly, otherwise on Tutte's compact reduction (two external
   nodes per allowed edge, target(v) core nodes per vertex).  The blossom
   contracts locally, relabelling only the vertices of the merged blossoms,
-  and drops the vertices of every failed (Hungarian) search tree from the
-  later searches,
+  and returns a perfect matching or None, stopping at the first free root
+  whose search fails,
 * Hamiltonian cycles via a ladder of refutations, cheapest first, at
   every n: the separator test (which, with no edge forced, already cuts
   off every vertex of degree below 2), then the degree check and the
@@ -156,19 +156,20 @@ class SubgraphWitness:
 
 
 # ---------------------------------------------------------------------------
-# maximum matching with blossom contraction (0-based internally)
+# perfect matching with blossom contraction (0-based internally)
 
 
-def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximum cardinality matching in a general graph; match[v] = -1 if free.
+def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
+    """A perfect matching (match[v] is the partner of v), or None if none exists.
 
     Edmonds' blossom algorithm after a greedy seed that takes the vertices
     of lowest degree first: one breadth-first search per free root.  The
     search tree keeps its vertices grouped by blossom base, so a contraction
-    relabels only the vertices of the blossoms it merges, never all n.  A
-    search that fails leaves a Hungarian tree, and no later augmenting path
-    meets its vertices (Edmonds 1965), so they are dropped from every later
-    search; the matching stays maximum.
+    relabels only the vertices of the blossoms it merges, never all n.  The
+    first search that fails decides the answer: if a perfect matching P
+    existed, the component of the root in the symmetric difference of P and
+    the current matching would be an augmenting path from the root (Berge
+    1957), which the search finds whenever one exists (Edmonds 1965).
     """
     match = [-1] * n
     # a vertex whose few neighbors are taken early stays free, so the
@@ -177,13 +178,11 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
         if match[v] == -1:
             for u in adj[v]:
                 if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
+                    match[v], match[u] = u, v
                     break
     parent = [-1] * n
     base = list(range(n))
     outer = [False] * n  # even vertices of the current tree
-    dead = [False] * n  # vertices of failed search trees
 
     def lca(a: int, b: int) -> int:
         seen = set()
@@ -213,7 +212,7 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
         while queue:
             v = queue.popleft()
             for to in adj[v]:
-                if dead[to] or base[v] == base[to] or match[v] == to:
+                if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     cur = lca(v, to)
@@ -238,8 +237,7 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
                         while u != -1:
                             pv = parent[u]
                             ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
+                            match[u], match[pv] = pv, u
                             u = ppv
                         return True
                     members[match[to]] = [match[to]]
@@ -248,15 +246,13 @@ def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
         return False
 
     for v in range(n):
-        if match[v] == -1 and not dead[v]:
+        if match[v] == -1:
             members = {v: [v]}  # the tree's vertices by their blossom base
-            found = find_augmenting_path(v, members)
+            if not find_augmenting_path(v, members):
+                return None
             for group in members.values():
                 for i in group:
-                    parent[i] = -1
-                    base[i] = i
-                    outer[i] = False
-                    dead[i] = not found
+                    parent[i], base[i], outer[i] = -1, i, False
     return match
 
 
@@ -291,9 +287,7 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
             bits = format(g.masks[v] & live, "b")[::-1].encode().translate(flags)
             adj.append(list(compress(index, bits)))
         match = maximum_matching(len(verts), adj)
-        if -1 in match:
-            return None
-        return [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
+        return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
     edges = g.edges()
     incident: list[list[int]] = [[] for _ in range(n + 1)]  # external nodes at v
     for k, (a, b) in enumerate(edges):
@@ -307,9 +301,7 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
             for x in incident[v]:
                 adj[x].append(core)
     match = maximum_matching(len(adj), adj)
-    if -1 in match:
-        return None
-    return [e for k, e in enumerate(edges) if match[2 * k] != 2 * k + 1]
+    return None if match is None else [e for k, e in enumerate(edges) if match[2 * k] != 2 * k + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,9 @@ def brute_force_poly(
     m = n * (n - 1) // 2
     if max_k is not None and not (1 <= max_k <= m):
         raise ValueError(f"max_k must be in 1..{m}")
+    start = time.perf_counter()
     members = _member_masks(n, kind)
     limit = max_k if max_k is not None else m
-    start = time.perf_counter()
     packing, nodes = _pack(_minimal_blockers(members), m, limit)
     colors = [1] * m
     for t, b in enumerate(packing, start=1):

@@ -145,7 +145,9 @@ def recolor_unitary_triple(c: EdgeColoring, x: int, y: int, z: int) -> EdgeColor
     Edges at x turn color 1 except xy; at y color 2 except yz; at z color 3
     except zx.  The triangle ends up colored xy=2, yz=3, zx=1, making x, y,
     z unitary with mains 1, 2, 3.  Edges disjoint from the triple keep
-    their colors.
+    their colors up to compaction, as in ``EdgeColoring.recolored``: a
+    color whose class lay entirely at the triple vanishes, and every
+    higher color shifts down.
     """
     if len({x, y, z}) != 3:
         raise ValueError("vertices must be distinct")

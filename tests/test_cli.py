@@ -67,6 +67,18 @@ def test_verify_violation_exits_one(tmp_path, capsys):
     assert "violated" in out and "color 2" in out
 
 
+def test_verify_writes_verdict_to_out(tmp_path, capsys):
+    for coloring, code, line in [
+        (build(F1, 10), 0, "polychromatic: n=10 k=3 family=f1\n"),
+        (build_ordered((1, 1, 2, 2)), 1, "violated: color 2 avoided by f1 member [(1, 3), (2, 4)]\n"),
+    ]:
+        path = _write_doc(tmp_path, coloring)
+        out = tmp_path / "verdict.txt"
+        assert run(["verify", "--family", "f1", "--input", path, "--out", str(out)]) == code
+        assert out.read_text() == line
+        assert capsys.readouterr().out == ""
+
+
 def test_verify_rainbow_triangle_hc(tmp_path):
     from polykn import EdgeColoring
 

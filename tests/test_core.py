@@ -21,7 +21,7 @@ from polykn import (
     is_unitary,
     majority_certificate,
 )
-from polykn.core import all_edges
+from polykn.core import all_edges, majority_moment
 from polykn.transforms import recolor_unitary_triple
 from helpers import (
     all_ordered_colorings,
@@ -347,6 +347,26 @@ def test_vertex_reads_reject_out_of_range_vertices():
             c.vertex_color_counts(v)
         with pytest.raises(ValueError):
             is_unitary(c, v)
+
+
+def test_ordering_and_prefix_reads_reject_out_of_range():
+    # no read wraps around to the other end of a tuple
+    o = VertexOrdering((2, 1, 3))
+    for p in (0, -1, 4):
+        with pytest.raises(ValueError, match="position"):
+            o.vertex_at(p)
+        with pytest.raises(ValueError, match="vertex"):
+            o.position_of(p)
+    ic = comb_certificate(build(F2, 7))
+    assert ic.prefix_count(ic.k, 0) == 0 and ic.prefix_count(1, ic.n) == ic.class_sizes()[0]
+    for t in (0, -1, ic.k + 1):
+        with pytest.raises(ValueError, match="color"):
+            ic.prefix_count(t, 1)
+        with pytest.raises(ValueError, match="color"):
+            majority_moment(ic, t, strict=False)
+    for j in (-1, ic.n + 1):
+        with pytest.raises(ValueError, match="prefix"):
+            ic.prefix_count(1, j)
 
 
 def _differential_colorings(rng):

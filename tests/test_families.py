@@ -278,56 +278,47 @@ def test_exact_search_finds_long_cycle_without_recursion():
 
 
 def test_blossom_against_networkx_at_scale():
+    # maximum_matching answers one question: a perfect matching, or None
+    # exactly when networkx's maximum matching leaves a vertex free
     nx = pytest.importorskip("networkx")
     from polykn.families import maximum_matching
+
+    def check_perfect(n, adj) -> bool:
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from((v, u) for v in range(n) for u in adj[v])
+        perfect = 2 * len(nx.max_weight_matching(G, maxcardinality=True)) == n
+        match = maximum_matching(n, adj)
+        if not perfect:
+            assert match is None
+            return False
+        assert match is not None and len(match) == n
+        for v, u in enumerate(match):
+            assert u in adj[v] and match[u] == v
+        return True
+
+    def random_graph(rng, n, p):
+        adj = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    adj[i].append(j)
+                    adj[j].append(i)
+        return adj
 
     rng = random.Random(60_1)
     for n in (15, 30, 60):
         for _ in range(12):
-            p = rng.choice([0.08, 0.15, 0.3])
-            adj = [[] for _ in range(n)]
-            G = nx.Graph()
-            G.add_nodes_from(range(n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < p:
-                        adj[i].append(j)
-                        adj[j].append(i)
-                        G.add_edge(i, j)
-            match = maximum_matching(n, adj)
-            size = sum(1 for v in match if v != -1) // 2
-            want = len(nx.max_weight_matching(G, maxcardinality=True))
-            assert size == want
-            for v, u in enumerate(match):
-                if u != -1:
-                    assert u in adj[v] and match[u] == v
-
-    def assert_maximum(n, adj):
-        G = nx.Graph()
-        G.add_nodes_from(range(n))
-        G.add_edges_from((v, u) for v in range(n) for u in adj[v])
-        match = maximum_matching(n, adj)
-        size = sum(1 for v in match if v != -1) // 2
-        assert size == len(nx.max_weight_matching(G, maxcardinality=True))
-        for v, u in enumerate(match):
-            if u != -1:
-                assert u in adj[v] and match[u] == v
-
-    # sparse graphs with shuffled rows leave many free vertices whose
-    # searches fail, so the failed-tree removal is exercised
+            check_perfect(n, random_graph(rng, n, rng.choice([0.08, 0.15, 0.3])))
+    # sparse graphs with shuffled rows: free vertices whose searches fail
     rng = random.Random(60_2)
     for n in (30, 60, 120):
         for p in (0.02, 0.04):
             for _ in range(8):
-                adj = [[] for _ in range(n)]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        if rng.random() < p:
-                            adj[i].append(j)
-                            adj[j].append(i)
+                adj = random_graph(rng, n, p)
                 for row in adj:
                     rng.shuffle(row)
-                assert_maximum(n, adj)
+                check_perfect(n, adj)
     # K_n minus each color of the paper's 1-factor coloring: no perfect matching
     from polykn import build
 
@@ -335,7 +326,32 @@ def test_blossom_against_networkx_at_scale():
     for t in range(1, c.k + 1):
         g = AllowedGraph.minus_color(c, t)
         adj = [[u - 1 for u in range(1, 65) if g.has_edge(v, u)] for v in range(1, 65)]
-        assert_maximum(64, adj)
+        assert not check_perfect(64, adj)
+    # a planted perfect matching under random chords, with shuffled rows,
+    # and one planted edge removed on every other graph: the greedy seed
+    # takes chords and leaves free vertices, so augmentations and blossom
+    # contractions run on the way to a perfect matching
+    rng = random.Random(60_3)
+    outcomes = []
+    for n in range(30, 121, 6):
+        for rep in range(4):
+            perm = rng.sample(range(n), n)
+            planted = [tuple(sorted(perm[i:i + 2])) for i in range(0, n, 2)]
+            edges = set(planted)
+            target = len(edges) + rng.choice([n // 2, n, 2 * n])
+            while len(edges) < target:
+                i, j = sorted(rng.sample(range(n), 2))
+                edges.add((i, j))
+            if rep % 2:
+                edges.discard(rng.choice(planted))
+            adj = [[] for _ in range(n)]
+            for (i, j) in edges:
+                adj[i].append(j)
+                adj[j].append(i)
+            for row in adj:
+                rng.shuffle(row)
+            outcomes.append(check_perfect(n, adj))
+    assert outcomes.count(True) >= 30 and outcomes.count(False) >= 10
 
 
 def test_large_n_hamiltonian_refutations_are_fast():

@@ -93,6 +93,22 @@ def test_brute_force_respects_max_k():
         brute_force_poly(4, F2, max_k=0)
 
 
+def test_brute_force_wall_time_includes_member_enumeration(monkeypatch):
+    # the clock advances only while the members are enumerated
+    from types import SimpleNamespace
+
+    clock = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    member_masks = search._member_masks
+
+    def slow_member_masks(*args):
+        clock[0] += 5.0
+        return member_masks(*args)
+
+    monkeypatch.setattr(search, "_member_masks", slow_member_masks)
+    assert brute_force_poly(4, F1).wall_time == 5.0
+
+
 def test_brute_force_cap():
     with pytest.raises(CapExceededError):
         brute_force_poly(8, F1)

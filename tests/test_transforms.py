@@ -13,6 +13,7 @@ from polykn import (
     FamilyKind,
     SubgraphWitness,
     build,
+    build_ordered,
     comb_certificate,
     enumerate_members,
     improve_toward_combed,
@@ -238,6 +239,14 @@ def test_recolor_unitary_triple_postconditions():
             for (i, j, col) in c.edges():
                 if not {i, j} & {x, y, z}:
                     assert out.color(i, j) == col
+
+
+def test_recolor_unitary_triple_compacts_the_palette():
+    # color 4 lies entirely at the triple, so it vanishes and color 5 shifts down
+    c = build_ordered((1, 2, 3, 4, 5, 5, 5, 5))
+    out = recolor_unitary_triple(c, 4, 6, 7)
+    assert (c.k, c.color(5, 8)) == (5, 5)
+    assert (out.k, out.color(5, 8)) == (4, 4)
 
 
 def test_recolor_unitary_triple_rejections():
