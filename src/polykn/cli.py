@@ -276,9 +276,11 @@ def _cmd_transform(args) -> int:
     c = _load_coloring(args.input)
     if args.op == "improve":
         result = improve_toward_combed(c, kind)
+        # stdout may carry the coloring document, so the summary goes to stderr
         print(
             f"moves={result.moves} combed={str(result.combed).lower()} "
-            f"constant_set={result.constant_set_size}"
+            f"constant_set={result.constant_set_size}",
+            file=sys.stderr,
         )
         _emit_coloring(result.coloring, args.format, args.out)
     else:

@@ -9,6 +9,7 @@ never from floating-point logs.
 from __future__ import annotations
 
 import enum
+from itertools import chain, repeat
 
 from .core import EdgeColoring, edge_index
 
@@ -77,13 +78,14 @@ def class_sizes(kind: FamilyKind, n: int) -> tuple[int, ...]:
     return (1, 1, 1, *middle, last)
 
 
-def _ordered_colors(main) -> list[int]:
-    """Flat pair-order colors in which edge v_i v_j (i < j) gets main[i-1]."""
+def _ordered_colors(main) -> tuple[int, ...]:
+    """Flat pair-order colors in which edge v_i v_j (i < j) gets main[i-1].
+
+    Built straight into the tuple that EdgeColoring keeps, with no list to
+    copy from: at n = 512 either one takes about 1 MB.
+    """
     n = len(main)
-    colors: list[int] = []
-    for i in range(1, n):
-        colors += [main[i - 1]] * (n - i)
-    return colors
+    return tuple(chain.from_iterable(map(repeat, main[: n - 1], range(n - 1, 0, -1))))
 
 
 # the unitary prefixes of combed colorings: pattern name -> (fixed leading
@@ -100,8 +102,10 @@ _PATTERNS = {
 def _pattern_coloring(n, mains, recolorings) -> EdgeColoring:
     """The ordered coloring of mains with the given edges recolored."""
     colors = _ordered_colors(mains)
-    for ((i, j), c) in recolorings:
-        colors[edge_index(n, i, j)] = c
+    if recolorings:
+        colors = list(colors)
+        for ((i, j), c) in recolorings:
+            colors[edge_index(n, i, j)] = c
     return EdgeColoring.from_colors(n, colors)
 
 

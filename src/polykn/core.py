@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional
 
 Edge = tuple[int, int]
@@ -185,15 +185,14 @@ class InheritedColoring:
 
     ``main[v-1]`` is the main color of vertex v.  ``unitary_set`` lists the
     unitary vertices (0, 3, or 4 of them) with their main color, minority
-    color and partner.  Prefix counts |M_t(j)| are precomputed so majority
-    queries are O(1).
+    color and partner.  ``sequence`` lists the mains in position order;
+    prefix counts |M_t(j)| and majority moments are read off it.
     """
 
     coloring: EdgeColoring
     ordering: VertexOrdering
     main: tuple[int, ...]
     unitary_set: tuple[UnitaryVertex, ...]
-    _prefix: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.coloring.n
@@ -203,12 +202,6 @@ class InheritedColoring:
             raise ValueError("unitary vertices always come in groups of 3 or 4")
         if min(self.main) < 1 or max(self.main) > self.k:
             raise ValueError(f"main colors must lie in 1..{self.k}")
-        # one pass in position order marks each position in its color's
-        # row; a running sum over a row gives that color's prefix counts
-        marks = [bytearray(n + 1) for _ in range(self.k + 1)]
-        for p, v in enumerate(self.ordering.order, start=1):
-            marks[self.main[v - 1]][p] = 1
-        object.__setattr__(self, "_prefix", tuple(tuple(accumulate(row)) for row in marks[1:]))
 
     @property
     def n(self) -> int:
@@ -231,7 +224,12 @@ class InheritedColoring:
             raise ValueError(f"color {t} outside 1..{self.k}")
         if not 0 <= j <= self.n:
             raise ValueError(f"prefix length {j} outside 0..{self.n}")
-        return self._prefix[t - 1][j]
+        return self.sequence[:j].count(t)
+
+    @cached_property
+    def sequence(self) -> tuple[int, ...]:
+        """The main colors in position order."""
+        return tuple(self.main[v - 1] for v in self.ordering.order)
 
     def unitary_vertices(self) -> frozenset[int]:
         return frozenset(u.vertex for u in self.unitary_set)
@@ -281,12 +279,13 @@ class MajorityCertificate:
 
 def _color_into(c: EdgeColoring, v: int, targets: int) -> Optional[int]:
     """The one color of every edge from v into the nonempty vertex bitset
-    targets (v not in it), or None when those edges carry two colors."""
-    for t, row in enumerate(c.color_masks):
-        hit = row[v] & targets
-        if hit:
-            return t if hit == targets else None
-    return None
+    targets (v not in it), or None when those edges carry two colors:
+    the color of the edge to the lowest target, if its bitset at v holds
+    every target."""
+    u = (targets & -targets).bit_length() - 1
+    i, j = (u, v) if u < v else (v, u)
+    t = c.colors[edge_index(c.n, i, j)]
+    return t if c.color_masks[t][v] & targets == targets else None
 
 
 def is_ordered_at(c: EdgeColoring, o: VertexOrdering, i: int) -> Optional[int]:
@@ -352,10 +351,12 @@ def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
             return {1: (p, q, 3), 2: (r, p, 1), 3: (q, r, 2)}
         return {}
     info = {}
-    for v in range(1, n + 1):
-        res = is_unitary(c, v)
-        if res is not None:
-            info[v] = res
+    # column v holds v's bitset per color; is_unitary needs two colors at v
+    for v, column in enumerate(zip(*c.color_masks)):
+        if v and column.count(0) == c.k - 1:
+            res = is_unitary(c, v)
+            if res is not None:
+                info[v] = res
     # drop shape-only vertices until partners are closed under the map
     changed = True
     while changed:
@@ -377,26 +378,52 @@ def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
     return info
 
 
-def _greedy_order(c: EdgeColoring, prefix: list[int]) -> tuple[list[int], list[int]]:
+def _greedy_order(
+    c: EdgeColoring, prefix: list[int]
+) -> tuple[list[int], list[int], list[int]]:
     """Extend prefix, always taking the smallest remaining vertex whose
     edges to the other remaining vertices are monochromatic, until two
-    vertices remain or none qualifies.  Returns (placed, remaining)."""
+    vertices remain or none qualifies.  Returns (placed, remaining, mains),
+    mains holding the color of each vertex placed after prefix."""
     n = c.n
     remaining = sorted(set(range(1, n + 1)).difference(prefix))
     rest = 0  # bitset of remaining
     for v in remaining:
         rest |= 1 << v
     placed = list(prefix)
+    mains: list[int] = []
     while len(remaining) > 2:
-        pick = next(
-            (v for v in remaining if _color_into(c, v, rest ^ (1 << v)) is not None), None
-        )
-        if pick is None:
+        for v in remaining:
+            t = _color_into(c, v, rest ^ (1 << v))
+            if t is not None:
+                break
+        else:
             break
-        placed.append(pick)
-        remaining.remove(pick)
-        rest ^= 1 << pick
-    return placed, remaining
+        placed.append(v)
+        mains.append(t)
+        remaining.remove(v)
+        rest ^= 1 << v
+    return placed, remaining, mains
+
+
+def comb_prefix(
+    c: EdgeColoring,
+) -> tuple[tuple[UnitaryVertex, ...], list[int], list[int]]:
+    """(unitary, order, mains): the comb search's ordering as far as it is
+    certified.  order holds the unitary vertices in label order, then the
+    greedy's picks, then the last two vertices once at most two remain;
+    it covers all n vertices exactly when c is combed.  The vertex
+    order[p-1] has main color mains[p-1], and each of its edges to a later
+    vertex carries that color, apart from a unitary vertex's partner edge.
+    """
+    unitary = _unitary_structure(c)
+    first = sorted(unitary)
+    placed, remaining, picked = _greedy_order(c, first)
+    mains = [unitary[v][0] for v in first] + picked
+    if len(remaining) <= 2:
+        placed += remaining
+        mains += [c.color(*placed[-2:])] * len(remaining)
+    return tuple(UnitaryVertex(v, *unitary[v]) for v in first), placed, mains
 
 
 def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
@@ -405,14 +432,10 @@ def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
     Every vertex must be ordered at its position or unitary; unitary mains
     take precedence (the two agree wherever both apply).
     """
-    return _inherited(c, o, _unitary_structure(c))
-
-
-def _inherited(
-    c: EdgeColoring, o: VertexOrdering, unitary: dict[int, tuple[int, int, int]]
-) -> InheritedColoring:
-    """inherited_coloring given the unitary structure of c."""
     n = c.n
+    if o.n != n:
+        raise ValueError(f"ordering has {o.n} vertices, coloring has {n}")
+    unitary = _unitary_structure(c)
     last = c.color(*o.order[-2:])
     mains = [0] * n
     later = 0  # bitset of the vertices after position p
@@ -439,25 +462,39 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
     """Search for an ordering under which c is combed.
 
     A valid unitary prefix (3 or 4 vertices, placed first in label order) is
-    extracted when present, then remaining vertices are ordered greedily.
-    Returns None when no combing ordering exists.
+    extracted when present, then remaining vertices are ordered greedily
+    (comb_prefix).  Returns None when no combing ordering exists.
     """
-    unitary = _unitary_structure(c)
-    placed, remaining = _greedy_order(c, sorted(unitary))
-    if len(remaining) > 2:
+    unitary, order, mains = comb_prefix(c)
+    if len(order) < c.n:
         return None
-    return _inherited(c, VertexOrdering(tuple(placed + remaining)), unitary)
+    main = [0] * c.n
+    for v, t in zip(order, mains):
+        main[v - 1] = t
+    return InheritedColoring(c, VertexOrdering(tuple(order)), tuple(main), unitary)
+
+
+def majority_moments(mains, s: int) -> Iterator[tuple[int, int]]:
+    """The prefix-majority rule 2|M_t(j)| >= j + s along a main-color
+    sequence: (j, t) for each j at which t = mains[j-1] meets it.  s = 1
+    is the strict rule (|M_t(j)| > j/2, 1-factors), s = 0 the weak one
+    (|M_t(j)| >= j/2, 2-factors and cycles).  A color whose count stands
+    still only moves away from the rule, so the first j reported for t is
+    the smallest j at which t meets it."""
+    counts = [0] * (max(mains, default=0) + 1)
+    for j, t in enumerate(mains, start=1):
+        counts[t] += 1
+        if 2 * counts[t] >= j + s:
+            yield j, t
 
 
 def majority_moment(ic: InheritedColoring, t: int, strict: bool) -> Optional[int]:
-    """Smallest j in [n-1] with 2|M_t(j)| >= j + s, else None: the prefix
-    majority rule, with s = 1 in strict mode (|M_t(j)| > j/2, 1-factors)
-    and s = 0 in weak mode (|M_t(j)| >= j/2, 2-factors and cycles)."""
+    """Smallest j in [n-1] at which color t meets the prefix-majority rule
+    (majority_moments), strict or weak, else None."""
     if not 1 <= t <= ic.k:
         raise ValueError(f"color {t} outside 1..{ic.k}")
-    s = 1 if strict else 0
-    row = ic._prefix[t - 1]
-    return next((j for j in range(1, ic.n) if 2 * row[j] >= j + s), None)
+    moments = majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0)
+    return next((j for j, u in moments if u == t), None)
 
 
 def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:
@@ -467,10 +504,13 @@ def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertifi
     weak:   classes holding a unitary vertex are flagged "unitary"; other
             classes get their majority moment, else "fails".
     """
+    first: dict[int, int] = {}  # color -> its majority moment
+    for j, t in majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0):
+        first.setdefault(t, j)
     entries = []
     for t in range(1, ic.k + 1):
         if strict or not ic.class_has_unitary(t):
-            j = majority_moment(ic, t, strict)
+            j = first.get(t)
             entries.append(MajorityEntry(t, "fails" if j is None else "prefix", j))
         else:
             entries.append(MajorityEntry(t, "unitary", None))

@@ -219,7 +219,7 @@ def improve_toward_combed(c: EdgeColoring, kind: FamilyKind) -> ImproveResult:
     moves = 0
     while True:
         # accretion: monochromatic-toward-Z vertices join X
-        x_set, zs = _greedy_order(current, x_set)
+        x_set, zs, _ = _greedy_order(current, x_set)
         if len(zs) <= 2:
             break
         moved = _safe_move(current, kind, max_vertex_profile(current, frozenset(x_set)), zs)

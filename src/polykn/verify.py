@@ -1,8 +1,11 @@
 """Polychromaticity verdicts and the majority-certificate machinery.
 
 A coloring is polychromatic for a family when every member carries every
-color.  Violations are found exactly: color t is avoidable iff the family
-has a member inside K_n minus the color-t edges.  When a color fails the
+color.  The paper's counting argument settles most colors first: along
+the comb prefix, a color whose class holds a majority of some prefix is
+on every member, and no engine runs for it.  The other colors are decided
+exactly: color t is avoidable iff the family has a member inside K_n
+minus the color-t edges.  When a color fails the
 prefix-majority rule, one builder writes down an avoiding member in the
 edge layout of its family; a complete certificate bounds the palette.
 """
@@ -17,7 +20,9 @@ from .core import (
     Edge,
     InheritedColoring,
     MajorityCertificate,
+    comb_prefix,
     majority_moment,
+    majority_moments,
 )
 from .families import AllowedGraph, SubgraphWitness, find_member
 
@@ -29,7 +34,9 @@ class PolyCertificate:
     On violation: the avoided color and a verified member avoiding it.
     On success: one example edge per color, all taken from one fixed
     member of the family, (1,2),(3,4),... for 1-factors and the cycle
-    1-2-...-n-1 otherwise; no engine runs for it.
+    1-2-...-n-1 otherwise; no engine runs for it.  The spot checks only
+    illustrate the verdict: it rests on the prefix proofs and the engine
+    refutations, which the certificate does not record.
     """
 
     polychromatic: bool
@@ -42,10 +49,41 @@ class PolyCertificate:
         return "polychromatic" if self.polychromatic else "violated"
 
 
+def _prefix_proofs(c, kind: FamilyKind) -> set[int]:
+    """The colors that the comb prefix puts on every member of kind.
+
+    Every edge from a prefix vertex to a later vertex carries its main
+    color, so a member avoiding a color t whose class holds no unitary
+    vertex joins each class-t vertex of the first j positions only to
+    earlier vertices of other classes.  Hence 2|M_t(j)| >= j + 1 at some j
+    puts t on every member; for Hamiltonian cycles 2|M_t(j)| >= j with
+    j < n does too, since the prefix would close into cycles.
+    """
+    unitary, _, mains = comb_prefix(c)
+    exempt = {u.main for u in unitary}
+    provable = c.k - len(exempt)
+    proved: set[int] = set()
+    s = 0 if kind is FamilyKind.HAMILTONIAN_CYCLE else 1
+    for _, t in majority_moments(mains[: c.n - 1], s):
+        if t not in exempt:
+            proved.add(t)
+            if len(proved) == provable:
+                break
+    return proved
+
+
 def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
-    """Exact polychromaticity check; colors are tried in ascending order."""
+    """Exact polychromaticity check.
+
+    The comb prefix proves what colors it can (_prefix_proofs) with no
+    engine call.  The other colors go to the engines in ascending order;
+    the first with an avoiding member is the violated color.
+    """
     check_n(kind, c.n)
+    proved = _prefix_proofs(c, kind)
     for t in range(1, c.k + 1):
+        if t in proved:
+            continue
         allowed = AllowedGraph.minus_color(c, t)
         witness = find_member(kind, allowed)
         if witness is not None:

@@ -13,9 +13,35 @@ from collections import Counter
 
 from polykn import EdgeColoring, FamilyKind, VertexOrdering, build_ordered, is_polychromatic
 from polykn.cli import CliError
-from polykn.core import all_edges, edge_index, is_ordered_at, is_unitary
+from polykn.constructions import check_n
+from polykn.core import Edge, all_edges, edge_index, is_ordered_at, is_unitary
+from polykn.families import AllowedGraph, SubgraphWitness, find_member
 from polykn.search import _PATTERNS, _pattern_coloring
 from polykn.transforms import MaxVertexProfile, VertexStats
+from polykn.verify import PolyCertificate
+
+
+def ref_is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
+    """is_polychromatic with no prefix proofs: one engine query per color,
+    in ascending order."""
+    check_n(kind, c.n)
+    for t in range(1, c.k + 1):
+        allowed = AllowedGraph.minus_color(c, t)
+        witness = find_member(kind, allowed)
+        if witness is not None:
+            return PolyCertificate(False, t, witness)
+    if kind is FamilyKind.ONE_FACTOR:
+        edges = [(i, i + 1) for i in range(1, c.n, 2)]
+    else:
+        edges = [(i, i + 1) for i in range(1, c.n)] + [(1, c.n)]
+    member = SubgraphWitness(kind, tuple(edges))
+    member.validate(c.n)
+    first: dict[int, Edge] = {}  # color -> its first edge on the member
+    for (i, j) in member.edges:
+        first.setdefault(c.color(i, j), (i, j))
+    if len(first) < c.k:
+        raise RuntimeError("spot-check member misses a color on a verified coloring")
+    return PolyCertificate(True, spot_checks=tuple(sorted(first.items())))
 
 
 def rgs(length: int, used0: int = 0, max_colors: int | None = None) -> list[tuple[int, ...]]:

@@ -267,10 +267,20 @@ def test_transform_improve_command(tmp_path, capsys):
         "transform", "--family", "f2", "--input", path, "--op", "improve",
         "--out", str(out),
     ]) == 0
-    printed = capsys.readouterr().out
+    printed = capsys.readouterr().err
     assert "combed=true" in printed
     improved = coloring_from_document(json.loads(out.read_text()))
     assert improved.k == c.k
+
+
+def test_transform_improve_prints_only_the_document(tmp_path, capsys):
+    # without --out, stdout is the coloring document and nothing else
+    c = build(FamilyKind.ONE_FACTOR, 6)
+    path = _write_doc(tmp_path, c)
+    assert run(["transform", "--family", "f1", "--input", path, "--op", "improve"]) == 0
+    captured = capsys.readouterr()
+    assert coloring_from_document(json.loads(captured.out)) == c
+    assert captured.err.startswith("moves=0 ")
 
 
 def test_transform_recolor_command(tmp_path, capsys):

@@ -250,6 +250,13 @@ def test_inherited_coloring_rejects_invalid_ordering():
         inherited_coloring(c, bad)
 
 
+def test_inherited_coloring_rejects_ordering_of_other_size():
+    c = build(F1, 6)
+    for m in (5, 7):
+        with pytest.raises(ValueError, match=rf"^ordering has {m} vertices, coloring has 6$"):
+            inherited_coloring(c, VertexOrdering.identity(m))
+
+
 def test_inherited_invariants_on_exhaustive_ordered():
     for n in (4, 6):
         for c in all_ordered_colorings(n):

@@ -16,9 +16,9 @@ from polykn import (
     structured_poly,
     theorem_table,
 )
-from polykn import search
+from polykn import families, search
 from polykn.core import all_edges
-from polykn.families import SubgraphWitness
+from polykn.families import SubgraphWitness, maximum_matching
 from polykn.search import (
     _PATTERNS,
     _member_masks,
@@ -255,6 +255,21 @@ def test_structured_optimum_verified_once(monkeypatch):
         verdicts.clear()
         report = structured_poly(n, kind, mode)
         assert [ok for c, ok in verdicts if c is report.coloring] == [True], (kind, n)
+
+
+def test_ordered_one_factor_leaves_need_no_matching(monkeypatch):
+    # a complete main-color sequence meets the strict rule for every color,
+    # so its leaf is proved polychromatic with no blossom call
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return maximum_matching(*args)
+
+    monkeypatch.setattr(families, "maximum_matching", counting)
+    report = structured_poly(16, F1, "ordered")
+    assert report.optimum == 4
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind, n, patterns", SEQ_DIFFERENTIAL)

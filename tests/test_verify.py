@@ -23,13 +23,19 @@ from polykn import (
     majority_upper_bound,
     palette_size,
 )
+from polykn import verify
+from polykn.constructions import check_n
 from polykn.core import MajorityEntry
+from polykn.families import AllowedGraph, find_member
+from polykn.verify import _prefix_proofs
 from helpers import (
     all_combed_colorings,
     all_ordered_colorings,
     ordered_from_seq,
+    ref_is_polychromatic,
     ref_majority_upper_bound,
     rgs,
+    sample_polychromatic,
 )
 
 F1 = FamilyKind.ONE_FACTOR
@@ -80,6 +86,103 @@ def test_spot_checks_cover_every_color():
     assert [t for (t, _) in cert.spot_checks] == list(range(1, c.k + 1))
     for (t, (i, j)) in cert.spot_checks:
         assert c.color(i, j) == t
+
+
+def _has_members(kind, n):
+    try:
+        check_n(kind, n)
+    except ValueError:
+        return False
+    return True
+
+
+def _prefix_proof_inputs():
+    """(coloring, family) pairs: the built colorings up to n = 69, 600
+    seeded polychromatic samples, 1-2-edge recolorings of the built
+    colorings up to n = 25, and every combed coloring of K_8.  The
+    recolored edges join vertices of the upper half, so the greedy gets
+    stuck late and leaves a prefix that proves colors."""
+    for kind in FamilyKind:
+        for n in range(2, 70):
+            if _has_members(kind, n):
+                yield build(kind, n), kind
+    rng = random.Random(71)
+    for _ in range(600):
+        yield sample_polychromatic(rng)
+    for kind in FamilyKind:
+        for n in range(2, 26):
+            if not _has_members(kind, n):
+                continue
+            base = build(kind, n)
+            for _ in range(10):
+                c = base
+                for _ in range(rng.choice((1, 2))):
+                    i, j = sorted(rng.sample(range(max(1, n // 2), n + 1), 2))
+                    c = c.recolored(i, j, rng.randint(1, base.k))
+                yield c, kind
+    for c in all_combed_colorings(8):
+        for kind in FamilyKind:
+            yield c, kind
+
+
+def test_prefix_proofs_match_engines():
+    # the prefix proofs change no certificate, and never claim a color
+    # that the engines can avoid
+    uncombed_proofs = 0
+    for c, kind in _prefix_proof_inputs():
+        want = ref_is_polychromatic(c, kind)
+        assert is_polychromatic(c, kind) == want, (kind, c.n, c.colors)
+        proved = _prefix_proofs(c, kind)
+        # a polychromatic reference verdict has refuted every color already
+        if not want.polychromatic:
+            for t in proved:
+                assert find_member(kind, AllowedGraph.minus_color(c, t)) is None, (kind, t, c.colors)
+        if proved and comb_certificate(c) is None:
+            uncombed_proofs += 1
+    assert uncombed_proofs >= 100
+
+
+def _engine_colors(monkeypatch, c, kind):
+    """The colors is_polychromatic hands to find_member, in order, and
+    the number of find_member calls."""
+    queried, calls = [], []
+
+    class Spy:
+        @staticmethod
+        def minus_color(coloring, t):
+            queried.append(t)
+            return AllowedGraph.minus_color(coloring, t)
+
+    def counting(*args):
+        calls.append(args)
+        return find_member(*args)
+
+    monkeypatch.setattr(verify, "AllowedGraph", Spy)
+    monkeypatch.setattr(verify, "find_member", counting)
+    assert is_polychromatic(c, kind).polychromatic
+    monkeypatch.undo()
+    return queried, len(calls)
+
+
+def test_built_one_factor_colorings_need_no_engine(monkeypatch):
+    for n in (2, 16, 128, 512):
+        assert _engine_colors(monkeypatch, build(F1, n), F1) == ([], 0), n
+
+
+def test_built_colorings_send_only_unitary_colors_to_engines(monkeypatch):
+    # every other color has a strict moment, or a weak one before n for
+    # cycles; at n = 2^m - 1 the last 2-factor color is only weak.  Below
+    # n = 4 only build(F2, 3) has unitary vertices
+    assert _engine_colors(monkeypatch, build(HC, 3), HC) == ([], 0)
+    for kind in (F2, HC):
+        for n in range(3 if kind is F2 else 4, 41):
+            c = build(kind, n)
+            unitary = {u.main for u in comb_certificate(c).unitary_set}
+            assert len(unitary) == 3, (kind, n)
+            if kind is F2 and (n + 1) & n == 0:
+                unitary.add(c.k)
+            want = sorted(unitary)
+            assert _engine_colors(monkeypatch, c, kind) == (want, len(want)), (kind, n)
 
 
 def test_odd_n_one_factor_rejected():
@@ -252,7 +355,7 @@ def test_strict_condition_sweep_n10():
     for c in all_ordered_colorings(10):
         ic = inherited_coloring(c, VertexOrdering.identity(10))
         cert = majority_certificate(ic, strict=True)
-        assert cert.complete == is_polychromatic(c, F1).polychromatic
+        assert cert.complete == ref_is_polychromatic(c, F1).polychromatic
         for t in cert.failing_colors():
             w = adversarial_matching(ic, t)
             assert all(c.color(i, j) != t for (i, j) in w.edges)
@@ -265,7 +368,7 @@ def test_weak_condition_sweep_n9():
         ic = inherited_coloring(c, VertexOrdering.identity(9))
         cert = majority_certificate(ic, strict=False)
         for kind in (F2, HC):
-            if is_polychromatic(c, kind).polychromatic:
+            if ref_is_polychromatic(c, kind).polychromatic:
                 assert cert.complete
         for t in cert.failing_colors():
             w = adversarial_hamcycle(ic, t)
