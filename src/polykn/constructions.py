@@ -85,7 +85,7 @@ def _ordered_colors(main) -> tuple[int, ...]:
     copy from: at n = 512 either one takes about 1 MB.
     """
     n = len(main)
-    return tuple(chain.from_iterable(map(repeat, main[: n - 1], range(n - 1, 0, -1))))
+    return tuple(chain.from_iterable(repeat(main[i - 1], n - i) for i in range(1, n)))
 
 
 # the unitary prefixes of combed colorings: pattern name -> (fixed leading
