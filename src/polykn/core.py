@@ -128,14 +128,6 @@ class EdgeColoring:
         colors[edge_index(self.n, i, j)] = c
         return EdgeColoring.from_colors(self.n, colors)
 
-    def canonicalize(self) -> "EdgeColoring":
-        return EdgeColoring.from_colors(self.n, self.colors)
-
-    def vertex_color_counts(self, v: int) -> Counter:
-        if not (1 <= v <= self.n):
-            raise ValueError(f"vertex out of range: {v}")
-        return Counter({t: row[v].bit_count() for t, row in enumerate(self.color_masks) if row[v]})
-
 
 @dataclass(frozen=True)
 class VertexOrdering:

@@ -10,8 +10,12 @@ rest:
 * 1-factors and 2-factors via one degree-constrained subgraph engine over
   blossom maximum matching: with every target at most 1 (1-factors, where
   a forced edge drops its endpoints to 0) the blossom runs on the target-1
-  vertices directly, otherwise on Tutte's compact reduction (two external
-  nodes per allowed edge, target(v) core nodes per vertex).  The blossom
+  vertices directly.  A 2-factor query, forced edge or not, goes to the
+  bipartite double cover first (an out-copy and an in-copy per vertex, 2n
+  nodes at most): a cover without a perfect matching refutes, and a perfect
+  matching whose 2-cycles one exchange each removes is the member.  The
+  rest goes to Tutte's compact reduction (two external nodes per allowed
+  edge, target(v) core nodes per vertex), which stays exact.  The blossom
   contracts locally, relabelling only the vertices of the merged blossoms,
   and returns a perfect matching or None, stopping at the first free root
   whose search fails,
@@ -260,34 +264,101 @@ def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
 # degree-constrained subgraphs: 1-factors and 2-factors, forced edges or not
 
 
+def _index_lists(masks, rows: list[int], cols: list[int], offset: int = 0) -> list[list[int]]:
+    """Adjacency lists for the blossom: entry r lists the neighbors of rows[r]
+    that lie in cols, each as its position in cols plus offset."""
+    index = [0] * len(masks)
+    live = 0
+    for i, v in enumerate(cols, start=offset):
+        index[v] = i
+        live |= 1 << v
+    flags = bytes.maketrans(b"01", b"\0\1")
+    # byte u of the reversed binary string is bit u
+    return [list(compress(index, format(masks[v] & live, "b")[::-1].encode().translate(flags)))
+            for v in rows]
+
+
+def _split_two_cycles(masks, succ: list[int]) -> bool:
+    """Remove the 2-cycles of the permutation succ in place, one exchange
+    each; False if one of them stays.
+
+    For a 2-cycle succ[u] = v, succ[v] = u, a vertex a outside it with
+    b = succ[a], ub allowed and av allowed gives succ[u] = b, succ[a] = v.
+    The exchange closes no new 2-cycle: u's only preimage is v, and b != v
+    because v's only preimage was u != a; v maps to u, not to a.
+    succ[x] = 0 marks a vertex x without an out-arc: no exchange moves it,
+    and 0 is never an allowed neighbor.
+    """
+    n = len(succ) - 1
+    for x in range(1, n + 1):
+        y = succ[x]
+        if y < x or succ[y] != x:
+            continue  # not a 2-cycle, or one already seen from y
+        for u, v in ((x, y), (y, x)):
+            a = next((a for a in range(1, n + 1)
+                      if a != u and (masks[v] >> a) & 1 and (masks[u] >> succ[a]) & 1), 0)
+            if a:
+                succ[u], succ[a] = succ[a], v
+                break
+        else:
+            return False
+    return True
+
+
 def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optional[list[Edge]]:
     """Spanning subgraph of g with degree targets[v] at every v, or None.
 
     With every target at most 1 this is a perfect matching of the target-1
-    vertices, found by the blossom on those vertices alone.  Otherwise it
-    is Tutte's reduction to perfect matching: each allowed edge becomes two
-    joined external nodes, one per endpoint, and each vertex v gets
-    targets[v] core nodes joined to all of v's external nodes.  The gadget
-    has 2|E| + sum(targets) nodes and about 5|E| edges.  An edge is left
-    out exactly when its two external nodes are matched to each other;
-    otherwise both are matched into the cores of their endpoints.
+    vertices, found by the blossom on those vertices alone.
+
+    With every target 2, or every target 2 but 1 at two vertices t < h (a
+    2-factor through the forced edge th, which g leaves out), the bipartite
+    double cover answers first.  Each vertex gets an out-copy and an
+    in-copy, each allowed edge vw the arcs v->w and w->v; the forced edge
+    is the arc t->h, so t's out-copy and h's in-copy are dropped.  A perfect
+    matching of the cover is a permutation of the vertices along allowed
+    edges, and orienting the cycles of a member gives one, so a cover with
+    no perfect matching refutes.  Once `_split_two_cycles` has exchanged
+    away the permutation's 2-cycles, its arcs are the member.  A 2-cycle
+    that no exchange removes leaves the question to Tutte's gadget.
     """
     n = g.n
     if any(g.degree(v) < targets[v] for v in range(1, n + 1)):
         return None
-    adj: list[list[int]] = []
     if max(targets) <= 1:
         verts = [v for v in range(1, n + 1) if targets[v]]
-        live = sum(1 << v for v in verts)
-        index = [0] * (n + 1)
-        for i, v in enumerate(verts):
-            index[v] = i
-        flags = bytes.maketrans(b"01", b"\0\1")
-        for v in verts:  # byte u of the reversed binary string is bit u
-            bits = format(g.masks[v] & live, "b")[::-1].encode().translate(flags)
-            adj.append(list(compress(index, bits)))
-        match = maximum_matching(len(verts), adj)
+        match = maximum_matching(len(verts), _index_lists(g.masks, verts, verts))
         return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
+    ones = [v for v in range(1, n + 1) if targets[v] != 2]
+    if len(ones) in (0, 2) and all(targets[v] == 1 for v in ones):
+        tail, head = ones or (0, 0)
+        outs = [v for v in range(1, n + 1) if v != tail]
+        ins = [v for v in range(1, n + 1) if v != head]
+        m = len(outs)
+        cover = _index_lists(g.masks, outs, ins, m) + _index_lists(g.masks, ins, outs)
+        match = maximum_matching(2 * m, cover)
+        if match is None:
+            return None
+        succ = [0] * (n + 1)
+        for v, j in zip(outs, match):
+            succ[v] = ins[j - m]
+        if _split_two_cycles(g.masks, succ):
+            return [(v, w) if v < w else (w, v) for v, w in enumerate(succ) if w]
+    return _tutte_gadget(g, targets)
+
+
+def _tutte_gadget(g: AllowedGraph, targets: list[int]) -> Optional[list[Edge]]:
+    """Exact degree-constrained subgraph by Tutte's reduction to perfect matching.
+
+    Each allowed edge becomes two joined external nodes, one per endpoint,
+    and each vertex v gets targets[v] core nodes joined to all of v's
+    external nodes.  The gadget has 2|E| + sum(targets) nodes and about
+    5|E| edges.  An edge is left out exactly when its two external nodes
+    are matched to each other; otherwise both are matched into the cores
+    of their endpoints.
+    """
+    n = g.n
+    adj: list[list[int]] = []
     edges = g.edges()
     incident: list[list[int]] = [[] for _ in range(n + 1)]  # external nodes at v
     for k, (a, b) in enumerate(edges):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -405,6 +406,20 @@ def test_hamiltonian_refutations_run_cheapest_first(monkeypatch, n):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [7, 15, 31, 63, 127])
+def test_built_two_factor_coloring_is_refuted_on_the_cover(monkeypatch, n):
+    # at n = 2^m - 1 the comb prefix leaves color k to an engine, and the
+    # double cover (2n nodes) refutes it: Tutte's gadget never runs
+    import polykn.families as families
+    from polykn import build, is_polychromatic
+
+    calls = []
+    matching = families.maximum_matching
+    monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a[0]) or matching(*a))
+    assert is_polychromatic(build(F2, n), F2).polychromatic
+    assert all(size <= 2 * n for size in calls), calls
+
+
 def test_reach_matches_breadth_first_search():
     from collections import deque
 
@@ -449,3 +464,100 @@ def test_find_member_invalid_inputs():
         find_member_containing(F2, AllowedGraph.complete(6), (0, 3))
     with pytest.raises(ValueError):
         find_member_containing(HC, AllowedGraph.complete(2), (1, 2))
+
+
+def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
+    # the 2-factor engine asks the bipartite double cover first: each query
+    # is refuted there, found there, or falls back to Tutte's gadget.  The
+    # answers match the enumeration oracle at n <= 10 and the gadget alone
+    # at n = 30..120, every member found has exactly the target degrees
+    # inside g, and the grid reaches all three outcomes
+    import polykn.families as families
+
+    gadget = families._tutte_gadget
+    fell_back = []
+    monkeypatch.setattr(families, "_tutte_gadget", lambda *a: fell_back.append(a) or gadget(*a))
+    outcomes = []
+
+    def query(g0, forced):
+        # the forced edge leaves g and lowers its endpoints' targets, as in _find
+        g, targets = g0, [0] + [2] * g0.n
+        if forced is not None:
+            u, v = forced
+            masks = list(g0.masks)
+            masks[u] &= ~(1 << v)
+            masks[v] &= ~(1 << u)
+            g = AllowedGraph(g0.n, tuple(masks))
+            targets[u] = targets[v] = 1
+        fell_back.clear()
+        got = families._degree_constrained_subgraph(g, targets)
+        if got is not None:
+            deg = [0] * (g.n + 1)
+            assert len(set(got)) == len(got)
+            for (a, b) in got:
+                assert g.has_edge(a, b)
+                deg[a] += 1
+                deg[b] += 1
+            assert deg == targets
+        if any(g.degree(v) < targets[v] for v in range(1, g.n + 1)):
+            outcomes.append("degree")
+        else:
+            outcomes.append("fell back" if fell_back else "refuted" if got is None else "found")
+        return got, g, targets
+
+    rng = random.Random(18_1)
+    for n in range(3, 11):
+        for _ in range(40):
+            p = rng.choice([0.45, 0.6, 0.75])
+            g0 = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
+            for forced in (None, tuple(sorted(rng.sample(range(1, n + 1), 2)))):
+                got, _, _ = query(g0, forced)
+                if forced is None:
+                    want = next(enumerate_members(F2, n, allowed=g0), None) is not None
+                else:
+                    members = enumerate_members(F2, n, allowed=g0.with_edge(*forced))
+                    want = any(forced in w.edges for w in members)
+                assert (got is not None) == want
+    # a planted 2-factor (cycles of 3 to 8 vertices) under random chords,
+    # one planted edge removed on every other graph, forced on a random edge
+    rng = random.Random(18_2)
+    for n in range(30, 121, 10):
+        for rep in range(4):
+            perm = rng.sample(range(1, n + 1), n)
+            planted, i = [], 0
+            while i < n:
+                size = rng.randint(3, 8)
+                if n - i - size < 3:
+                    size = n - i
+                cycle = perm[i:i + size]
+                planted += [tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])]
+                i += size
+            edges = set(planted)
+            target = len(edges) + rng.choice([n // 2, 2 * n, 8 * n])
+            while len(edges) < target:
+                edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+            if rep % 2:
+                edges.discard(rng.choice(planted))
+            g0 = AllowedGraph.from_edges(n, edges)
+            for forced in (None, rng.choice(sorted(edges))):
+                got, g, targets = query(g0, forced)
+                assert (got is None) == (gadget(g, targets) is None)
+    grid = Counter(outcomes)
+    # covers with a perfect matching but no 2-factor, where every matching
+    # keeps a 2-cycle that no exchange removes: the bowtie, with and without
+    # the forced edge (1, 2), and K_{2,6} plus a perfect matching on its 6
+    # side.  A perfect matching alone is short of degree 2 before any cover,
+    # and the cover of K_{2,5} has no perfect matching (Hall)
+    bowtie = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
+    k2 = [(a, b) for a in (1, 2) for b in range(3, 9)]
+    cases = [
+        (bowtie, None, "fell back"),
+        (bowtie, (1, 2), "fell back"),
+        (AllowedGraph.from_edges(8, k2 + [(3, 4), (5, 6), (7, 8)]), None, "fell back"),
+        (AllowedGraph.from_edges(6, [(1, 2), (3, 4), (5, 6)]), None, "degree"),
+        (AllowedGraph.from_edges(7, [e for e in k2 if e[1] < 8]), None, "refuted"),
+    ]
+    for g0, forced, outcome in cases:
+        outcomes.clear()
+        assert query(g0, forced)[0] is None and outcomes == [outcome]
+    assert grid["refuted"] >= 5 and grid["found"] >= 100 and grid["fell back"] >= 20, grid
