@@ -15,10 +15,16 @@ import json
 import sys
 from collections import deque
 from itertools import chain, repeat
-from operator import add, itemgetter, lt, setitem
+from operator import add, lt, setitem
 
 from .constructions import FamilyKind, build, check_n
-from .core import EdgeColoring, comb_certificate, edge_index, majority_certificate
+from .core import (
+    EdgeColoring,
+    _endpoint_columns,
+    comb_certificate,
+    edge_index,
+    majority_certificate,
+)
 from .families import SubgraphWitness
 from .search import SearchReport, brute_force_poly, structured_poly, theorem_table
 from .transforms import improve_toward_combed, recolor_unitary_triple
@@ -46,18 +52,25 @@ def _int_field(value, what: str) -> int:
     return value
 
 
-def _checked_colors(edges: list, n: int, k: int) -> list[int] | None:
-    """Flat pair-order colors of the m = n(n-1)/2 entries of edges, or None
-    when a check over all of them fails.  The checks are those of
-    _raise_first_bad_entry, each made over a whole column."""
+def _checked_colors(edges: list, n: int, k: int) -> tuple[list[int], set[int]] | None:
+    """Flat pair-order colors of the m = n(n-1)/2 entries of edges and their
+    set, or None when a check over all of them fails.  The checks are those
+    of _raise_first_bad_entry, each made over a whole column."""
     if not all(map(isinstance, edges, repeat(list))) or set(map(len, edges)) != {3}:
         return None
-    if set(map(type, chain.from_iterable(edges))) != {int}:
+    flat = list(chain.from_iterable(edges))
+    # before any comparison: True == 1 and 1.0 == 1
+    if set(map(type, flat)) != {int}:
         return None
-    first, second, cols = (list(map(itemgetter(t), edges)) for t in range(3))
+    first, second, cols = flat[0::3], flat[1::3], flat[2::3]
+    palette = set(cols)
+    if min(palette) < 1 or max(palette) > k:
+        return None
+    canon_first, canon_second = _endpoint_columns(n)
+    if first == list(canon_first) and second == list(canon_second):
+        # pair order, as coloring_to_document writes: cols is the flat tuple
+        return cols, palette
     if min(first) < 1 or max(second) > n or not all(map(lt, first, second)):
-        return None
-    if min(cols) < 1 or max(cols) > k:
         return None
     # edge_index is linear in j, so the slot of pair (i, j) is off[i] + j
     off = [edge_index(n, i, 0) for i in range(n + 1)]
@@ -65,7 +78,7 @@ def _checked_colors(edges: list, n: int, k: int) -> list[int] | None:
     slots = map(add, map(off.__getitem__, first), second)
     deque(map(setitem, repeat(colors), slots, cols), maxlen=0)
     # m pairs in range leave a slot at 0 only when one of them repeats
-    return None if 0 in colors else colors
+    return None if 0 in colors else (colors, palette)
 
 
 def _raise_first_bad_entry(edges: list, n: int, k: int) -> None:
@@ -92,8 +105,11 @@ def _raise_first_bad_entry(edges: list, n: int, k: int) -> None:
 def coloring_from_document(doc: dict) -> EdgeColoring:
     """Parse and validate a coloring document.
 
-    The entries are checked as a whole, column by column; only a document
-    that fails a check is scanned entry by entry, to name its first bad one.
+    The entries are checked as a whole, column by column.  A document in
+    pair order, as coloring_to_document writes it, is read by comparing its
+    endpoint columns with K_n's; any other order is scattered into pair
+    order.  Only a document that fails a check is scanned entry by entry, to
+    name its first bad one.
     """
     try:
         n = _int_field(doc["n"], "n")
@@ -105,13 +121,15 @@ def coloring_from_document(doc: dict) -> EdgeColoring:
         raise CliError("edges must be a list")
     if n < 2 or len(edges) != n * (n - 1) // 2:
         raise CliError(f"expected {n * (n - 1) // 2} edges for n={n}, got {len(edges)}")
-    colors = _checked_colors(edges, n, k)
-    if colors is None:
+    checked = _checked_colors(edges, n, k)
+    if checked is None:
         _raise_first_bad_entry(edges, n, k)
-    seen_colors = set(colors)
-    if len(seen_colors) != k:
-        raise CliError(f"palette not tight: colors {sorted(seen_colors)} vs k={k}")
-    return EdgeColoring.from_colors(n, colors)
+    colors, palette = checked
+    # palette lies in 1..k, so it is tight when it has k colors
+    if len(palette) != k:
+        raise CliError(f"palette not tight: colors {sorted(palette)} vs k={k}")
+    # colors is in pair order with the palette exactly 1..k: canonical as is
+    return EdgeColoring(n, k, tuple(colors))
 
 
 def coloring_to_dot(c: EdgeColoring) -> str:
@@ -138,7 +156,8 @@ def _load_coloring(path: str) -> EdgeColoring:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # json's decoder recurses once per nesting level
         raise CliError(f"cannot read coloring from {path}: {exc}")
     return coloring_from_document(doc)
 
@@ -147,7 +166,8 @@ def _emit_coloring(c: EdgeColoring, fmt: str, out: str | None) -> None:
     if fmt == "dot":
         _emit(coloring_to_dot(c), out)
     else:
-        _emit(json.dumps(coloring_to_document(c), indent=2) + "\n", out)
+        # compact: indent would force json's pure-Python encoder
+        _emit(json.dumps(coloring_to_document(c)) + "\n", out)
 
 
 def _cmd_construct(args) -> int:
@@ -181,7 +201,7 @@ def _cmd_witness(args) -> int:
     entry = cert.entry(args.color)
     if entry.status != "fails":
         detail = f"j={entry.j}" if entry.status == "prefix" else "unitary vertex"
-        print(f"no witness: color {args.color} satisfies the majority condition ({detail})")
+        _emit(f"no witness: color {args.color} satisfies the majority condition ({detail})\n", args.out)
         return 1
     if strict:
         witness = adversarial_matching(ic, args.color)

@@ -145,6 +145,18 @@ def test_witness_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_witness_no_witness_line_goes_to_out(tmp_path, capsys):
+    path = _write_doc(tmp_path, build(F1, 4))
+    out = tmp_path / "met.txt"
+    argv = ["witness", "--family", "f1", "--input", path, "--color", "1"]
+    assert run(argv + ["--out", str(out)]) == 1
+    line = "no witness: color 1 satisfies the majority condition (j=1)\n"
+    assert out.read_text() == line
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 1
+    assert capsys.readouterr().out == line
+
+
 def test_witness_rejects_uncombed_input(tmp_path, capsys):
     from polykn import EdgeColoring
 
@@ -194,6 +206,24 @@ def test_witness_rejects_n_without_members(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: "), (family, color)
         assert run(["verify", "--family", family, "--input", path]) == 2
         capsys.readouterr()
+
+
+def test_deeply_nested_input_exits_two(tmp_path, capsys):
+    # json's decoder recurses per nesting level; the limit is bad input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert run(["verify", "--family", "f1", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read coloring from {path}: ")
+    assert "recursion" in err
+
+
+def test_coloring_documents_are_compact(tmp_path):
+    c = build(F1, 16)
+    out = tmp_path / "c.json"
+    assert run(["construct", "--family", "f1", "--n", "16", "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(coloring_to_document(c)) + "\n"
+    assert coloring_from_document(json.loads(out.read_text())) == c
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
@@ -441,3 +471,64 @@ def test_parser_matches_per_entry_oracle():
     # every kind of outcome occurs: accepted, and each rejection message
     assert outcomes == {"ok", "bad", "color", "duplicate", "palette", "expected",
                         "edge", "n", "k", "malformed", "edges"}, outcomes
+
+
+# pair-order documents, as coloring_to_document writes them, are read by one
+# comparison against K_n's endpoint columns; any other order is scattered
+
+def _pair_order_doc(n=8):
+    return coloring_to_document(build(F1, n))
+
+
+@pytest.mark.parametrize("entry, field, value", [
+    pytest.param(3, 0, True, id="true-first-endpoint"),
+    pytest.param(3, 0, 1.0, id="float-first-endpoint"),
+    pytest.param(0, 1, 2.0, id="float-second-endpoint"),
+    pytest.param(9, 1, 5.0, id="float-second-endpoint-later-row"),
+    pytest.param(6, 2, True, id="true-color"),
+])
+def test_pair_order_document_rejects_non_int_equal_values(entry, field, value):
+    doc = _pair_order_doc()
+    assert doc["edges"][entry][field] == value
+    doc["edges"][entry][field] = value
+    with pytest.raises(CliError, match=rf"^edge entry must be an integer, got {value!r}$"):
+        coloring_from_document(doc)
+
+
+@pytest.mark.parametrize("color", [0, -1, 4, 99])
+def test_pair_order_document_checks_color_range(color):
+    doc = _pair_order_doc()
+    doc["edges"][20][2] = color
+    with pytest.raises(CliError, match=rf"^color {color} outside 1\.\.3$"):
+        coloring_from_document(doc)
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param(1, 4, id="same-first-endpoint"),
+    pytest.param(5, 12, id="rows-1-and-2"),
+    pytest.param(0, 27, id="first-and-last"),
+])
+def test_swapped_pairs_take_the_scatter_path(a, b):
+    c = build(F1, 8).recolored(1, 3, 3)
+    doc = coloring_to_document(c)
+    edges = doc["edges"]
+    edges[a], edges[b] = edges[b], edges[a]
+    assert coloring_from_document(doc) == c
+    assert oracle_coloring_from_document(copy.deepcopy(doc)) == c
+
+
+def test_repeated_pair_in_pair_order_rows_is_rejected():
+    # the first column stays K_n's, the second repeats pair (1, 2)
+    doc = _pair_order_doc()
+    doc["edges"][1] = [1, 2, doc["edges"][1][2]]
+    with pytest.raises(CliError, match=r"^duplicate edge \(1, 2\)$"):
+        coloring_from_document(doc)
+
+
+def test_shuffled_document_reads_as_its_pair_order_twin():
+    c = build(F1, 128).recolored(5, 77, 1)
+    doc = coloring_to_document(c)
+    shuffled = copy.deepcopy(doc)
+    random.Random(19).shuffle(shuffled["edges"])
+    assert shuffled["edges"] != doc["edges"]
+    assert coloring_from_document(shuffled) == coloring_from_document(doc) == c
