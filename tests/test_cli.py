@@ -55,6 +55,8 @@ def test_construct_verify_loop(tmp_path, capsys):
     assert run(["construct", "--family", "f1", "--n", "10", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["k"] == 3 and doc["n"] == 10
+    # compact, one line: indent would cost json's pure-Python encoder
+    assert out.read_text() == json.dumps(doc) + "\n"
     assert run(["verify", "--family", "f1", "--input", str(out)]) == 0
     assert "polychromatic" in capsys.readouterr().out
 
@@ -102,6 +104,15 @@ def test_malformed_document_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_input_exits_two(tmp_path, capsys):
+    # json's decoder recurses once per nesting level; past its limit the
+    # document is bad input, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert run(["verify", "--family", "f1", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read coloring from {path}: ")
+
+
 _VERIFY = ["verify", "--family", "f1", "--input", "DOC"]
 _WITNESS = ["witness", "--family", "f1", "--input", "DOC", "--color"]
 
@@ -140,21 +151,15 @@ def test_witness_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["avoided_color"] == 2
     assert doc["edges"] == [[1, 3], [2, 4]]
-    # a satisfied color yields no witness
-    assert run(["witness", "--family", "f1", "--input", path, "--color", "1"]) == 1
-    capsys.readouterr()
-
-
-def test_witness_no_witness_line_goes_to_out(tmp_path, capsys):
-    path = _write_doc(tmp_path, build(F1, 4))
-    out = tmp_path / "met.txt"
+    # a satisfied color yields no witness, and the line honours --out
     argv = ["witness", "--family", "f1", "--input", path, "--color", "1"]
-    assert run(argv + ["--out", str(out)]) == 1
     line = "no witness: color 1 satisfies the majority condition (j=1)\n"
-    assert out.read_text() == line
-    assert capsys.readouterr().out == ""
     assert run(argv) == 1
     assert capsys.readouterr().out == line
+    met = tmp_path / "met.txt"
+    assert run(argv + ["--out", str(met)]) == 1
+    assert met.read_text() == line
+    assert capsys.readouterr().out == ""
 
 
 def test_witness_rejects_uncombed_input(tmp_path, capsys):
@@ -206,24 +211,6 @@ def test_witness_rejects_n_without_members(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: "), (family, color)
         assert run(["verify", "--family", family, "--input", path]) == 2
         capsys.readouterr()
-
-
-def test_deeply_nested_input_exits_two(tmp_path, capsys):
-    # json's decoder recurses per nesting level; the limit is bad input
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 200000)
-    assert run(["verify", "--family", "f1", "--input", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read coloring from {path}: ")
-    assert "recursion" in err
-
-
-def test_coloring_documents_are_compact(tmp_path):
-    c = build(F1, 16)
-    out = tmp_path / "c.json"
-    assert run(["construct", "--family", "f1", "--n", "16", "--out", str(out)]) == 0
-    assert out.read_text() == json.dumps(coloring_to_document(c)) + "\n"
-    assert coloring_from_document(json.loads(out.read_text())) == c
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
