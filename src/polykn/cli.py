@@ -199,9 +199,11 @@ def _cmd_witness(args) -> int:
     strict = kind is FamilyKind.ONE_FACTOR
     cert = majority_certificate(ic, strict=strict)
     entry = cert.entry(args.color)
-    if entry.status != "fails":
-        detail = f"j={entry.j}" if entry.status == "prefix" else "unitary vertex"
-        _emit(f"no witness: color {args.color} satisfies the majority condition ({detail})\n", args.out)
+    if entry.status == "unitary":
+        _emit(f"no witness: class {args.color} contains a unitary vertex\n", args.out)
+        return 1
+    if entry.status == "prefix":
+        _emit(f"no witness: color {args.color} satisfies the majority condition (j={entry.j})\n", args.out)
         return 1
     if strict:
         witness = adversarial_matching(ic, args.color)

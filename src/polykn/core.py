@@ -226,9 +226,6 @@ class InheritedColoring:
     def unitary_vertices(self) -> frozenset[int]:
         return frozenset(u.vertex for u in self.unitary_set)
 
-    def class_has_unitary(self, t: int) -> bool:
-        return any(u.main == t for u in self.unitary_set)
-
 
 class MajorityEntry(NamedTuple):
     color: int
@@ -323,8 +320,8 @@ def is_unitary(c: EdgeColoring, v: int) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
-    """Map every truly unitary vertex to (main, minority, partner).
+def _unitary_structure(c: EdgeColoring) -> dict[int, UnitaryVertex]:
+    """Map every truly unitary vertex to its UnitaryVertex record.
 
     ``is_unitary`` is a one-step shape check; genuine unitarity additionally
     requires the partner chain to close (the partner must itself be unitary).
@@ -340,7 +337,8 @@ def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
         if len({p, q, r}) == 3:
             # rainbow triangle: every vertex is unitary; fix the partner
             # cycle 1 -> 3 -> 2 -> 1 so mains are deterministic
-            return {1: (p, q, 3), 2: (r, p, 1), 3: (q, r, 2)}
+            cycle = UnitaryVertex(1, p, q, 3), UnitaryVertex(2, r, p, 1), UnitaryVertex(3, q, r, 2)
+            return {u.vertex: u for u in cycle}
         return {}
     info = {}
     # column v holds v's bitset per color; is_unitary needs two colors at v
@@ -348,13 +346,13 @@ def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
         if v and column.count(0) == c.k - 1:
             res = is_unitary(c, v)
             if res is not None:
-                info[v] = res
+                info[v] = UnitaryVertex(v, *res)
     # drop shape-only vertices until partners are closed under the map
     changed = True
     while changed:
         changed = False
         for v in list(info):
-            if info[v][2] not in info:
+            if info[v].partner not in info:
                 del info[v]
                 changed = True
     if not info:
@@ -364,7 +362,7 @@ def _unitary_structure(c: EdgeColoring) -> dict[int, tuple[int, int, int]]:
     v = min(info)
     while v not in seen:
         seen.add(v)
-        v = info[v][2]
+        v = info[v].partner
     if len(seen) != len(info) or len(info) not in (3, 4):
         raise RuntimeError(f"inconsistent unitary structure: {info}")
     return info
@@ -411,11 +409,11 @@ def comb_prefix(
     unitary = _unitary_structure(c)
     first = sorted(unitary)
     placed, remaining, picked = _greedy_order(c, first)
-    mains = [unitary[v][0] for v in first] + picked
+    mains = [unitary[v].main for v in first] + picked
     if len(remaining) <= 2:
         placed += remaining
         mains += [c.color(*placed[-2:])] * len(remaining)
-    return tuple(UnitaryVertex(v, *unitary[v]) for v in first), placed, mains
+    return tuple(map(unitary.__getitem__, first)), placed, mains
 
 
 def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
@@ -434,7 +432,7 @@ def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
     bad = None  # the lowest position that is neither ordered nor unitary
     for p, v in zip(range(n, 0, -1), reversed(o.order)):
         if v in unitary:
-            mains[v - 1] = unitary[v][0]
+            mains[v - 1] = unitary[v].main
         elif p >= n - 1:
             mains[v - 1] = last
         else:
@@ -444,10 +442,7 @@ def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
         later |= 1 << v
     if bad is not None:
         raise ValueError(f"vertex {bad[0]} is neither ordered at position {bad[1]} nor unitary")
-    unit = tuple(
-        UnitaryVertex(v, a, b, u) for v, (a, b, u) in sorted(unitary.items())
-    )
-    return InheritedColoring(c, o, tuple(mains), unit)
+    return InheritedColoring(c, o, tuple(mains), tuple(sorted(unitary.values())))
 
 
 def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
@@ -466,27 +461,20 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
     return InheritedColoring(c, VertexOrdering(tuple(order)), tuple(main), unitary)
 
 
-def majority_moments(mains, s: int) -> Iterator[tuple[int, int]]:
-    """The prefix-majority rule 2|M_t(j)| >= j + s along a main-color
-    sequence: (j, t) for each j at which t = mains[j-1] meets it.  s = 1
-    is the strict rule (|M_t(j)| > j/2, 1-factors), s = 0 the weak one
-    (|M_t(j)| >= j/2, 2-factors and cycles).  A color whose count stands
-    still only moves away from the rule, so the first j reported for t is
-    the smallest j at which t meets it."""
+def majority_moments(mains, s: int) -> dict[int, int]:
+    """Each color's majority moment along a main-color sequence: the
+    smallest j with 2|M_t(j)| >= j + s, for every color t of mains that
+    has one.  s = 1 is the strict rule (|M_t(j)| > j/2, 1-factors), s = 0
+    the weak one (|M_t(j)| >= j/2, 2-factors and cycles).  A color whose
+    count stands still only moves away from the rule, so its moment is a
+    position holding it."""
     counts = [0] * (max(mains, default=0) + 1)
+    moments: dict[int, int] = {}
     for j, t in enumerate(mains, start=1):
         counts[t] += 1
-        if 2 * counts[t] >= j + s:
-            yield j, t
-
-
-def majority_moment(ic: InheritedColoring, t: int, strict: bool) -> Optional[int]:
-    """Smallest j in [n-1] at which color t meets the prefix-majority rule
-    (majority_moments), strict or weak, else None."""
-    if not 1 <= t <= ic.k:
-        raise ValueError(f"color {t} outside 1..{ic.k}")
-    moments = majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0)
-    return next((j for j, u in moments if u == t), None)
+        if 2 * counts[t] >= j + s and t not in moments:
+            moments[t] = j
+    return moments
 
 
 def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:
@@ -496,14 +484,11 @@ def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertifi
     weak:   classes holding a unitary vertex are flagged "unitary"; other
             classes get their majority moment, else "fails".
     """
-    first: dict[int, int] = {}  # color -> its majority moment
-    for j, t in majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0):
-        first.setdefault(t, j)
-    entries = []
-    for t in range(1, ic.k + 1):
-        if strict or not ic.class_has_unitary(t):
-            j = first.get(t)
-            entries.append(MajorityEntry(t, "fails" if j is None else "prefix", j))
-        else:
-            entries.append(MajorityEntry(t, "unitary", None))
-    return MajorityCertificate(ic.n, "strict" if strict else "weak", tuple(entries))
+    moments = majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0)
+    exempt = () if strict else {u.main for u in ic.unitary_set}
+    entries = tuple(
+        MajorityEntry(t, "unitary", None) if t in exempt
+        else MajorityEntry(t, "prefix" if t in moments else "fails", moments.get(t))
+        for t in range(1, ic.k + 1)
+    )
+    return MajorityCertificate(ic.n, "strict" if strict else "weak", entries)

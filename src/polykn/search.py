@@ -178,7 +178,7 @@ def _seq_stage(n, kind, k, pattern, witnesses=None):
     """First (lex) main-color sequence completing the pattern at palette size k.
 
     The count state holds each color's count and whether it has met its
-    majority moment, core.majority_moment's 2|M_t(j)| >= j + s with s fixed
+    majority moment, core.majority_moments' 2|M_t(j)| >= j + s with s fixed
     per stage; colors made unitary by the pattern prefix are exempt.
 
     `witnesses` holds the edge indices of members of K_n's family that

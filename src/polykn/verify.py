@@ -21,7 +21,7 @@ from .core import (
     InheritedColoring,
     MajorityCertificate,
     comb_prefix,
-    majority_moment,
+    majority_certificate,
     majority_moments,
 )
 from .families import AllowedGraph, SubgraphWitness, find_member
@@ -60,16 +60,8 @@ def _prefix_proofs(c, kind: FamilyKind) -> set[int]:
     j < n does too, since the prefix would close into cycles.
     """
     unitary, _, mains = comb_prefix(c)
-    exempt = {u.main for u in unitary}
-    provable = c.k - len(exempt)
-    proved: set[int] = set()
     s = 0 if kind is FamilyKind.HAMILTONIAN_CYCLE else 1
-    for _, t in majority_moments(mains[: c.n - 1], s):
-        if t not in exempt:
-            proved.add(t)
-            if len(proved) == provable:
-                break
-    return proved
+    return majority_moments(mains[: c.n - 1], s).keys() - {u.main for u in unitary}
 
 
 def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
@@ -109,12 +101,12 @@ def _adversarial(ic: InheritedColoring, t: int, kind: FamilyKind, layout) -> Sub
     strict = kind is FamilyKind.ONE_FACTOR
     if not (1 <= t <= ic.k):
         raise ValueError(f"color {t} out of range")
-    if ic.class_has_unitary(t):
+    entry = majority_certificate(ic, strict).entry(t)
+    if entry.status == "unitary":
         raise ValueError(f"class {t} contains a unitary vertex")
-    j = majority_moment(ic, t, strict)
-    if j is not None:
+    if entry.status == "prefix":
         weak = "" if strict else "weak "
-        raise ValueError(f"{weak}majority condition holds for color {t} at j={j}")
+        raise ValueError(f"{weak}majority condition holds for color {t} at j={entry.j}")
     xs, ys = [], []  # class t and the other vertices, in position order
     for v in ic.ordering.order:
         (xs if ic.main[v - 1] == t else ys).append(v)

@@ -162,6 +162,22 @@ def test_witness_command(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_witness_sets_unitary_classes_aside(tmp_path, capsys):
+    # the 2-factor coloring at n = 8 has unitary vertices in classes 1-3:
+    # such a class is set aside by the weak rule, not proved by it
+    path = str(tmp_path / "f2.json")
+    assert run(["construct", "--family", "f2", "--n", "8", "--out", path]) == 0
+    for family, color in (("f2", 1), ("hc", 2)):
+        argv = ["witness", "--family", family, "--input", path, "--color", str(color)]
+        line = f"no witness: class {color} contains a unitary vertex\n"
+        assert run(argv) == 1
+        assert capsys.readouterr() == (line, "")
+        out = tmp_path / f"{family}.txt"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert out.read_text() == line
+        assert capsys.readouterr() == ("", "")
+
+
 def test_witness_rejects_uncombed_input(tmp_path, capsys):
     from polykn import EdgeColoring
 

@@ -22,7 +22,7 @@ from polykn import (
     is_unitary,
     majority_certificate,
 )
-from polykn.core import all_edges, majority_moment
+from polykn.core import all_edges, majority_moments
 from polykn.transforms import recolor_unitary_triple
 from helpers import (
     all_ordered_colorings,
@@ -315,6 +315,24 @@ def test_majority_monotone_strict_implies_weak():
                     assert weak.entry(t).j <= strict.entry(t).j
 
 
+def test_majority_moments_match_per_prefix_recount():
+    # each color's moment is the smallest j at which its count in the first
+    # j positions, recounted from scratch, meets 2|M_t(j)| >= j + s
+    rng = random.Random(2121)
+    seqs = [(), (1,), (2, 2, 2, 2), (1, 2), (1, 1, 1)]
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        seqs.append(tuple(rng.randint(1, k) for _ in range(rng.randint(1, 14))))
+    for seq in seqs:
+        for s in (0, 1):
+            want = {}
+            for t in set(seq):
+                js = [j for j in range(1, len(seq) + 1) if 2 * seq[:j].count(t) >= j + s]
+                if js:
+                    want[t] = min(js)
+            assert majority_moments(seq, s) == want, (seq, s)
+
+
 def test_ordering_validation():
     with pytest.raises(ValueError):
         VertexOrdering((1, 1, 2))
@@ -371,7 +389,7 @@ def test_ordering_and_prefix_reads_reject_out_of_range():
         with pytest.raises(ValueError, match="color"):
             ic.prefix_count(t, 1)
         with pytest.raises(ValueError, match="color"):
-            majority_moment(ic, t, strict=False)
+            majority_certificate(ic, strict=False).entry(t)
     for j in (-1, ic.n + 1):
         with pytest.raises(ValueError, match="prefix"):
             ic.prefix_count(1, j)

@@ -154,7 +154,13 @@ def test_prefix_proofs_match_engines(monkeypatch):
         proved = _prefix_proofs(c, kind)
         for t in proved:
             assert find_once(kind, (c, t)) is None, (kind, t, c.colors)
-        if proved and comb_certificate(c) is None:
+        ic = comb_certificate(c)
+        if ic is not None:
+            # verdicts and certificates read one moment table
+            cert = majority_certificate(ic, strict=kind is not HC)
+            prefix = {e.color for e in cert.entries if e.status == "prefix"}
+            assert proved == prefix - {u.main for u in ic.unitary_set}, (kind, c.colors)
+        if proved and ic is None:
             uncombed_proofs += 1
     assert uncombed_proofs >= 100
 
