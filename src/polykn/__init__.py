@@ -21,7 +21,6 @@ from .families import (
     AllowedGraph,
     CapExceededError,
     SubgraphWitness,
-    count_members,
     enumerate_members,
     find_member,
     find_member_containing,
@@ -37,6 +36,7 @@ from .transforms import (
     two_switch,
 )
 from .verify import (
+    NoWitness,
     PolyCertificate,
     adversarial_hamcycle,
     adversarial_matching,
@@ -53,6 +53,7 @@ __all__ = [
     "InheritedColoring",
     "MajorityCertificate",
     "MaxVertexProfile",
+    "NoWitness",
     "PolyCertificate",
     "SearchReport",
     "SubgraphWitness",
@@ -64,7 +65,6 @@ __all__ = [
     "build_ordered",
     "class_sizes",
     "comb_certificate",
-    "count_members",
     "enumerate_members",
     "find_member",
     "find_member_containing",

@@ -18,17 +18,11 @@ from itertools import chain, repeat
 from operator import add, lt, setitem
 
 from .constructions import FamilyKind, build, check_n
-from .core import (
-    EdgeColoring,
-    _endpoint_columns,
-    comb_certificate,
-    edge_index,
-    majority_certificate,
-)
+from .core import EdgeColoring, _endpoint_columns, comb_certificate, edge_index
 from .families import SubgraphWitness
 from .search import SearchReport, brute_force_poly, structured_poly, theorem_table
 from .transforms import improve_toward_combed, recolor_unitary_triple
-from .verify import adversarial_hamcycle, adversarial_matching, is_polychromatic
+from .verify import NoWitness, adversarial_hamcycle, adversarial_matching, is_polychromatic
 
 # fixed 12-entry palette for DOT output, cycled by color index
 DOT_PALETTE = (
@@ -196,19 +190,12 @@ def _cmd_witness(args) -> int:
     ic = comb_certificate(c)
     if ic is None:
         raise CliError("input coloring is not combed; no inherited classes exist")
-    strict = kind is FamilyKind.ONE_FACTOR
-    cert = majority_certificate(ic, strict=strict)
-    entry = cert.entry(args.color)
-    if entry.status == "unitary":
-        _emit(f"no witness: class {args.color} contains a unitary vertex\n", args.out)
+    builder = adversarial_matching if kind is FamilyKind.ONE_FACTOR else adversarial_hamcycle
+    try:
+        witness = builder(ic, args.color)
+    except NoWitness as exc:
+        _emit(f"no witness: {exc}\n", args.out)
         return 1
-    if entry.status == "prefix":
-        _emit(f"no witness: color {args.color} satisfies the majority condition (j={entry.j})\n", args.out)
-        return 1
-    if strict:
-        witness = adversarial_matching(ic, args.color)
-    else:
-        witness = adversarial_hamcycle(ic, args.color)
     # the weak builder's Hamiltonian cycle is also a 2-factor
     SubgraphWitness(kind, witness.edges).validate(c.n)
     doc = {

@@ -203,9 +203,6 @@ class InheritedColoring:
     def k(self) -> int:
         return self.coloring.k
 
-    def class_of(self, t: int) -> frozenset[int]:
-        return frozenset(v for v in range(1, self.n + 1) if self.main[v - 1] == t)
-
     def class_sizes(self) -> tuple[int, ...]:
         counts = Counter(self.main)
         return tuple(counts.get(t, 0) for t in range(1, self.k + 1))
@@ -223,9 +220,6 @@ class InheritedColoring:
         """The main colors in position order."""
         return tuple(self.main[v - 1] for v in self.ordering.order)
 
-    def unitary_vertices(self) -> frozenset[int]:
-        return frozenset(u.vertex for u in self.unitary_set)
-
 
 class MajorityEntry(NamedTuple):
     color: int
@@ -237,9 +231,9 @@ class MajorityEntry(NamedTuple):
 class MajorityCertificate:
     """Per-color result of the prefix-majority check.
 
-    In strict mode a color t is witnessed by the smallest j with
-    |M_t(j)| > j/2.  In weak mode the threshold is |M_t(j)| >= j/2, and a
-    class containing a unitary vertex is flagged "unitary" instead.
+    A class containing a unitary vertex is flagged "unitary".  Any other
+    color t is witnessed by the smallest j with |M_t(j)| > j/2 in strict
+    mode, |M_t(j)| >= j/2 in weak mode.
     """
 
     n: int
@@ -480,12 +474,13 @@ def majority_moments(mains, s: int) -> dict[int, int]:
 def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:
     """Prefix-majority certificate over all colors of the coloring.
 
-    strict: the majority moment of each color, else "fails".
-    weak:   classes holding a unitary vertex are flagged "unitary"; other
-            classes get their majority moment, else "fails".
+    Classes holding a unitary vertex are flagged "unitary", in both modes:
+    a unitary vertex's partner edge breaks the counting argument.  Every
+    other class gets its majority moment (strict or weak), else "fails".
+    These are the colors verify._prefix_proofs proves for its rule.
     """
     moments = majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0)
-    exempt = () if strict else {u.main for u in ic.unitary_set}
+    exempt = {u.main for u in ic.unitary_set}
     entries = tuple(
         MajorityEntry(t, "unitary", None) if t in exempt
         else MajorityEntry(t, "prefix" if t in moments else "fails", moments.get(t))

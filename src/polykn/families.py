@@ -118,12 +118,6 @@ class AllowedGraph:
                 j += 1
         return out
 
-    def with_edge(self, i: int, j: int) -> "AllowedGraph":
-        masks = list(self.masks)
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-        return AllowedGraph(self.n, tuple(masks))
-
 
 @dataclass(frozen=True)
 class SubgraphWitness:
@@ -600,12 +594,3 @@ def enumerate_members(
         if kind is FamilyKind.HAMILTONIAN_CYCLE and not _spans(n, edges):
             continue  # a 2-factor with several cycles
         yield SubgraphWitness(kind, edges)
-
-
-def count_members(
-    kind: FamilyKind,
-    n: int,
-    allowed: Optional[AllowedGraph] = None,
-    max_n: Optional[int] = None,
-) -> int:
-    return sum(1 for _ in enumerate_members(kind, n, allowed, max_n))

@@ -99,12 +99,13 @@ def _minimal_blockers(members):
     return sorted(blockers, key=lambda b: (b.bit_count(), b))
 
 
-def _pack(blockers, m, limit):
-    """Largest set of pairwise disjoint blockers, at most `limit` of them.
+def _pack(blockers, m):
+    """Largest set of pairwise disjoint blockers.
 
     One branch-and-bound DFS over index-increasing choices: a node with
     `chosen` blockers and `free` uncovered edges can reach at most
-    chosen + free // (smallest remaining blocker size).
+    chosen + free // (smallest remaining blocker size), so once m blockers
+    are chosen it prunes every branch left.
 
     Returns (the chosen blockers, nodes explored).
     """
@@ -117,17 +118,13 @@ def _pack(blockers, m, limit):
         nodes += 1
         if len(chosen) > len(best):
             best = chosen[:]
-            if len(best) == limit:
-                return True
         for i, b in enumerate(cands):
             size = b.bit_count()
             if len(chosen) + free // size <= len(best):
-                return False
+                return
             chosen.append(b)
-            if rec([c for c in cands[i + 1 :] if not c & b], free - size):
-                return True
+            rec([c for c in cands[i + 1 :] if not c & b], free - size)
             chosen.pop()
-        return False
 
     rec(blockers, m)
     return best, nodes
@@ -136,7 +133,6 @@ def _pack(blockers, m, limit):
 def brute_force_poly(
     n: int,
     kind: FamilyKind,
-    max_k: Optional[int] = None,
     max_n: Optional[int] = None,
 ) -> SearchReport:
     """Exact optimum over all colorings, as a packing of minimal blockers.
@@ -144,19 +140,15 @@ def brute_force_poly(
     A coloring is polychromatic exactly when every color class meets every
     member, so the optimum is the largest number of pairwise disjoint
     minimal blockers (edge sets meeting every member).  Blocker t takes
-    color t and every edge left over takes color 1.  With max_k the search
-    stops at max_k colors.
+    color t and every edge left over takes color 1.
     """
     cap = max_n if max_n is not None else BRUTE_CAPS[kind]
     if n > cap:
         raise CapExceededError(f"brute-force cap exceeded: n={n} > {cap}")
     m = n * (n - 1) // 2
-    if max_k is not None and not (1 <= max_k <= m):
-        raise ValueError(f"max_k must be in 1..{m}")
     start = time.perf_counter()
     members = _member_masks(n, kind)
-    limit = max_k if max_k is not None else m
-    packing, nodes = _pack(_minimal_blockers(members), m, limit)
+    packing, nodes = _pack(_minimal_blockers(members), m)
     colors = [1] * m
     for t, b in enumerate(packing, start=1):
         for idx in range(m):

@@ -93,12 +93,6 @@ class MaxVertexProfile:
     t_vertices: Optional[tuple[int, ...]]
     w_vertices: Optional[tuple[int, ...]]
 
-    def stat(self, v: int) -> VertexStats:
-        for s in self.stats:
-            if s.vertex == v:
-                return s
-        raise KeyError(v)
-
 
 def max_vertex_profile(c: EdgeColoring, outside: frozenset[int] | set[int]) -> MaxVertexProfile:
     """Per-vertex monochromatic degrees in K_n restricted to V minus X.

@@ -94,19 +94,27 @@ def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
     return PolyCertificate(True, spot_checks=tuple(sorted(first.items())))
 
 
+class NoWitness(ValueError):
+    """No adversarial member applies to the color: its class holds a unitary
+    vertex, or it meets the builder's majority rule, which puts it on every
+    member that rule covers (every 1-factor for the strict rule, every
+    Hamiltonian cycle for the weak one).  Bad input raises plain ValueError."""
+
+
 def _adversarial(ic: InheritedColoring, t: int, kind: FamilyKind, layout) -> SubgraphWitness:
     """The member of kind that layout(xs, ys) makes of the class-t vertices
-    xs and the others ys, in position order, once t fails kind's majority
-    rule (strict for 1-factors); it is validated and checked to avoid t."""
+    xs and the others ys, in position order; it is validated and checked to
+    avoid t.  Raises NoWitness for the colors that _prefix_proofs sets aside
+    or proves under kind's rule (strict for 1-factors, weak for cycles)."""
     strict = kind is FamilyKind.ONE_FACTOR
     if not (1 <= t <= ic.k):
         raise ValueError(f"color {t} out of range")
     entry = majority_certificate(ic, strict).entry(t)
     if entry.status == "unitary":
-        raise ValueError(f"class {t} contains a unitary vertex")
+        raise NoWitness(f"class {t} contains a unitary vertex")
     if entry.status == "prefix":
         weak = "" if strict else "weak "
-        raise ValueError(f"{weak}majority condition holds for color {t} at j={entry.j}")
+        raise NoWitness(f"color {t} satisfies the {weak}majority condition (j={entry.j})")
     xs, ys = [], []  # class t and the other vertices, in position order
     for v in ic.ordering.order:
         (xs if ic.main[v - 1] == t else ys).append(v)
@@ -122,15 +130,16 @@ def _adversarial(ic: InheritedColoring, t: int, kind: FamilyKind, layout) -> Sub
 
 
 def adversarial_matching(ic: InheritedColoring, t: int) -> SubgraphWitness:
-    """A 1-factor avoiding color t when the strict majority condition fails.
+    """A 1-factor avoiding color t when the strict majority condition fails
+    and class t holds no unitary vertex (else NoWitness).
 
     With x_1..x_m the class-t vertices in order and y_1..y_{n-m} the rest,
     the matching pairs y_i with x_i (y_i is guaranteed to sit left of x_i)
-    and pairs the leftover y's consecutively; no edge can then carry t.
+    and pairs the leftover y's consecutively.  An edge carries the main of
+    its earlier end, or on a unitary vertex's partner edge the partner's
+    main; neither is t, so no edge carries t.
     """
     check_n(FamilyKind.ONE_FACTOR, ic.n)
-    if ic.unitary_set:
-        raise ValueError("adversarial 1-factor needs an ordered coloring")
 
     def layout(xs, ys):
         m = len(xs)
@@ -145,7 +154,8 @@ def adversarial_matching(ic: InheritedColoring, t: int) -> SubgraphWitness:
 def adversarial_hamcycle(ic: InheritedColoring, t: int) -> SubgraphWitness:
     """A Hamiltonian cycle avoiding color t when the weak condition fails.
 
-    Requires |M_t(j)| < j/2 for every j and no unitary vertex in class t.
+    Requires |M_t(j)| < j/2 for every j < n and no unitary vertex in class
+    t, else NoWitness.
     The cycle y_1 x_1 y_2 x_2 .. y_m x_m y_{m+1} .. y_{n-m} y_1 interleaves
     class-t vertices with earlier outsiders; every edge at a class-t vertex
     goes left, so none carries t.
@@ -168,7 +178,8 @@ def majority_upper_bound(cert: MajorityCertificate) -> int:
     """Largest color count allowed by the counting chain of a complete cert.
 
     strict: sorted prefix witnesses force |M_t| >= 2^(t-1), so
-            2^k - 1 <= n, and 2^k <= n when n is even.
+            2^k - 1 <= n, and 2^k <= n when n is even; a strict cert
+            that flags unitary classes is rejected.
     weak:   the classes cert flags unitary are set aside (3 unitary
             vertices span 3 colors, 4 span 2; so 0, 2 or 3 classes); the
             rest force |M_t| >= 2^(t-2), giving k <= floor(log2 n) + 1 + excluded.

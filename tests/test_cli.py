@@ -178,6 +178,33 @@ def test_witness_sets_unitary_classes_aside(tmp_path, capsys):
         assert capsys.readouterr() == ("", "")
 
 
+def test_witness_f1_agrees_with_verify_on_unitary_coloring(tmp_path, capsys):
+    # classes 1-3 hold the unitary vertices, so the strict rule proves none
+    # of them: verify finds color 1 avoided, and witness sets the classes aside
+    path = str(tmp_path / "f2.json")
+    assert run(["construct", "--family", "f2", "--n", "8", "--out", path]) == 0
+    lines = {t: f"no witness: class {t} contains a unitary vertex\n" for t in (1, 2, 3)}
+    lines[4] = "no witness: color 4 satisfies the majority condition (j=7)\n"
+    for color, line in lines.items():
+        assert run(["witness", "--family", "f1", "--input", path, "--color", str(color)]) == 1
+        assert capsys.readouterr() == (line, ""), color
+    assert run(["verify", "--family", "f1", "--input", path]) == 1
+    out = capsys.readouterr().out
+    assert out == "violated: color 1 avoided by f1 member [(1, 3), (2, 4), (5, 6), (7, 8)]\n"
+
+
+def test_witness_f2_names_the_weak_rule(tmp_path, capsys):
+    # the weak rule puts color 2 on every Hamiltonian cycle, not on every
+    # 2-factor: the line names the rule, and verify decides the 2-factors
+    path = _write_doc(tmp_path, build_ordered((1, 1, 2, 2, 1, 1, 1)))
+    assert run(["witness", "--family", "f2", "--input", path, "--color", "2"]) == 1
+    line = "no witness: color 2 satisfies the weak majority condition (j=4)\n"
+    assert capsys.readouterr() == (line, "")
+    assert run(["verify", "--family", "f2", "--input", path]) == 1
+    assert run(["verify", "--family", "hc", "--input", path]) == 0
+    capsys.readouterr()
+
+
 def test_witness_rejects_uncombed_input(tmp_path, capsys):
     from polykn import EdgeColoring
 

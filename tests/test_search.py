@@ -86,13 +86,6 @@ def test_brute_force_at_least_construction():
             assert brute_force_poly(n, kind).optimum >= palette_size(kind, n)
 
 
-def test_brute_force_respects_max_k():
-    report = brute_force_poly(4, F2, max_k=2)
-    assert report.optimum == 2
-    with pytest.raises(ValueError):
-        brute_force_poly(4, F2, max_k=0)
-
-
 def test_brute_force_wall_time_includes_member_enumeration(monkeypatch):
     # the clock advances only while the members are enumerated
     from types import SimpleNamespace
@@ -346,15 +339,6 @@ def test_minimal_blockers_match_subset_scan(kind, n):
     assert len(blockers) == len(set(blockers)) == len(scan)
     assert set(blockers) == set(scan)
     assert blockers == sorted(blockers, key=lambda b: (b.bit_count(), b))
-
-
-@pytest.mark.parametrize("kind, n", DIFFERENTIAL)
-def test_packing_max_k_below_optimum(kind, n):
-    optimum = brute_force_poly(n, kind, max_n=6).optimum
-    for max_k in range(1, optimum):
-        report = brute_force_poly(n, kind, max_k=max_k, max_n=6)
-        assert report.optimum == report.coloring.k == max_k, (kind, n, max_k)
-        assert is_polychromatic(report.coloring, kind).polychromatic
 
 
 @pytest.mark.parametrize("pattern", sorted(_PATTERNS))

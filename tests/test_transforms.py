@@ -139,7 +139,7 @@ def test_max_vertex_profile_monochromatic():
 def test_max_vertex_profile_construction():
     c = build(F2, 15)
     prof = max_vertex_profile(c, frozenset())
-    s1 = prof.stat(1)
+    s1 = next(s for s in prof.stats if s.vertex == 1)
     assert (s1.degree, s1.color, s1.minority) == (13, 1, 3)
 
 

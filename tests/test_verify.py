@@ -11,6 +11,8 @@ from polykn import (
     FamilyKind,
     InheritedColoring,
     MajorityCertificate,
+    NoWitness,
+    SubgraphWitness,
     VertexOrdering,
     adversarial_hamcycle,
     adversarial_matching,
@@ -25,7 +27,7 @@ from polykn import (
 )
 from polykn import verify
 from polykn.constructions import check_n
-from polykn.core import MajorityEntry
+from polykn.core import MajorityEntry, majority_moments
 from polykn.families import AllowedGraph, find_member
 from polykn.verify import _prefix_proofs
 import helpers
@@ -159,7 +161,7 @@ def test_prefix_proofs_match_engines(monkeypatch):
             # verdicts and certificates read one moment table
             cert = majority_certificate(ic, strict=kind is not HC)
             prefix = {e.color for e in cert.entries if e.status == "prefix"}
-            assert proved == prefix - {u.main for u in ic.unitary_set}, (kind, c.colors)
+            assert proved == prefix, (kind, c.colors)
         if proved and ic is None:
             uncombed_proofs += 1
     assert uncombed_proofs >= 100
@@ -230,9 +232,9 @@ def test_adversarial_matching_shifted_blocks():
 
 def test_adversarial_matching_rejects_satisfied_color():
     ic = inherited_coloring(build_ordered((1, 2, 2, 2)), VertexOrdering.identity(4))
-    with pytest.raises(ValueError, match=r"^majority condition holds for color 2 at j=3$"):
+    with pytest.raises(ValueError, match=r"^color 2 satisfies the majority condition \(j=3\)$"):
         adversarial_matching(ic, 2)
-    with pytest.raises(ValueError, match=r"^majority condition holds for color 1 at j=1$"):
+    with pytest.raises(ValueError, match=r"^color 1 satisfies the majority condition \(j=1\)$"):
         adversarial_matching(ic, 1)
 
 
@@ -266,7 +268,7 @@ def test_adversarial_hamcycle_rejections():
     ic = inherited_coloring(c, VertexOrdering.identity(6))
     with pytest.raises(ValueError, match=r"^color 3 out of range$"):
         adversarial_hamcycle(ic, 3)
-    with pytest.raises(ValueError, match=r"^weak majority condition holds for color 1 at j=1$"):
+    with pytest.raises(ValueError, match=r"^color 1 satisfies the weak majority condition \(j=1\)$"):
         adversarial_hamcycle(ic, 1)
     comb = comb_certificate(build(F2, 8))
     with pytest.raises(ValueError, match=r"^class 1 contains a unitary vertex$"):
@@ -282,7 +284,7 @@ def test_adversarial_rejection_messages():
         for t in (0, 3):
             with pytest.raises(ValueError, match=rf"^color {t} out of range$"):
                 build_witness(ic, t)
-    with pytest.raises(ValueError, match=r"^weak majority condition holds for color 2 at j=2$"):
+    with pytest.raises(ValueError, match=r"^color 2 satisfies the weak majority condition \(j=2\)$"):
         adversarial_hamcycle(ic, 2)
     # mains that leave class 2 empty fail both rules for color 2
     c = build_ordered((1, 1, 2, 2))
@@ -291,7 +293,7 @@ def test_adversarial_rejection_messages():
         with pytest.raises(ValueError, match=r"^color 2 is not present$"):
             build_witness(empty, 2)
     comb = comb_certificate(build(F2, 8))
-    with pytest.raises(ValueError, match=r"^adversarial 1-factor needs an ordered coloring$"):
+    with pytest.raises(NoWitness, match=r"^color 4 satisfies the majority condition \(j=7\)$"):
         adversarial_matching(comb, 4)
 
 
@@ -311,6 +313,39 @@ def test_adversarial_hamcycle_randomized_failing_instances():
             assert not is_polychromatic(c, HC).polychromatic
             assert not is_polychromatic(c, F2).polychromatic
             produced += 1
+
+
+def test_witness_builders_agree_with_prefix_proofs():
+    # the contract polykn witness relies on, on every combed coloring up to
+    # n = 8: a built member avoids t; NoWitness names a class holding a
+    # unitary vertex, or a color _prefix_proofs proves under the builder's
+    # rule (strict for 1-factors, weak for cycles); nothing else is raised
+    unitary_f1 = 0
+    for n in range(3, 9):
+        for c in all_combed_colorings(n):
+            ic = comb_certificate(c)
+            unitary = {u.main for u in ic.unitary_set}
+            for kind in (F1, F2, HC) if n % 2 == 0 else (F2, HC):
+                rule = F1 if kind is F1 else HC
+                builder = adversarial_matching if kind is F1 else adversarial_hamcycle
+                proved = _prefix_proofs(c, rule)
+                moments = majority_moments(ic.sequence[: n - 1], 1 if kind is F1 else 0)
+                weak = "" if kind is F1 else "weak "
+                for t in range(1, c.k + 1):
+                    try:
+                        w = builder(ic, t)
+                    except NoWitness as exc:
+                        if t in unitary:
+                            assert str(exc) == f"class {t} contains a unitary vertex"
+                        else:
+                            line = f"color {t} satisfies the {weak}majority condition (j={moments[t]})"
+                            assert t in proved and str(exc) == line, (kind, t, c.colors)
+                        continue
+                    assert t not in unitary and t not in proved, (kind, t, c.colors)
+                    SubgraphWitness(kind, w.edges).validate(n)
+                    assert all(c.color(i, j) != t for (i, j) in w.edges), (kind, t, c.colors)
+                    unitary_f1 += kind is F1 and bool(unitary)
+    assert unitary_f1 >= 400
 
 
 def test_majority_upper_bound_strict():
