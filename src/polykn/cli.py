@@ -19,7 +19,6 @@ from operator import add, lt, setitem
 
 from .constructions import FamilyKind, build, check_n
 from .core import EdgeColoring, _endpoint_columns, comb_certificate, edge_index
-from .families import SubgraphWitness
 from .search import SearchReport, brute_force_poly, structured_poly, theorem_table
 from .transforms import improve_toward_combed, recolor_unitary_triple
 from .verify import NoWitness, adversarial_hamcycle, adversarial_matching, is_polychromatic
@@ -196,8 +195,6 @@ def _cmd_witness(args) -> int:
     except NoWitness as exc:
         _emit(f"no witness: {exc}\n", args.out)
         return 1
-    # the weak builder's Hamiltonian cycle is also a 2-factor
-    SubgraphWitness(kind, witness.edges).validate(c.n)
     doc = {
         "family": kind.value,
         "avoided_color": args.color,

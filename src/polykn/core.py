@@ -12,7 +12,7 @@ ordering makes every vertex ordered or unitary.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional
@@ -134,16 +134,10 @@ class VertexOrdering:
     """A permutation of 1..n; order[p-1] is the vertex at position p."""
 
     order: tuple[int, ...]
-    positions: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
+        if sorted(self.order) != list(range(1, len(self.order) + 1)):
             raise ValueError("ordering must be a permutation of 1..n")
-        pos = [0] * (n + 1)
-        for p, v in enumerate(self.order, start=1):
-            pos[v] = p
-        object.__setattr__(self, "positions", tuple(pos))
 
     @staticmethod
     def identity(n: int) -> "VertexOrdering":
@@ -161,7 +155,7 @@ class VertexOrdering:
     def position_of(self, v: int) -> int:
         if not 1 <= v <= len(self.order):
             raise ValueError(f"vertex out of range: {v}")
-        return self.positions[v]
+        return self.order.index(v) + 1
 
 
 class UnitaryVertex(NamedTuple):

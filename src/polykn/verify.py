@@ -44,10 +44,6 @@ class PolyCertificate:
     witness: Optional[SubgraphWitness] = None
     spot_checks: tuple[tuple[int, Edge], ...] = ()
 
-    @property
-    def verdict(self) -> str:
-        return "polychromatic" if self.polychromatic else "violated"
-
 
 def _prefix_proofs(c, kind: FamilyKind) -> set[int]:
     """The colors that the comb prefix puts on every member of kind.
@@ -177,20 +173,21 @@ def adversarial_hamcycle(ic: InheritedColoring, t: int) -> SubgraphWitness:
 def majority_upper_bound(cert: MajorityCertificate) -> int:
     """Largest color count allowed by the counting chain of a complete cert.
 
-    strict: sorted prefix witnesses force |M_t| >= 2^(t-1), so
-            2^k - 1 <= n, and 2^k <= n when n is even; a strict cert
-            that flags unitary classes is rejected.
-    weak:   the classes cert flags unitary are set aside (3 unitary
-            vertices span 3 colors, 4 span 2; so 0, 2 or 3 classes); the
-            rest force |M_t| >= 2^(t-2), giving k <= floor(log2 n) + 1 + excluded.
+    One rule in both modes: the classes cert flags unitary are set aside (3
+    unitary vertices span 3 colors, 4 span 2; so 0, 2 or 3 classes), and
+    the bound is a base for the other r classes plus the excluded ones.
+    Order the r classes by majority moment a_1 < ... < a_r <= n - 1 and
+    let S_i = c_1 + ... + c_i with c_i = |M_i(a_i)|.  The first a_i
+    positions hold c_i and S_{i-1} more, wherever the unitary vertices sit:
+    strict: c_i >= S_{i-1} + 1, so 2^r - 1 <= S_r <= n - 1; the base is
+            floor(log2 n), with odd n rounded up to n + 1;
+    weak:   c_i >= S_{i-1}, so c_i >= 2^(i-2); the base is floor(log2 n) + 1.
     """
     if not cert.complete:
         raise ValueError(f"certificate incomplete: colors {cert.failing_colors()} fail")
-    strict = cert.mode == "strict"
     excluded = len(cert.unitary_colors())
-    if excluded not in ((0,) if strict else (0, 2, 3)):
+    if excluded not in (0, 2, 3):
         raise ValueError(f"{cert.mode} certificate flags {excluded} unitary classes")
     n = cert.n
-    if strict:
-        return (n + n % 2).bit_length() - 1
-    return n.bit_length() + excluded
+    base = (n + n % 2).bit_length() - 1 if cert.mode == "strict" else n.bit_length()
+    return base + excluded

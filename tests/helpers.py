@@ -454,14 +454,14 @@ def ref_palette_size(kind: FamilyKind, n: int) -> int:
 
 def ref_majority_upper_bound(n: int, strict: bool, excluded: int) -> int:
     """The counting bound stepped up one color at a time: strict, the
-    largest k with 2^k <= n rounded up to even; weak, the smallest k with
-    2^(k - excluded) > n."""
+    largest k with 2^k <= n rounded up to even, plus excluded; weak, the
+    smallest k with 2^(k - excluded) > n."""
     if strict:
         limit = n if n % 2 == 0 else n + 1
         k = 0
         while 2 ** (k + 1) <= limit:
             k += 1
-        return k
+        return k + excluded
     k = 0
     while True:
         exp = k - excluded  # chain needs n >= 2^((k+1) - excluded - 1)

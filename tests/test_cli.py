@@ -264,6 +264,22 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_table_text_format(capsys):
+    assert run(["table", "--family", "hc", "--n-range", "3:6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["   n construction formula search agree", "   3            2       2      3    NO"]
+    assert lines[4] == "   6            3       3      -   yes" and len(lines) == 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--n-range", "3-6"], "error: bad range '3-6', expected a:b", id="dash-range"),
+    pytest.param([], "error: table needs --n or --n-range", id="no-n"),
+])
+def test_table_bad_n_flags_exit_two(capsys, argv, message):
+    assert run(["table", "--family", "hc", *argv]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_table_n_zero_is_not_missing(capsys):
     assert run(["table", "--family", "f1", "--n", "0"]) == 2
     assert capsys.readouterr().err == "error: no n in 0..0 is valid for family f1\n"

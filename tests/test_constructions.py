@@ -65,6 +65,12 @@ def test_palette_size_rejects_bad_n():
         palette_size(HC, 2)
 
 
+def test_family_parse():
+    assert FamilyKind.parse("HC") is HC and FamilyKind.parse("f2") is F2
+    with pytest.raises(ValueError, match=r"^unknown family 'f3' \(expected f1, f2 or hc\)$"):
+        FamilyKind.parse("f3")
+
+
 def test_class_sizes_sum_to_n_up_to_1e4():
     for n in range(2, 10_001, 2):
         assert sum(class_sizes(F1, n)) == n

@@ -470,6 +470,13 @@ def test_prefix_counts_match_per_position_recount():
     for bad in (0, ic.k + 1):
         with pytest.raises(ValueError, match="main colors"):
             InheritedColoring(ic.coloring, ic.ordering, (bad,) + ic.main[1:], ic.unitary_set)
+    with pytest.raises(ValueError, match="^main colors must cover all vertices$"):
+        InheritedColoring(ic.coloring, ic.ordering, ic.main[1:], ic.unitary_set)
+    # build(F2, 7) has a unitary triple; one or two of it is no structure
+    assert len(ic.unitary_set) == 3
+    for size in (1, 2):
+        with pytest.raises(ValueError, match="^unitary vertices always come in groups of 3 or 4$"):
+            InheritedColoring(ic.coloring, ic.ordering, ic.main, ic.unitary_set[:size])
 
 
 @pytest.mark.parametrize(

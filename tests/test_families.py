@@ -67,8 +67,9 @@ def test_minus_color_rejects_missing_color(t):
         (2, (0, 0b101, 0b010), "neighbor bit out of range"),  # bit 0
         (3, (0b1110, 0b100, 0b10, 0), "neighbor bit out of range"),  # slot 0
         (3, (0, 0b110, 0b10, 0), "loops are not allowed"),
+        (3, (0, 0, 0), "masks must have one entry per vertex plus slot 0"),
     ],
-    ids=["asymmetric", "bit-n-plus-1", "bit-0", "slot-0", "loop"],
+    ids=["asymmetric", "bit-n-plus-1", "bit-0", "slot-0", "loop", "short-masks"],
 )
 def test_allowed_graph_rejects_invalid_masks(n, masks, message):
     with pytest.raises(ValueError, match=message):
@@ -391,6 +392,29 @@ def test_relaxation_refutes_bowtie_past_separator(monkeypatch):
     assert find_member(HC, g) is None
 
 
+def test_relaxation_refutes_tutte_barrier_before_exact_search(monkeypatch):
+    # S = {1..a} a clique, T = {a+1..3a+2} a perfect matching, every S-T
+    # edge: Tutte's 2-factor deficiency 2|S| - 2|T| + sum_T d_{G-S} = -2,
+    # so no 2-factor.  Every degree is at least 2, no N(u) separates (for u
+    # in T it leaves a + 1 components), and the cover has a perfect
+    # matching, so the gadget refutes.  The exact search would take tens of
+    # seconds here; the relaxation must come first.
+    import polykn.families as families
+
+    a = 7
+    n = 3 * a + 2
+    edges = [(i, j) for i in range(1, a + 1) for j in range(i + 1, n + 1)]
+    edges += [(v, v + 1) for v in range(a + 1, n, 2)]
+    g = AllowedGraph.from_edges(n, edges)
+    assert not families._separator_refutes(g, 0)
+    assert families._degree_constrained_subgraph(g, [0] + [2] * n) is None
+    gadget, calls = families._tutte_gadget, []
+    monkeypatch.setattr(families, "_tutte_gadget", lambda *args: calls.append(args) or gadget(*args))
+    monkeypatch.setattr(families, "_ham_path", lambda *args: pytest.fail("exact search ran"))
+    assert find_member(HC, g) is None
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", [13, 18, 19, 24, 32])
 def test_hamiltonian_refutations_run_cheapest_first(monkeypatch, n):
     # the separator test runs before the 2-factor relaxation and refutes
@@ -450,6 +474,10 @@ def test_witness_validation_catches_breakage():
     with pytest.raises(ValueError):
         disconnected.validate(6)
     SubgraphWitness(F2, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6))).validate(6)
+    with pytest.raises(ValueError, match=r"^bad witness edge \(0, 1\)$"):
+        SubgraphWitness(F1, ((0, 1), (2, 3))).validate(4)
+    with pytest.raises(ValueError, match=r"^repeated witness edge \(1, 2\)$"):
+        SubgraphWitness(F1, ((1, 2), (1, 2))).validate(4)
 
 
 def test_find_member_invalid_inputs():
@@ -463,6 +491,8 @@ def test_find_member_invalid_inputs():
         find_member_containing(F2, AllowedGraph.complete(6), (0, 3))
     with pytest.raises(ValueError):
         find_member_containing(HC, AllowedGraph.complete(2), (1, 2))
+    with pytest.raises(ValueError, match="^allowed graph size mismatch$"):
+        list(enumerate_members(F1, 4, allowed=AllowedGraph.complete(6)))
 
 
 def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):

@@ -354,6 +354,13 @@ def test_majority_upper_bound_strict():
     assert majority_upper_bound(cert) == 3
     tiny = inherited_coloring(EdgeColoring.from_pairs(2, {(1, 2): 1}), VertexOrdering.identity(2))
     assert majority_upper_bound(majority_certificate(tiny, strict=True)) == 1
+    # mains 1,2,3,4,4,4,4,4: three unitary classes set aside, and color 4
+    # holds a strict majority of the first 7 positions
+    hc = comb_certificate(build(HC, 8))
+    cert = majority_certificate(hc, strict=True)
+    assert hc.sequence == (1, 2, 3, 4, 4, 4, 4, 4)
+    assert cert.unitary_colors() == (1, 2, 3) and cert.entry(4).j == 7
+    assert majority_upper_bound(cert) == 6  # floor(log2 8) + 3
 
 
 def test_majority_upper_bound_weak():
@@ -372,10 +379,10 @@ def test_majority_upper_bound_rejections():
     incomplete = majority_certificate(ic, strict=True)
     with pytest.raises(ValueError):
         majority_upper_bound(incomplete)
-    # only 3 or 4 unitary vertices exist, spanning 3 or 2 classes, and a
-    # strict certificate flags none
-    for mode, excluded in (("weak", 1), ("weak", 4), ("strict", 2), ("strict", 3)):
-        with pytest.raises(ValueError):
+    # only 3 or 4 unitary vertices exist, spanning 3 or 2 classes, in
+    # either mode
+    for mode, excluded in (("weak", 1), ("weak", 4), ("strict", 1), ("strict", 4)):
+        with pytest.raises(ValueError, match=f"{mode} certificate flags {excluded} unitary"):
             majority_upper_bound(hand_certificate(8, mode, excluded))
 
 
@@ -390,11 +397,26 @@ def hand_certificate(n, mode, excluded):
 def test_majority_upper_bound_matches_counting_loops():
     # the closed forms against the loops that step k up one color at a time
     for n in range(1, 4097):
-        strict = majority_upper_bound(hand_certificate(n, "strict", 0))
-        assert strict == ref_majority_upper_bound(n, True, 0), n
         for excluded in (0, 2, 3):
+            strict = majority_upper_bound(hand_certificate(n, "strict", excluded))
+            assert strict == ref_majority_upper_bound(n, True, excluded), (n, excluded)
             weak = majority_upper_bound(hand_certificate(n, "weak", excluded))
             assert weak == ref_majority_upper_bound(n, False, excluded), (n, excluded)
+
+
+def test_majority_upper_bound_covers_every_complete_certificate():
+    # the counting chain holds wherever the unitary vertices sit, so every
+    # complete certificate, unitary classes or not, bounds its own palette
+    unitary_strict = 0
+    for n in range(3, 9):
+        for c in all_combed_colorings(n):
+            ic = comb_certificate(c)
+            for strict in (True, False):
+                cert = majority_certificate(ic, strict)
+                if cert.complete:
+                    assert majority_upper_bound(cert) >= c.k, (n, strict, c.colors)
+                    unitary_strict += strict and bool(cert.unitary_colors())
+    assert unitary_strict == 139
 
 
 def test_majority_biconditional_small_exhaustive():
