@@ -50,6 +50,13 @@ class EdgeColoring:
     k: int
     colors: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need at least 2 vertices")
+        m = self.n * (self.n - 1) // 2
+        if len(self.colors) != m:
+            raise ValueError(f"expected {m} edges, got {len(self.colors)}")
+
     @staticmethod
     def from_colors(n: int, colors) -> "EdgeColoring":
         """Coloring from a flat list of colors in lexicographic pair order.
@@ -57,16 +64,11 @@ class EdgeColoring:
         Every color must be at least 1; a gapped palette is compacted.  The
         other constructors all end here.
         """
-        if n < 2:
-            raise ValueError("need at least 2 vertices")
-        m = n * (n - 1) // 2
-        if len(colors) != m:
-            raise ValueError(f"expected {m} edges, got {len(colors)}")
         used = sorted(set(colors))
-        if used[0] < 1:
-            raise ValueError(f"bad color {used[0]}")
         if used == list(range(1, len(used) + 1)):
             return EdgeColoring(n, len(used), tuple(colors))
+        if used[0] < 1:
+            raise ValueError(f"bad color {used[0]}")
         relabel = {c: t for t, c in enumerate(used, start=1)}
         return EdgeColoring(n, len(used), tuple(map(relabel.__getitem__, colors)))
 
@@ -152,11 +154,6 @@ class VertexOrdering:
             raise ValueError(f"position out of range: {p}")
         return self.order[p - 1]
 
-    def position_of(self, v: int) -> int:
-        if not 1 <= v <= len(self.order):
-            raise ValueError(f"vertex out of range: {v}")
-        return self.order.index(v) + 1
-
 
 class UnitaryVertex(NamedTuple):
     vertex: int
@@ -167,26 +164,25 @@ class UnitaryVertex(NamedTuple):
 
 @dataclass(frozen=True)
 class InheritedColoring:
-    """Vertex mains of a combed coloring, with class and prefix bookkeeping.
+    """Vertex mains of a combed coloring, in position order.
 
-    ``main[v-1]`` is the main color of vertex v.  ``unitary_set`` lists the
-    unitary vertices (0, 3, or 4 of them) with their main color, minority
-    color and partner.  ``sequence`` lists the mains in position order;
-    prefix counts |M_t(j)| and majority moments are read off it.
+    ``sequence[p-1]`` is the main color of the vertex at position p of
+    ``ordering``; prefix counts |M_t(j)| and majority moments are read off
+    it.  ``unitary_set`` lists the unitary vertices (0, 3, or 4 of them)
+    with their main color, minority color and partner.
     """
 
     coloring: EdgeColoring
     ordering: VertexOrdering
-    main: tuple[int, ...]
+    sequence: tuple[int, ...]
     unitary_set: tuple[UnitaryVertex, ...]
 
     def __post_init__(self):
-        n = self.coloring.n
-        if len(self.main) != n:
+        if len(self.sequence) != self.coloring.n:
             raise ValueError("main colors must cover all vertices")
         if len(self.unitary_set) not in (0, 3, 4):
             raise ValueError("unitary vertices always come in groups of 3 or 4")
-        if min(self.main) < 1 or max(self.main) > self.k:
+        if min(self.sequence) < 1 or max(self.sequence) > self.k:
             raise ValueError(f"main colors must lie in 1..{self.k}")
 
     @property
@@ -198,21 +194,8 @@ class InheritedColoring:
         return self.coloring.k
 
     def class_sizes(self) -> tuple[int, ...]:
-        counts = Counter(self.main)
+        counts = Counter(self.sequence)
         return tuple(counts.get(t, 0) for t in range(1, self.k + 1))
-
-    def prefix_count(self, t: int, j: int) -> int:
-        """|M_t(j)|: members of class t among the first j positions."""
-        if not 1 <= t <= self.k:
-            raise ValueError(f"color {t} outside 1..{self.k}")
-        if not 0 <= j <= self.n:
-            raise ValueError(f"prefix length {j} outside 0..{self.n}")
-        return self.sequence[:j].count(t)
-
-    @cached_property
-    def sequence(self) -> tuple[int, ...]:
-        """The main colors in position order."""
-        return tuple(self.main[v - 1] for v in self.ordering.order)
 
 
 class MajorityEntry(NamedTuple):
@@ -268,18 +251,18 @@ def _color_into(c: EdgeColoring, v: int, targets: int) -> Optional[int]:
 def is_ordered_at(c: EdgeColoring, o: VertexOrdering, i: int) -> Optional[int]:
     """Main color at position i, or None if the rightward edges disagree.
 
-    Positions n-1 and n are vacuously ordered and report the color of the
-    edge between the last two vertices.
+    The last vertex has no later one and takes the color of its edge to
+    the vertex before it, so positions n-1 and n report the same color.
     """
     n = c.n
+    if o.n != n:
+        raise ValueError(f"ordering has {o.n} vertices, coloring has {n}")
     if not (1 <= i <= n):
         raise ValueError(f"position {i} out of range")
-    if i >= n - 1:
-        return c.color(o.vertex_at(n - 1), o.vertex_at(n))
     later = 0
     for u in o.order[i:]:
         later |= 1 << u
-    return _color_into(c, o.vertex_at(i), later)
+    return _color_into(c, o.order[i - 1], later or 1 << o.order[-2])
 
 
 def is_unitary(c: EdgeColoring, v: int) -> Optional[tuple[int, int, int]]:
@@ -408,24 +391,22 @@ def inherited_coloring(c: EdgeColoring, o: VertexOrdering) -> InheritedColoring:
     """Inherited coloring of c under ordering o.
 
     Every vertex must be ordered at its position or unitary; unitary mains
-    take precedence (the two agree wherever both apply).
+    take precedence (the two agree wherever both apply).  The last vertex
+    takes the color of its edge to the vertex before it, as in is_ordered_at.
     """
     n = c.n
     if o.n != n:
         raise ValueError(f"ordering has {o.n} vertices, coloring has {n}")
     unitary = _unitary_structure(c)
-    last = c.color(*o.order[-2:])
     mains = [0] * n
     later = 0  # bitset of the vertices after position p
     bad = None  # the lowest position that is neither ordered nor unitary
     for p, v in zip(range(n, 0, -1), reversed(o.order)):
         if v in unitary:
-            mains[v - 1] = unitary[v].main
-        elif p >= n - 1:
-            mains[v - 1] = last
+            mains[p - 1] = unitary[v].main
         else:
-            mains[v - 1] = _color_into(c, v, later)
-            if mains[v - 1] is None:
+            mains[p - 1] = _color_into(c, v, later or 1 << o.order[-2])
+            if mains[p - 1] is None:
                 bad = (v, p)
         later |= 1 << v
     if bad is not None:
@@ -443,10 +424,7 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
     unitary, order, mains = comb_prefix(c)
     if len(order) < c.n:
         return None
-    main = [0] * c.n
-    for v, t in zip(order, mains):
-        main[v - 1] = t
-    return InheritedColoring(c, VertexOrdering(tuple(order)), tuple(main), unitary)
+    return InheritedColoring(c, VertexOrdering(tuple(order)), tuple(mains), unitary)
 
 
 def majority_moments(mains, s: int) -> dict[int, int]:

@@ -112,8 +112,8 @@ def _adversarial(ic: InheritedColoring, t: int, kind: FamilyKind, layout) -> Sub
         weak = "" if strict else "weak "
         raise NoWitness(f"color {t} satisfies the {weak}majority condition (j={entry.j})")
     xs, ys = [], []  # class t and the other vertices, in position order
-    for v in ic.ordering.order:
-        (xs if ic.main[v - 1] == t else ys).append(v)
+    for v, main in zip(ic.ordering.order, ic.sequence):
+        (xs if main == t else ys).append(v)
     if not xs:
         raise ValueError(f"color {t} is not present")
     witness = SubgraphWitness(kind, tuple(layout(xs, ys)))

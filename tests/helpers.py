@@ -235,8 +235,8 @@ def ref_is_unitary(c: EdgeColoring, v: int):
 
 
 def ref_comb_certificate(c: EdgeColoring):
-    """(ordering, mains, sorted unitary (vertex, main, minority, partner))
-    of the combing certificate, or None: unitary vertices first in label
+    """(ordering, mains in position order, sorted unitary (vertex, main,
+    minority, partner)) of the combing certificate, or None: unitary vertices first in label
     order, then always the smallest vertex monochromatic to the rest."""
     n = c.n
     unitary: dict[int, tuple[int, int, int]] = {}
@@ -260,9 +260,8 @@ def ref_comb_certificate(c: EdgeColoring):
         order.append(pick)
         rest.remove(pick)
     o = VertexOrdering(tuple(order + rest))
-    mains = [0] * n
-    for p, v in enumerate(o.order, start=1):
-        mains[v - 1] = unitary[v][0] if v in unitary else ref_is_ordered_at(c, o, p)
+    mains = [unitary[v][0] if v in unitary else ref_is_ordered_at(c, o, p)
+             for p, v in enumerate(o.order, start=1)]
     return o.order, tuple(mains), tuple((v, *r) for v, r in sorted(unitary.items()))
 
 

@@ -131,7 +131,7 @@ def test_criterion_5_majority_property_suite():
                 cert = majority_certificate(ic, strict=True)
                 poly = is_polychromatic(c, F1).polychromatic
                 if poly:
-                    assert cert.complete, (n, ic.main)
+                    assert cert.complete, (n, ic.sequence)
                 for t in cert.failing_colors():
                     w = adversarial_matching(ic, t)
                     w.validate(n)
@@ -144,7 +144,7 @@ def test_criterion_5_majority_property_suite():
                 cert = majority_certificate(ic, strict=False)
                 for kind in (F2, HC):
                     if is_polychromatic(c, kind).polychromatic:
-                        assert cert.complete, (n, kind, ic.main)
+                        assert cert.complete, (n, kind, ic.sequence)
                 for t in cert.failing_colors():
                     w = adversarial_hamcycle(ic, t)
                     w.validate(n)

@@ -152,7 +152,7 @@ def test_build_ordered_round_trip():
     for n in (4, 8, 12):
         c = build(F1, n)
         ic = inherited_coloring(c, VertexOrdering.identity(n))
-        assert build_ordered(ic.main) == c
+        assert build_ordered(ic.sequence) == c
 
 
 def test_build_ordered_overrides_last_entry():

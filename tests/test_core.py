@@ -110,6 +110,20 @@ def test_flat_constructor_validates_and_compacts():
     assert c == EdgeColoring.from_function(3, lambda i, j: 9 if (i, j) == (1, 3) else 5)
 
 
+def test_direct_constructor_checks_size_and_length():
+    # the checks from_colors relies on hold for a direct construction too
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="^need at least 2 vertices$"):
+            EdgeColoring(n, 1, ())
+    with pytest.raises(ValueError, match=r"^expected 6 edges, got 5$"):
+        EdgeColoring(4, 2, (1,) * 5)
+    with pytest.raises(ValueError, match=r"^expected 6 edges, got 7$"):
+        EdgeColoring(4, 2, (1, 2) * 3 + (1,))
+    with pytest.raises(ValueError, match=r"^expected 3 edges, got 2$"):
+        EdgeColoring.from_colors(3, [1, 1])
+    assert EdgeColoring(4, 2, (1, 2) * 3) == EdgeColoring.from_colors(4, [1, 2] * 3)
+
+
 def test_palette_compaction_and_idempotence():
     c = EdgeColoring.from_pairs(3, {(1, 2): 5, (1, 3): 9, (2, 3): 5})
     assert c.k == 2
@@ -241,7 +255,7 @@ def test_inherited_coloring_examples():
     )
     assert two.class_sizes() == (2,)
     ic15 = inherited_coloring(build(F2, 15), VertexOrdering.identity(15))
-    assert [v for v in range(1, 16) if ic15.main[v - 1] == 4] == [4, 5, 6, 7]
+    assert [v for v, t in zip(ic15.ordering.order, ic15.sequence) if t == 4] == [4, 5, 6, 7]
 
 
 def test_inherited_coloring_rejects_invalid_ordering():
@@ -258,6 +272,14 @@ def test_inherited_coloring_rejects_ordering_of_other_size():
             inherited_coloring(c, VertexOrdering.identity(m))
 
 
+def test_is_ordered_at_rejects_ordering_of_other_size():
+    c = build_ordered((1, 1, 2, 2, 2, 2))
+    for m in (4, 8):
+        with pytest.raises(ValueError, match=rf"^ordering has {m} vertices, coloring has 6$"):
+            is_ordered_at(c, VertexOrdering.identity(m), 1)
+    assert is_ordered_at(c, VertexOrdering.identity(6), 1) == 1
+
+
 def test_inherited_invariants_on_exhaustive_ordered():
     for n in (4, 6):
         for c in all_ordered_colorings(n):
@@ -266,20 +288,20 @@ def test_inherited_invariants_on_exhaustive_ordered():
             assert sum(sizes) == n
             assert len(ic.unitary_set) in (0, 3, 4)
             # the last two positions share a main color
-            v_last = ic.ordering.vertex_at(n)
-            v_prev = ic.ordering.vertex_at(n - 1)
-            assert ic.main[v_last - 1] == ic.main[v_prev - 1]
+            assert ic.sequence[n - 1] == ic.sequence[n - 2]
 
 
 def test_prefix_counts_match_direct_recount():
     c = build(F2, 15)
     ic = inherited_coloring(c, VertexOrdering.identity(15))
+    unitary = {u.vertex: u.main for u in ic.unitary_set}
     for t in range(1, ic.k + 1):
         running = 0
         for j in range(1, 16):
             v = ic.ordering.vertex_at(j)
-            running += 1 if ic.main[v - 1] == t else 0
-            assert ic.prefix_count(t, j) == running
+            main = unitary.get(v) or ref_is_ordered_at(c, ic.ordering, j)
+            running += 1 if main == t else 0
+            assert ic.sequence[:j].count(t) == running
 
 
 def test_majority_certificate_strict_examples():
@@ -338,18 +360,16 @@ def test_ordering_validation():
         VertexOrdering((1, 1, 2))
     o = VertexOrdering((3, 1, 2))
     assert o.vertex_at(1) == 3
-    assert o.position_of(3) == 1
 
 
 def test_derived_caches_are_not_constructor_parameters():
     # positions and prefix counts are always computed, never taken on trust
     with pytest.raises(TypeError):
         VertexOrdering((2, 1, 3), positions=(0, 1, 2, 3))
-    assert VertexOrdering((2, 1, 3)).position_of(2) == 1
     ic = inherited_coloring(build(F2, 7), VertexOrdering.identity(7))
     wrong = tuple((0,) * 8 for _ in range(ic.k))
     with pytest.raises(TypeError):
-        InheritedColoring(ic.coloring, ic.ordering, ic.main, ic.unitary_set, _prefix=wrong)
+        InheritedColoring(ic.coloring, ic.ordering, ic.sequence, ic.unitary_set, _prefix=wrong)
 
 
 def test_lookup_bounds_and_tiny_cases():
@@ -381,18 +401,11 @@ def test_ordering_and_prefix_reads_reject_out_of_range():
     for p in (0, -1, 4):
         with pytest.raises(ValueError, match="position"):
             o.vertex_at(p)
-        with pytest.raises(ValueError, match="vertex"):
-            o.position_of(p)
     ic = comb_certificate(build(F2, 7))
-    assert ic.prefix_count(ic.k, 0) == 0 and ic.prefix_count(1, ic.n) == ic.class_sizes()[0]
+    assert ic.sequence[:0].count(ic.k) == 0 and ic.sequence.count(1) == ic.class_sizes()[0]
     for t in (0, -1, ic.k + 1):
         with pytest.raises(ValueError, match="color"):
-            ic.prefix_count(t, 1)
-        with pytest.raises(ValueError, match="color"):
             majority_certificate(ic, strict=False).entry(t)
-    for j in (-1, ic.n + 1):
-        with pytest.raises(ValueError, match="prefix"):
-            ic.prefix_count(1, j)
 
 
 def _differential_colorings(rng):
@@ -442,11 +455,31 @@ def test_combing_layer_matches_per_pair_reference():
             continue
         assert want is not None
         unit = tuple(tuple(u) for u in got.unitary_set)
-        assert (got.ordering.order, got.main, unit) == want
+        assert (got.ordering.order, got.sequence, unit) == want
         combed += 1
         unitary += bool(unit)
     # the data reaches both verdicts and both unitary shapes
     assert combed > 100 and unitary > 50
+
+
+def test_comb_certificate_and_inherited_coloring_write_one_layout():
+    # both constructors store the mains in position order: re-reading the
+    # comb walk's ordering gives back the same certificate
+    rng = random.Random(515)
+    combed = 0
+    for c in _differential_colorings(rng):
+        ic = comb_certificate(c)
+        if ic is not None:
+            assert inherited_coloring(c, ic.ordering) == ic, c.colors
+            combed += 1
+    assert combed > 100
+    # the sizes of the bench's built ladder (bench/workloads.py LADDER)
+    ladder = {F1: (128, 256, 512), F2: (15, 23, 31), HC: (13, 18, 19, 24, 32)}
+    for kind, sizes in ladder.items():
+        for n in sizes:
+            c = build(kind, n)
+            ic = comb_certificate(c)
+            assert inherited_coloring(c, ic.ordering) == ic, (kind, n)
 
 
 def test_prefix_counts_match_per_position_recount():
@@ -458,25 +491,28 @@ def test_prefix_counts_match_per_position_recount():
             continue
         combed += 1
         n = ic.n
+        unitary = {u.vertex: u.main for u in ic.unitary_set}
+        mains = [unitary.get(v) or ref_is_ordered_at(c, ic.ordering, p)
+                 for p, v in enumerate(ic.ordering.order, start=1)]
         for t in range(1, ic.k + 1):
             count = 0
             for j in range(n + 1):
                 if j:
-                    count += ic.main[ic.ordering.vertex_at(j) - 1] == t
-                got = ic.prefix_count(t, j)
+                    count += mains[j - 1] == t
+                got = ic.sequence[:j].count(t)
                 assert got == count and type(got) is int, (c.colors, t, j)
     assert combed > 100
     ic = inherited_coloring(build(F2, 7), VertexOrdering.identity(7))
     for bad in (0, ic.k + 1):
         with pytest.raises(ValueError, match="main colors"):
-            InheritedColoring(ic.coloring, ic.ordering, (bad,) + ic.main[1:], ic.unitary_set)
+            InheritedColoring(ic.coloring, ic.ordering, (bad,) + ic.sequence[1:], ic.unitary_set)
     with pytest.raises(ValueError, match="^main colors must cover all vertices$"):
-        InheritedColoring(ic.coloring, ic.ordering, ic.main[1:], ic.unitary_set)
+        InheritedColoring(ic.coloring, ic.ordering, ic.sequence[1:], ic.unitary_set)
     # build(F2, 7) has a unitary triple; one or two of it is no structure
     assert len(ic.unitary_set) == 3
     for size in (1, 2):
         with pytest.raises(ValueError, match="^unitary vertices always come in groups of 3 or 4$"):
-            InheritedColoring(ic.coloring, ic.ordering, ic.main, ic.unitary_set[:size])
+            InheritedColoring(ic.coloring, ic.ordering, ic.sequence, ic.unitary_set[:size])
 
 
 @pytest.mark.parametrize(
