@@ -44,6 +44,11 @@ class EdgeColoring:
     lookup is O(1).  Instances are canonical: every color in 1..k occurs on
     at least one edge.  Constructors compact gapped palettes (used colors
     are relabelled in ascending order).
+
+    Direct construction checks only n and the length of `colors`; it trusts
+    `k` to be the palette, since checking it needs a scan of every color.
+    `from_colors` (which the other constructors call) is the checked
+    constructor: it reads k off the colors.
     """
 
     n: int

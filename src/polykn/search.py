@@ -12,13 +12,15 @@ The unitary-prefix patterns live in constructions, where build reads the
 paper's rainbow triple from the same table; _seq_stage keeps the
 sequence's per-color counts and majority flags in its own locals.
 Each palette size is one serial depth-first search from the root that
-stops at its first (lexicographically least) hit.  Two exact shortcuts
-keep it small: a count state whose subtree reached no complete sequence is
-remembered as dead and never entered again, and a leaf that a member kept
-from an earlier refutation still misses a color of is refuted without the
-engines.  The node count covers the choices tried up to the hit outside
-dead states.  The tests keep the plain searches over edge colorings and
-over main-color sequences as references.
+stops at its first (lexicographically least) hit.  Three exact shortcuts
+keep it small: a count state is entered only if one counting chain over
+all its pending colors (_chain_viable) lets each of them still reach its
+majority moment, a count state whose subtree reached no complete sequence
+is remembered as dead and never entered again, and a leaf that a member
+kept from an earlier refutation still misses a color of is refuted
+without the engines.  The node count covers the choices tried up to the
+hit outside dead states.  The tests keep the plain searches over edge
+colorings and over main-color sequences as references.
 """
 
 from __future__ import annotations
@@ -33,12 +35,19 @@ from .families import CapExceededError, enumerate_members
 from .verify import is_polychromatic
 
 BRUTE_CAPS = {
-    FamilyKind.ONE_FACTOR: 6,
-    FamilyKind.TWO_FACTOR: 5,
-    FamilyKind.HAMILTONIAN_CYCLE: 5,
+    FamilyKind.ONE_FACTOR: 8,
+    FamilyKind.TWO_FACTOR: 7,
+    FamilyKind.HAMILTONIAN_CYCLE: 7,
 }
-ORDERED_CAP = 32
-COMBED_CAP = 20
+ORDERED_CAPS = {
+    FamilyKind.ONE_FACTOR: 128,
+    FamilyKind.TWO_FACTOR: 32,
+    FamilyKind.HAMILTONIAN_CYCLE: 64,
+}
+COMBED_CAPS = {
+    FamilyKind.TWO_FACTOR: 32,
+    FamilyKind.HAMILTONIAN_CYCLE: 64,
+}
 
 
 @dataclass(frozen=True)
@@ -80,21 +89,32 @@ def _minimal_blockers(members):
 
     Members are folded in one at a time.  A minimal blocker of the members
     so far either already meets the new member and is kept, or is extended
-    by one edge of it.  An extended set T + e can only fail to be minimal
-    through a kept set, which then contains e.  Returns the blockers as
-    bitmasks sorted by (size, mask).
+    by one edge of it.  An extended set b + e can only fail to be minimal
+    by containing a kept set s.  Since b misses the member, s then meets it
+    in e alone (e is private to s), so each extension is tested only
+    against the kept sets with private edge e, as s - e inside b; with none,
+    every extension by e is kept untested.  Returns the blockers as bitmasks
+    sorted by (size, mask).
     """
     blockers = [0]
     for mem in members:
         kept = [b for b in blockers if b & mem]
         missed = [b for b in blockers if not b & mem]
+        private = {}  # edge e -> s minus e, for each kept s meeting mem in e alone
+        for s in kept:
+            hit = s & mem
+            if not hit & (hit - 1):
+                private.setdefault(hit, []).append(s ^ hit)
         extended = []
         bit = mem
         while bit:
             e = bit & -bit
             bit ^= e
-            through = [s for s in kept if s & e]
-            extended += [b | e for b in missed if all(s & ~(b | e) for s in through)]
+            rest = private.get(e)
+            if rest:
+                extended += [b | e for b in missed if all(r & ~b for r in rest)]
+            else:
+                extended += [b | e for b in missed]
         blockers = kept + extended
     return sorted(blockers, key=lambda b: (b.bit_count(), b))
 
@@ -166,6 +186,31 @@ def brute_force_poly(
 # ordered / combed search over main-color sequences
 
 
+def _chain_viable(pending, j, s, last):
+    """Can every pending color still reach its majority moment by `last`?
+
+    `pending` holds, at position j, the count of each color that has not
+    yet met 2|M_t(p)| >= p + s: the unsatisfied used colors, and 0 for each
+    color not used yet.  Order them by their majority moments
+    a_1 < a_2 < ...  The i-th, with count c, needs
+    x_i >= ceil((a_i + s)/2) - c placements in (j, a_i], disjoint from
+    those of the colors before it, so a_i >= j + x_1 + ... + x_i.  With
+    q = x_1 + ... + x_{i-1} that gives x_i >= q + j + s - 2c, and x_i >= 1
+    since a color meets the rule first at one of its own placements (the
+    first bound falls below 1 only at j = 0 with s = 0).  The state is
+    viable only if a_r <= last, that is j + q <= last after the last
+    color.  Descending counts give the smallest q over all orders (the
+    rearrangement inequality: each count is subtracted with twice the
+    weight of the next), so that order decides.  One link of the chain is
+    the per-color test 2(c + last - j) >= last + s; the chain also needs a
+    position per pending color, and 2j + s <= last for a new color.
+    """
+    q = 0
+    for c in sorted(pending, reverse=True):
+        q += max(1, q + j + s - 2 * c)
+    return j + q <= last
+
+
 def _seq_stage(n, kind, k, pattern, witnesses=None):
     """First (lex) main-color sequence completing the pattern at palette size k.
 
@@ -201,15 +246,8 @@ def _seq_stage(n, kind, k, pattern, witnesses=None):
     dead = set()
 
     def viable(j):
-        """Can every pending color still reach its majority moment?  A
-        pending color comes closest at position last; a new color holds at
-        most j' - j of the first j' positions, so it needs j' >= 2j + s."""
-        left = last - j
-        need = last + s
-        for t in range(1, used + 1):
-            if not satisfied[t] and 2 * (counts[t] + left) < need:
-                return False
-        return used >= k or (k - used <= left and 2 * j + s <= last)
+        pending = [counts[t] for t in range(1, used + 1) if not satisfied[t]]
+        return _chain_viable(pending + [0] * (k - used), j, s, last)
 
     def complete():
         return used == k and all(satisfied[1 : k + 1])
@@ -286,7 +324,7 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     if kind is FamilyKind.ONE_FACTOR and mode == "combed":
         raise ValueError("combed search applies to 2-factors and Hamiltonian cycles")
     check_n(kind, n)
-    cap = ORDERED_CAP if mode == "ordered" else COMBED_CAP
+    cap = (ORDERED_CAPS if mode == "ordered" else COMBED_CAPS)[kind]
     if n > cap:
         raise CapExceededError(f"{mode} search cap exceeded: n={n} > {cap}")
     patterns = ("ordered",) if mode == "ordered" else ("ordered", "triple", "quad")

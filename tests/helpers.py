@@ -529,6 +529,27 @@ class RefSeqState:
         )
 
 
+def ref_minimal_blockers(members):
+    """Every minimal edge set meeting all members, by Berge's algorithm
+    with each extension b + e tested against every kept set through e.
+
+    Returns the blockers as bitmasks sorted by (size, mask).
+    """
+    blockers = [0]
+    for mem in members:
+        kept = [b for b in blockers if b & mem]
+        missed = [b for b in blockers if not b & mem]
+        extended = []
+        bit = mem
+        while bit:
+            e = bit & -bit
+            bit ^= e
+            through = [s for s in kept if s & e]
+            extended += [b | e for b in missed if all(s & ~(b | e) for s in through)]
+        blockers = kept + extended
+    return sorted(blockers, key=lambda b: (b.bit_count(), b))
+
+
 def ref_bf_stage(members, m, k):
     """First (lex) polychromatic k-coloring of the m edges, by one DFS.
 

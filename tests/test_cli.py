@@ -265,10 +265,11 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
 
 
 def test_table_text_format(capsys):
-    assert run(["table", "--family", "hc", "--n-range", "3:6"]) == 0
+    assert run(["table", "--family", "hc", "--n-range", "3:8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["   n construction formula search agree", "   3            2       2      3    NO"]
-    assert lines[4] == "   6            3       3      -   yes" and len(lines) == 5
+    assert lines[4] == "   6            3       3      3   yes"
+    assert lines[6] == "   8            4       4      -   yes" and len(lines) == 7
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -309,7 +310,7 @@ def test_table_json_and_csv_records(capsys):
                 "search_k": search_k, "search_mode": search_mode, "agrees": agrees}
 
     records = [record(3, 2, 3, "full", False), record(4, 3, 3, "full", True),
-               record(5, 3, 3, "full", True), record(6, 3, None, None, True)]
+               record(5, 3, 3, "full", True), record(6, 3, 3, "full", True)]
     assert run(["table", "--family", "hc", "--n-range", "3:6", "--format", "json"]) == 0
     assert capsys.readouterr().out == json.dumps(records, indent=2) + "\n"
     assert run(["table", "--family", "hc", "--n-range", "3:6", "--format", "csv"]) == 0
@@ -318,7 +319,7 @@ def test_table_json_and_csv_records(capsys):
         "3,hc,2,2,3,full,false",
         "4,hc,3,3,3,full,true",
         "5,hc,3,3,3,full,true",
-        "6,hc,3,3,,,true",
+        "6,hc,3,3,3,full,true",
     ]
 
 

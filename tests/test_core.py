@@ -124,6 +124,15 @@ def test_direct_constructor_checks_size_and_length():
     assert EdgeColoring(4, 2, (1, 2) * 3) == EdgeColoring.from_colors(4, [1, 2] * 3)
 
 
+def test_from_colors_reads_k_off_the_colors():
+    # direct construction trusts k (EdgeColoring(4, 1, (1, 2) * 3) and
+    # EdgeColoring(4, 3, (1,) * 6) are accepted); the checked constructor
+    # gives these color tuples their true palettes
+    for colors, k in (((1, 2, 1, 2, 1, 2), 2), ((1,) * 6, 1)):
+        c = EdgeColoring.from_colors(4, colors)
+        assert (c.k, c.colors) == (k, colors)
+
+
 def test_palette_compaction_and_idempotence():
     c = EdgeColoring.from_pairs(3, {(1, 2): 5, (1, 3): 9, (2, 3): 5})
     assert c.k == 2

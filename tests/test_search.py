@@ -21,6 +21,7 @@ from polykn.core import all_edges
 from polykn.families import SubgraphWitness, maximum_matching
 from polykn.search import (
     _PATTERNS,
+    _chain_viable,
     _member_masks,
     _minimal_blockers,
     _pattern_coloring,
@@ -30,6 +31,7 @@ from helpers import (
     all_combed_colorings,
     pattern_coloring,
     ref_bf_stage,
+    ref_minimal_blockers,
     ref_seq_stage,
 )
 
@@ -69,7 +71,7 @@ def coloring_dfs_optimum(n, kind):
 
 @pytest.mark.parametrize(
     "n,kind,want",
-    [(4, F1, 2), (3, HC, 3), (4, HC, 3), (3, F2, 3), (4, F2, 3)],
+    [(4, F1, 2), (3, HC, 3), (4, HC, 3), (3, F2, 3), (4, F2, 3), (8, F1, 3), (7, F2, 4), (7, HC, 4)],
 )
 def test_brute_force_values(n, kind, want):
     report = brute_force_poly(n, kind)
@@ -104,9 +106,10 @@ def test_brute_force_wall_time_includes_member_enumeration(monkeypatch):
 
 def test_brute_force_cap():
     with pytest.raises(CapExceededError):
-        brute_force_poly(8, F1)
-    with pytest.raises(CapExceededError):
-        brute_force_poly(6, F2)
+        brute_force_poly(10, F1)
+    for kind in (F2, HC):
+        with pytest.raises(CapExceededError):
+            brute_force_poly(8, kind)
 
 
 def test_structured_ordered_one_factor():
@@ -153,11 +156,12 @@ def test_structured_validation():
         structured_poly(6, F1, "combed")
     with pytest.raises(ValueError):
         structured_poly(6, F2, "everything")
-    with pytest.raises(CapExceededError):
-        structured_poly(34, F1, "ordered")
-    for kind in (F2, HC):
+    for kind, n in ((F1, 130), (F2, 33), (HC, 65)):
         with pytest.raises(CapExceededError):
-            structured_poly(21, kind, "combed")
+            structured_poly(n, kind, "ordered")
+    for kind, n in ((F2, 33), (HC, 65)):
+        with pytest.raises(CapExceededError):
+            structured_poly(n, kind, "combed")
 
 
 def test_structured_one_factor_at_ordered_cap():
@@ -167,15 +171,38 @@ def test_structured_one_factor_at_ordered_cap():
     assert is_polychromatic(report.coloring, F1).polychromatic
     # the memoized search's node count, pinned at a depth the small pins
     # of test_search_node_counts_pinned never reach
-    assert report.nodes == 36_089
+    assert report.nodes == 377
 
 
 @pytest.mark.parametrize("kind", [F2, HC])
 def test_structured_combed_at_combed_cap(kind):
+    # n = 20, where both palette formulas give 5
     report = structured_poly(20, kind, "combed")
     assert report.optimum == report.coloring.k == palette_size(kind, 20) == 5
     assert is_polychromatic(report.coloring, kind).polychromatic
-    assert report.nodes == {F2: 15_224, HC: 11_579}[kind]
+    assert report.nodes == {F2: 2_929, HC: 216}[kind]
+
+
+@pytest.mark.parametrize(
+    "mode, kind, n, want, nodes",
+    [
+        ("ordered", F1, 128, 7, 2_935),
+        ("ordered", F2, 32, 5, 10_315),
+        ("ordered", HC, 64, 6, 1_045),
+        ("combed", F2, 32, 6, 26_449),
+        ("combed", HC, 64, 7, 1_403),
+    ],
+)
+def test_structured_at_cap(mode, kind, n, want, nodes):
+    # each family's cap in each mode: the optimum and the first-hit search's
+    # node count; ordered f1 at n = 128 is the paper's floor(log2 n)
+    assert n == (search.ORDERED_CAPS if mode == "ordered" else search.COMBED_CAPS)[kind]
+    report = structured_poly(n, kind, mode)
+    assert report.optimum == report.coloring.k == want
+    assert is_polychromatic(report.coloring, kind).polychromatic
+    assert report.nodes == nodes
+    if kind is F1:
+        assert want == n.bit_length() - 1
 
 
 def test_theorem_table_one_factor():
@@ -183,7 +210,7 @@ def test_theorem_table_one_factor():
     assert [r.n for r in rows] == [2, 4, 6, 8, 10, 12]
     assert [r.formula_k for r in rows] == [1, 2, 2, 3, 3, 3]
     assert all(r.construction_k == r.formula_k for r in rows)
-    assert [r.search_k for r in rows] == [1, 2, 2, None, None, None]
+    assert [r.search_k for r in rows] == [1, 2, 2, 3, None, None]
     assert all(r.agrees for r in rows)
 
 
@@ -224,10 +251,10 @@ def test_search_node_counts_pinned(monkeypatch):
     for (kind, n), nodes in packing.items():
         assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
     combed = {
-        (F2, 3): (6, 6), (F2, 4): (17, 17), (HC, 3): (6, 6), (HC, 4): (17, 17),
-        (HC, 10): (464, 314), (F2, 10): (551, 376),
+        (F2, 3): (6, 6), (F2, 4): (17, 14), (HC, 3): (6, 6), (HC, 4): (17, 14),
+        (HC, 10): (464, 67), (F2, 10): (551, 108),
     }
-    ordered = {(F1, 12): (728, 217), (F2, 8): (68, 65)}
+    ordered = {(F1, 12): (728, 54), (F2, 8): (68, 31)}
     for mode, pins in (("combed", combed), ("ordered", ordered)):
         for (kind, n), (plain, memo) in pins.items():
             assert reference_structured_nodes(monkeypatch, n, kind, mode) == plain, (kind, n)
@@ -275,6 +302,67 @@ def test_seq_stage_matches_plain_search(kind, n, patterns):
         for pattern in patterns:
             want = ref_seq_stage(n, kind, k, pattern)[0]
             assert _seq_stage(n, kind, k, pattern, witnesses)[0] == want, (k, pattern)
+
+
+def count_states(last, s, k, exempt):
+    """Every count state the sequence search can reach, with a flag saying
+    whether some extension to position `last` completes it.
+
+    A state is (j, used, the sorted (count, satisfied) pairs of colors
+    1..used); the root has `exempt` satisfied colors and no position
+    filled.  Yields (j, used, pairs, completes).
+    """
+    memo = {}
+
+    def children(j, used, pairs):
+        pos = j + 1
+        options = [(i, pairs[i]) for i in range(len(pairs)) if pairs[i] not in pairs[:i]]
+        if used < k:
+            options.append((None, (0, False)))
+        for i, (count, sat) in options:
+            placed = (count + 1, sat or 2 * (count + 1) >= pos + s)
+            rest = list(pairs) if i is None else list(pairs[:i] + pairs[i + 1 :])
+            yield used + (i is None), tuple(sorted(rest + [placed]))
+
+    def completes(j, used, pairs):
+        key = (j, used, pairs)
+        if key not in memo:
+            if j == last:
+                memo[key] = used == k and all(sat for _, sat in pairs)
+            else:
+                memo[key] = any(completes(j + 1, u, p) for u, p in children(j, used, pairs))
+        return memo[key]
+
+    root = (0, exempt, ((0, True),) * exempt)
+    completes(*root)
+    for (j, used, pairs), done in memo.items():
+        yield j, used, pairs, done
+
+
+def test_chain_viable_on_every_count_state():
+    # the chain accepts every state some extension completes, and rejects
+    # every state one of the three earlier checks rejects: a pending color
+    # that cannot reach its moment even at every position left, more new
+    # colors than positions left, a new color's moment past last
+    stronger = 0
+    for last in range(1, 11):
+        for s in (0, 1):
+            for k in range(1, 6):
+                for exempt in (0, 2, 3):
+                    if exempt > k:
+                        continue
+                    for j, used, pairs, done in count_states(last, s, k, exempt):
+                        pending = [count for count, sat in pairs if not sat]
+                        chain = _chain_viable(pending + [0] * (k - used), j, s, last)
+                        left = last - j
+                        earlier = all(2 * (count + left) >= last + s for count in pending) and (
+                            used >= k or (k - used <= left and 2 * j + s <= last)
+                        )
+                        where = (last, s, k, j, used, pairs)
+                        assert chain or not done, where
+                        assert earlier or not chain, where
+                        stronger += earlier and not chain
+    assert stronger
 
 
 def kept_f2_witnesses(n):
@@ -339,6 +427,14 @@ def test_minimal_blockers_match_subset_scan(kind, n):
     assert len(blockers) == len(set(blockers)) == len(scan)
     assert set(blockers) == set(scan)
     assert blockers == sorted(blockers, key=lambda b: (b.bit_count(), b))
+
+
+@pytest.mark.parametrize("kind, n", DIFFERENTIAL + [(F2, 7), (HC, 7)])
+def test_minimal_blockers_match_reference(kind, n):
+    # the private-edge rule drops exactly the extensions the test against
+    # every kept set through e drops
+    members = _member_masks(n, kind)
+    assert _minimal_blockers(members) == ref_minimal_blockers(members)
 
 
 @pytest.mark.parametrize("pattern", sorted(_PATTERNS))
