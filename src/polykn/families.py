@@ -10,15 +10,17 @@ rest:
 * 1-factors and 2-factors via one degree-constrained subgraph engine over
   blossom maximum matching: with every target at most 1 (1-factors, where
   a forced edge drops its endpoints to 0) the blossom runs on the target-1
-  vertices directly.  A 2-factor query, forced edge or not, goes to the
-  bipartite double cover first (an out-copy and an in-copy per vertex, 2n
-  nodes at most): a cover without a perfect matching refutes, and a perfect
-  matching whose 2-cycles one exchange each removes is the member.  The
-  rest goes to Tutte's compact reduction (two external nodes per allowed
-  edge, target(v) core nodes per vertex), which stays exact.  The blossom
-  contracts locally, relabelling only the vertices of the merged blossoms,
-  and returns a perfect matching or None, stopping at the first free root
-  whose search fails,
+  vertices directly.  A 2-factor query, forced edge or not, passes the
+  degree check and then goes to the bipartite double cover (an out-copy
+  and an in-copy per vertex, 2n nodes at most): first a flow that may use
+  each arc once refutes every query whose fractional relaxation is empty,
+  then a cover without a perfect matching refutes (with no edge forced, a
+  feasible flow implies one), and a perfect matching whose 2-cycles one
+  exchange each removes is the member.  The rest goes to Tutte's compact
+  reduction (two external nodes per allowed edge, target(v) core nodes per
+  vertex), which stays exact.  The blossom contracts locally, relabelling
+  only the vertices of the merged blossoms, and returns a perfect matching
+  or None, stopping at the first free root whose search fails,
 * Hamiltonian cycles via a ladder of refutations, cheapest first, at
   every n: the separator test (which, with no edge forced, already cuts
   off every vertex of degree below 2), then the degree check and the
@@ -272,6 +274,85 @@ def _index_lists(masks, rows: list[int], cols: list[int], offset: int = 0) -> li
             for v in rows]
 
 
+def _cover_flow(masks, targets: list[int]) -> bool:
+    """Whether the double cover routes every unit: the out-copy of each v
+    supplies targets[v], the in-copy of each w absorbs targets[w], and each
+    allowed edge vw carries at most one unit on each of v->w and w->v.
+
+    That holds exactly when {0 <= x <= 1, x(delta(v)) = targets[v]} is
+    nonempty, so False refutes every member (Anstee 1987).  A greedy seed
+    takes the lowest degrees first; each missing unit then takes one
+    breadth-first augmenting path, with bitset frontiers and per-vertex
+    parents.
+    """
+    n = len(targets) - 1
+    used = [0] * (n + 1)  # used[v]: the in-copies fed by v's out-copy
+    fed = [0] * (n + 1)  # fed[w]: the out-copies feeding w's in-copy
+    short = sum(1 << w for w in range(1, n + 1) if targets[w])  # in-copies with room
+    spare = 0  # out-copies with units left
+    for v in sorted(range(1, n + 1), key=lambda v: masks[v].bit_count()):
+        need, m = targets[v], masks[v] & short
+        while need and m:
+            bit = m & -m
+            m ^= bit
+            w = bit.bit_length() - 1
+            used[v] |= bit
+            fed[w] |= 1 << v
+            if fed[w].bit_count() == targets[w]:
+                short ^= bit
+            need -= 1
+        if need:
+            spare |= 1 << v
+    via_in = [0] * (n + 1)  # the out-copy whose unused arc reached w's in-copy
+    via_out = [0] * (n + 1)  # the in-copy whose used arc reached v's out-copy
+    while spare:
+        seen_out = frontier = spare
+        seen_in = end = 0
+        while frontier and not end:
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length() - 1
+                m = masks[v] & ~used[v] & ~seen_in
+                seen_in |= m
+                if m & short:
+                    end = (m & short).bit_length() - 1
+                    via_in[end] = v
+                    break
+                while m:
+                    b = m & -m
+                    m ^= b
+                    w = b.bit_length() - 1
+                    via_in[w] = v
+                    new = fed[w] & ~seen_out
+                    seen_out |= new
+                    nxt |= new
+                    while new:
+                        b = new & -new
+                        new ^= b
+                        via_out[b.bit_length() - 1] = w
+            frontier = nxt
+        if not end:
+            return False
+        # each inner in-copy gains one feeder and loses one: only the ends change
+        w = end
+        while True:
+            v = via_in[w]
+            used[v] |= 1 << w
+            fed[w] |= 1 << v
+            if (spare >> v) & 1:
+                break
+            w = via_out[v]
+            used[v] ^= 1 << w
+            fed[w] ^= 1 << v
+        if fed[end].bit_count() == targets[end]:
+            short ^= 1 << end
+        if used[v].bit_count() == targets[v]:
+            spare ^= 1 << v
+    return True
+
+
 def _split_two_cycles(masks, succ: list[int]) -> bool:
     """Remove the 2-cycles of the permutation succ in place, one exchange
     each; False if one of them stays.
@@ -305,16 +386,21 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
     With every target at most 1 this is a perfect matching of the target-1
     vertices, found by the blossom on those vertices alone.
 
-    With every target 2, or every target 2 but 1 at two vertices t < h (a
-    2-factor through the forced edge th, which g leaves out), the bipartite
-    double cover answers first.  Each vertex gets an out-copy and an
-    in-copy, each allowed edge vw the arcs v->w and w->v; the forced edge
-    is the arc t->h, so t's out-copy and h's in-copy are dropped.  A perfect
-    matching of the cover is a permutation of the vertices along allowed
-    edges, and orienting the cycles of a member gives one, so a cover with
-    no perfect matching refutes.  Once `_split_two_cycles` has exchanged
-    away the permutation's 2-cycles, its arcs are the member.  A 2-cycle
-    that no exchange removes leaves the question to Tutte's gadget.
+    Otherwise the rungs run in order: the degree check, the capacitated
+    flow on the bipartite double cover (`_cover_flow`), then the cover's
+    perfect matching and one exchange per 2-cycle, then Tutte's gadget.
+    Each vertex gets an out-copy and an in-copy, each allowed edge vw the
+    arcs v->w and w->v.  A member, doubled, is a feasible flow, so an
+    infeasible one refutes.  With every target 2, or every target 2 but 1
+    at two vertices t < h (a 2-factor through the forced edge th, which g
+    leaves out), the matching comes next; the forced edge is the arc t->h,
+    so t's out-copy and h's in-copy are dropped.  With no edge forced, a
+    feasible flow is a 2-regular bipartite graph on the cover, which has a
+    perfect matching (Konig), so the matching refutes only forced-edge
+    queries.  A perfect matching of the cover is a permutation of the
+    vertices along allowed edges; once `_split_two_cycles` has exchanged
+    away its 2-cycles, its arcs are the member.  A 2-cycle that no
+    exchange removes leaves the question to Tutte's gadget, the exact step.
     """
     n = g.n
     if any(g.degree(v) < targets[v] for v in range(1, n + 1)):
@@ -323,6 +409,8 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
         verts = [v for v in range(1, n + 1) if targets[v]]
         match = maximum_matching(len(verts), _index_lists(g.masks, verts, verts))
         return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
+    if not _cover_flow(g.masks, targets):
+        return None
     ones = [v for v in range(1, n + 1) if targets[v] != 2]
     if len(ones) in (0, 2) and all(targets[v] == 1 for v in ones):
         tail, head = ones or (0, 0)

@@ -397,8 +397,9 @@ def test_relaxation_refutes_tutte_barrier_before_exact_search(monkeypatch):
     # edge: Tutte's 2-factor deficiency 2|S| - 2|T| + sum_T d_{G-S} = -2,
     # so no 2-factor.  Every degree is at least 2, no N(u) separates (for u
     # in T it leaves a + 1 components), and the cover has a perfect
-    # matching, so the gadget refutes.  The exact search would take tens of
-    # seconds here; the relaxation must come first.
+    # matching, but the deficiency needs no parity term, so the capacitated
+    # cover flow refutes and the gadget never runs.  The exact search would
+    # take tens of seconds here; the relaxation must come first.
     import polykn.families as families
 
     a = 7
@@ -407,12 +408,13 @@ def test_relaxation_refutes_tutte_barrier_before_exact_search(monkeypatch):
     edges += [(v, v + 1) for v in range(a + 1, n, 2)]
     g = AllowedGraph.from_edges(n, edges)
     assert not families._separator_refutes(g, 0)
+    assert not families._cover_flow(g.masks, [0] + [2] * n)
     assert families._degree_constrained_subgraph(g, [0] + [2] * n) is None
     gadget, calls = families._tutte_gadget, []
     monkeypatch.setattr(families, "_tutte_gadget", lambda *args: calls.append(args) or gadget(*args))
     monkeypatch.setattr(families, "_ham_path", lambda *args: pytest.fail("exact search ran"))
     assert find_member(HC, g) is None
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [13, 18, 19, 24, 32])
@@ -432,15 +434,18 @@ def test_hamiltonian_refutations_run_cheapest_first(monkeypatch, n):
 @pytest.mark.parametrize("n", [7, 15, 31, 63, 127])
 def test_built_two_factor_coloring_is_refuted_on_the_cover(monkeypatch, n):
     # at n = 2^m - 1 the comb prefix leaves color k to an engine, and the
-    # double cover (2n nodes) refutes it: Tutte's gadget never runs
+    # capacitated flow on the double cover refutes it: neither the cover
+    # matching nor Tutte's gadget runs, so no blossom call is made
     import polykn.families as families
     from polykn import build, is_polychromatic
 
-    calls = []
-    matching = families.maximum_matching
+    calls, flows = [], []
+    matching, flow = families.maximum_matching, families._cover_flow
     monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a[0]) or matching(*a))
+    monkeypatch.setattr(families, "_cover_flow", lambda *a: flows.append(flow(*a)) or flows[-1])
     assert is_polychromatic(build(F2, n), F2).polychromatic
-    assert all(size <= 2 * n for size in calls), calls
+    assert flows == [False]
+    assert calls == []
 
 
 def test_reach_matches_breadth_first_search():
@@ -496,11 +501,12 @@ def test_find_member_invalid_inputs():
 
 
 def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
-    # the 2-factor engine asks the bipartite double cover first: each query
-    # is refuted there, found there, or falls back to Tutte's gadget.  The
-    # answers match the enumeration oracle at n <= 10 and the gadget alone
-    # at n = 30..120, every member found has exactly the target degrees
-    # inside g, and the grid reaches all three outcomes
+    # the 2-factor engine asks the bipartite double cover first, its flow
+    # and then its matching: each query is refuted there, found there, or
+    # falls back to Tutte's gadget.  The answers match the enumeration
+    # oracle at n <= 10 and the gadget alone at n = 30..120, every member
+    # found has exactly the target degrees inside g, and the grid reaches
+    # all three outcomes
     import polykn.families as families
 
     gadget = families._tutte_gadget
@@ -576,14 +582,16 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # covers with a perfect matching but no 2-factor, where every matching
     # keeps a 2-cycle that no exchange removes: the bowtie, with and without
     # the forced edge (1, 2), and K_{2,6} plus a perfect matching on its 6
-    # side.  A perfect matching alone is short of degree 2 before any cover,
-    # and the cover of K_{2,5} has no perfect matching (Hall)
+    # side.  Their fractional relaxations are empty, so the capacitated
+    # cover flow refutes them before the matching.  A perfect matching alone
+    # is short of degree 2 before any cover, and the cover of K_{2,5} has no
+    # perfect matching (Hall)
     bowtie = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
     k2 = [(a, b) for a in (1, 2) for b in range(3, 9)]
     cases = [
-        (bowtie, None, "fell back"),
-        (bowtie, (1, 2), "fell back"),
-        (AllowedGraph.from_edges(8, k2 + [(3, 4), (5, 6), (7, 8)]), None, "fell back"),
+        (bowtie, None, "refuted"),
+        (bowtie, (1, 2), "refuted"),
+        (AllowedGraph.from_edges(8, k2 + [(3, 4), (5, 6), (7, 8)]), None, "refuted"),
         (AllowedGraph.from_edges(6, [(1, 2), (3, 4), (5, 6)]), None, "degree"),
         (AllowedGraph.from_edges(7, [e for e in k2 if e[1] < 8]), None, "refuted"),
     ]
@@ -591,3 +599,117 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
         outcomes.clear()
         assert query(g0, forced)[0] is None and outcomes == [outcome]
     assert grid["refuted"] >= 5 and grid["found"] >= 100 and grid["fell back"] >= 20, grid
+
+
+def _without_forced(g: AllowedGraph, forced):
+    """g with the forced edge removed and the 2-factor targets it lowers, as in _find."""
+    targets = [0] + [2] * g.n
+    if forced is None:
+        return g, targets
+    u, v = forced
+    masks = list(g.masks)
+    masks[u] &= ~(1 << v)
+    masks[v] &= ~(1 << u)
+    targets[u] = targets[v] = 1
+    return AllowedGraph(g.n, tuple(masks)), targets
+
+
+def test_cover_flow_matches_networkx_max_flow():
+    # the same network for networkx: a source feeding each out-copy its
+    # target, each in-copy draining its target into the sink, and one
+    # unit-capacity arc per allowed ordered pair; the flow routes every unit
+    # exactly when the maximum flow value is the sum of the targets
+    nx = pytest.importorskip("networkx")
+    from polykn.families import _cover_flow
+
+    def routes_all(g, targets):
+        net = nx.DiGraph()
+        for v in range(1, g.n + 1):
+            net.add_edge("s", ("out", v), capacity=targets[v])
+            net.add_edge(("in", v), "t", capacity=targets[v])
+            for w in range(1, g.n + 1):
+                if g.has_edge(v, w):
+                    net.add_edge(("out", v), ("in", w), capacity=1)
+        return nx.maximum_flow_value(net, "s", "t") == sum(targets)
+
+    rng = random.Random(25_1)
+    outcomes = Counter()
+    for n in range(3, 41):
+        for _ in range(6):
+            p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6])
+            g0 = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
+            for forced in (None, tuple(sorted(rng.sample(range(1, n + 1), 2)))):
+                g, targets = _without_forced(g0, forced)
+                got = _cover_flow(g.masks, targets)
+                assert got == routes_all(g, targets), (n, forced, g.edges())
+                outcomes[got, forced is None] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_cover_flow_never_refutes_a_two_factor():
+    # the 3,000-graph oracle grid (n = 3..10, p = 0.3/0.5/0.7, 125 graphs
+    # each): every graph with a 2-factor routes, and the flow refutes a
+    # good share of the rest
+    from polykn.families import _cover_flow
+
+    rng = random.Random(25_2)
+    refuted = 0
+    for n in range(3, 11):
+        for p in (0.3, 0.5, 0.7):
+            for _ in range(125):
+                g = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
+                routes = _cover_flow(g.masks, [0] + [2] * n)
+                if next(enumerate_members(F2, n, allowed=g), None) is not None:
+                    assert routes, g.edges()
+                refuted += not routes
+    assert refuted >= 1_000
+
+
+def test_cover_flow_refutes_gadget_barriers_without_the_gadget(monkeypatch):
+    # queries whose cover has a perfect matching but no 2-factor, which
+    # reached Tutte's gadget before the flow: the bowtie, K_{2,6} plus a
+    # perfect matching on its 6 side, and the n = 14 search leaf, the
+    # ordered coloring of 1^6 2^6 1 1 minus color 2, where S = {1..6}
+    # saturates the independent {7..12}.  Each is refuted with no gadget call
+    import polykn.families as families
+    from polykn import build_ordered
+
+    monkeypatch.setattr(families, "_tutte_gadget", lambda *a: pytest.fail("gadget ran"))
+    bowtie = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
+    k2 = [(a, b) for a in (1, 2) for b in range(3, 9)]
+    k26 = AllowedGraph.from_edges(8, k2 + [(3, 4), (5, 6), (7, 8)])
+    leaf = AllowedGraph.minus_color(build_ordered((1,) * 6 + (2,) * 6 + (1, 1)), 2)
+    for g in (bowtie, k26, leaf):
+        assert not families._cover_flow(g.masks, [0] + [2] * g.n)
+        assert find_member(F2, g) is None
+    assert find_member_containing(F2, bowtie, (1, 2)) is None
+
+
+def test_gadget_refutes_flow_feasible_graphs(monkeypatch):
+    # a hub joined by one edge to each of three K_4's (n = 13): the flow
+    # routes (2/3 on each hub edge), yet a 2-factor through the hub would
+    # enter and leave a K_4 by its one attaching vertex, so none exists.
+    # Only the parity of Tutte's condition refutes it, so the gadget must;
+    # the same holds with a clique edge forced.  With the hub edge (1, 2)
+    # forced the flow still routes, but the cover matching refutes: every
+    # permutation through the arc 1 -> 2 stays inside 2's K_4
+    import polykn.families as families
+
+    edges = []
+    for q in range(3):
+        clique = list(range(2 + 4 * q, 6 + 4 * q))
+        edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+        edges.append((1, clique[0]))
+    g0 = AllowedGraph.from_edges(13, edges)
+    assert next(enumerate_members(F2, 13, allowed=g0, max_n=13), None) is None
+    gadget, calls = families._tutte_gadget, []
+    monkeypatch.setattr(families, "_tutte_gadget", lambda *a: calls.append(a) or gadget(*a))
+    for forced, gadget_calls in ((None, 1), ((2, 3), 1), ((3, 4), 1), ((1, 2), 0)):
+        g, targets = _without_forced(g0, forced)
+        assert families._cover_flow(g.masks, targets)
+        calls.clear()
+        if forced is None:
+            assert find_member(F2, g0) is None
+        else:
+            assert find_member_containing(F2, g0, forced) is None
+        assert len(calls) == gadget_calls, forced
