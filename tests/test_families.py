@@ -500,31 +500,39 @@ def test_find_member_invalid_inputs():
         list(enumerate_members(F1, 4, allowed=AllowedGraph.complete(6)))
 
 
+def _without_forced(g: AllowedGraph, forced):
+    """g with the forced edge removed and the 2-factor targets it lowers, as in _find."""
+    targets = [0] + [2] * g.n
+    if forced is None:
+        return g, targets
+    u, v = forced
+    masks = list(g.masks)
+    masks[u] &= ~(1 << v)
+    masks[v] &= ~(1 << u)
+    targets[u] = targets[v] = 1
+    return AllowedGraph(g.n, tuple(masks)), targets
+
+
 def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # the 2-factor engine asks the bipartite double cover first, its flow
-    # and then its matching: each query is refuted there, found there, or
-    # falls back to Tutte's gadget.  The answers match the enumeration
-    # oracle at n <= 10 and the gadget alone at n = 30..120, every member
-    # found has exactly the target degrees inside g, and the grid reaches
-    # all three outcomes
+    # and then its matching: each query is refuted by the flow or by the
+    # matching, found there, or falls back to Tutte's gadget.  The answers
+    # match the enumeration oracle at n <= 10 and the gadget alone at
+    # n = 30..120, every member found has exactly the target degrees
+    # inside g, and the random grid reaches every outcome but a refutation
+    # by the matching, which a planted case below reaches
     import polykn.families as families
 
-    gadget = families._tutte_gadget
-    fell_back = []
+    gadget, flow = families._tutte_gadget, families._cover_flow
+    fell_back, routed = [], []
     monkeypatch.setattr(families, "_tutte_gadget", lambda *a: fell_back.append(a) or gadget(*a))
+    monkeypatch.setattr(families, "_cover_flow", lambda *a: routed.append(flow(*a)) or routed[-1])
     outcomes = []
 
     def query(g0, forced):
-        # the forced edge leaves g and lowers its endpoints' targets, as in _find
-        g, targets = g0, [0] + [2] * g0.n
-        if forced is not None:
-            u, v = forced
-            masks = list(g0.masks)
-            masks[u] &= ~(1 << v)
-            masks[v] &= ~(1 << u)
-            g = AllowedGraph(g0.n, tuple(masks))
-            targets[u] = targets[v] = 1
+        g, targets = _without_forced(g0, forced)
         fell_back.clear()
+        routed.clear()
         got = families._degree_constrained_subgraph(g, targets)
         if got is not None:
             deg = [0] * (g.n + 1)
@@ -537,7 +545,8 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
         if any(g.degree(v) < targets[v] for v in range(1, g.n + 1)):
             outcomes.append("degree")
         else:
-            outcomes.append("fell back" if fell_back else "refuted" if got is None else "found")
+            outcomes.append("fell back" if fell_back else "found" if got is not None
+                            else "cover" if routed == [True] else "flow")
         return got, g, targets
 
     rng = random.Random(18_1)
@@ -581,37 +590,48 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     grid = Counter(outcomes)
     # covers with a perfect matching but no 2-factor, where every matching
     # keeps a 2-cycle that no exchange removes: the bowtie, with and without
-    # the forced edge (1, 2), and K_{2,6} plus a perfect matching on its 6
-    # side.  Their fractional relaxations are empty, so the capacitated
-    # cover flow refutes them before the matching.  A perfect matching alone
-    # is short of degree 2 before any cover, and the cover of K_{2,5} has no
-    # perfect matching (Hall)
+    # the forced edge (1, 2), K_{2,6} plus a perfect matching on its 6 side,
+    # and the n = 14 search leaf, the ordered coloring of 1^6 2^6 1 1 minus
+    # color 2, where S = {1..6} saturates the independent {7..12}.  Their
+    # fractional relaxations are empty, so the flow refutes them before the
+    # matching.  A perfect matching alone is short of degree 2 before any
+    # cover, and K_{2,5} fails the flow as its cover fails Hall.
+    #
+    # A hub joined by one edge to each of three K_4's (n = 13) passes the
+    # flow (2/3 on each hub edge), yet a 2-factor through the hub would
+    # enter and leave a K_4 by its one attaching vertex.  Only the parity
+    # of Tutte's condition refutes it, so the gadget must, also with a
+    # clique edge forced; with the hub edge (1, 2) forced, every
+    # permutation through the arc 1 -> 2 stays inside 2's K_4, so the
+    # matching refutes.  No random graph with n <= 10 needs the gadget to
+    # refute, so these are planted
+    from polykn import build_ordered
+
     bowtie = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
     k2 = [(a, b) for a in (1, 2) for b in range(3, 9)]
+    leaf = AllowedGraph.minus_color(build_ordered((1,) * 6 + (2,) * 6 + (1, 1)), 2)
+    hub_edges = []
+    for q in range(3):
+        clique = list(range(2 + 4 * q, 6 + 4 * q))
+        hub_edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]] + [(1, clique[0])]
+    hub = AllowedGraph.from_edges(13, hub_edges)
+    assert next(enumerate_members(F2, 13, allowed=hub, max_n=13), None) is None
     cases = [
-        (bowtie, None, "refuted"),
-        (bowtie, (1, 2), "refuted"),
-        (AllowedGraph.from_edges(8, k2 + [(3, 4), (5, 6), (7, 8)]), None, "refuted"),
+        (bowtie, None, "flow"),
+        (bowtie, (1, 2), "flow"),
+        (AllowedGraph.from_edges(8, k2 + [(3, 4), (5, 6), (7, 8)]), None, "flow"),
+        (leaf, None, "flow"),
         (AllowedGraph.from_edges(6, [(1, 2), (3, 4), (5, 6)]), None, "degree"),
-        (AllowedGraph.from_edges(7, [e for e in k2 if e[1] < 8]), None, "refuted"),
+        (AllowedGraph.from_edges(7, [e for e in k2 if e[1] < 8]), None, "flow"),
+        (hub, None, "fell back"),
+        (hub, (2, 3), "fell back"),
+        (hub, (3, 4), "fell back"),
+        (hub, (1, 2), "cover"),
     ]
     for g0, forced, outcome in cases:
         outcomes.clear()
-        assert query(g0, forced)[0] is None and outcomes == [outcome]
-    assert grid["refuted"] >= 5 and grid["found"] >= 100 and grid["fell back"] >= 20, grid
-
-
-def _without_forced(g: AllowedGraph, forced):
-    """g with the forced edge removed and the 2-factor targets it lowers, as in _find."""
-    targets = [0] + [2] * g.n
-    if forced is None:
-        return g, targets
-    u, v = forced
-    masks = list(g.masks)
-    masks[u] &= ~(1 << v)
-    masks[v] &= ~(1 << u)
-    targets[u] = targets[v] = 1
-    return AllowedGraph(g.n, tuple(masks)), targets
+        assert query(g0, forced)[0] is None and outcomes == [outcome], (forced, outcomes)
+    assert grid["flow"] >= 5 and grid["found"] >= 100 and grid["fell back"] >= 20, grid
 
 
 def test_cover_flow_matches_networkx_max_flow():
@@ -648,8 +668,10 @@ def test_cover_flow_matches_networkx_max_flow():
 
 def test_cover_flow_never_refutes_a_two_factor():
     # the 3,000-graph oracle grid (n = 3..10, p = 0.3/0.5/0.7, 125 graphs
-    # each): every graph with a 2-factor routes, and the flow refutes a
-    # good share of the rest
+    # each): every graph with a 2-factor routes.  A graph can route with
+    # no 2-factor when only the parity term of Tutte's condition refutes
+    # it (see the planted hub above), but none does on this grid, so here
+    # the flow decides every query
     from polykn.families import _cover_flow
 
     rng = random.Random(25_2)
@@ -659,57 +681,7 @@ def test_cover_flow_never_refutes_a_two_factor():
             for _ in range(125):
                 g = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
                 routes = _cover_flow(g.masks, [0] + [2] * n)
-                if next(enumerate_members(F2, n, allowed=g), None) is not None:
-                    assert routes, g.edges()
+                has = next(enumerate_members(F2, n, allowed=g), None) is not None
+                assert routes == has, g.edges()
                 refuted += not routes
     assert refuted >= 1_000
-
-
-def test_cover_flow_refutes_gadget_barriers_without_the_gadget(monkeypatch):
-    # queries whose cover has a perfect matching but no 2-factor, which
-    # reached Tutte's gadget before the flow: the bowtie, K_{2,6} plus a
-    # perfect matching on its 6 side, and the n = 14 search leaf, the
-    # ordered coloring of 1^6 2^6 1 1 minus color 2, where S = {1..6}
-    # saturates the independent {7..12}.  Each is refuted with no gadget call
-    import polykn.families as families
-    from polykn import build_ordered
-
-    monkeypatch.setattr(families, "_tutte_gadget", lambda *a: pytest.fail("gadget ran"))
-    bowtie = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
-    k2 = [(a, b) for a in (1, 2) for b in range(3, 9)]
-    k26 = AllowedGraph.from_edges(8, k2 + [(3, 4), (5, 6), (7, 8)])
-    leaf = AllowedGraph.minus_color(build_ordered((1,) * 6 + (2,) * 6 + (1, 1)), 2)
-    for g in (bowtie, k26, leaf):
-        assert not families._cover_flow(g.masks, [0] + [2] * g.n)
-        assert find_member(F2, g) is None
-    assert find_member_containing(F2, bowtie, (1, 2)) is None
-
-
-def test_gadget_refutes_flow_feasible_graphs(monkeypatch):
-    # a hub joined by one edge to each of three K_4's (n = 13): the flow
-    # routes (2/3 on each hub edge), yet a 2-factor through the hub would
-    # enter and leave a K_4 by its one attaching vertex, so none exists.
-    # Only the parity of Tutte's condition refutes it, so the gadget must;
-    # the same holds with a clique edge forced.  With the hub edge (1, 2)
-    # forced the flow still routes, but the cover matching refutes: every
-    # permutation through the arc 1 -> 2 stays inside 2's K_4
-    import polykn.families as families
-
-    edges = []
-    for q in range(3):
-        clique = list(range(2 + 4 * q, 6 + 4 * q))
-        edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
-        edges.append((1, clique[0]))
-    g0 = AllowedGraph.from_edges(13, edges)
-    assert next(enumerate_members(F2, 13, allowed=g0, max_n=13), None) is None
-    gadget, calls = families._tutte_gadget, []
-    monkeypatch.setattr(families, "_tutte_gadget", lambda *a: calls.append(a) or gadget(*a))
-    for forced, gadget_calls in ((None, 1), ((2, 3), 1), ((3, 4), 1), ((1, 2), 0)):
-        g, targets = _without_forced(g0, forced)
-        assert families._cover_flow(g.masks, targets)
-        calls.clear()
-        if forced is None:
-            assert find_member(F2, g0) is None
-        else:
-            assert find_member_containing(F2, g0, forced) is None
-        assert len(calls) == gadget_calls, forced
