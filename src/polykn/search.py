@@ -6,21 +6,20 @@ disjoint minimal blockers (edge sets meeting every member).  The minimal
 blockers come from Berge's incremental algorithm and one branch-and-bound
 depth-first search packs them; its node count covers the whole search.
 
-Ordered and combed modes search main-color sequences instead, pruning with
-the majority conditions and verifying finalists with the exact engines.
-The unitary-prefix patterns live in constructions, where build reads the
-paper's rainbow triple from the same table; _seq_stage keeps the
-sequence's per-color counts and majority flags in its own locals.
+Ordered and combed modes search main-color sequences instead, with an
+exact rule per family for when a sequence puts a color on every member,
+so each hit needs one engine check.  The unitary-prefix patterns live in
+constructions, where build reads the paper's rainbow triple from the same
+table; _seq_stage keeps the sequence's per-color state in its own locals.
 Each palette size is one serial depth-first search from the root that
-stops at its first (lexicographically least) hit.  Three exact shortcuts
+stops at its first (lexicographically least) hit.  Two exact shortcuts
 keep it small: a count state is entered only if one counting chain over
 all its pending colors (_chain_viable) lets each of them still reach its
-majority moment, a count state whose subtree reached no complete sequence
-is remembered as dead and never entered again, and a leaf that a member
-kept from an earlier refutation still misses a color of is refuted
-without the engines.  The node count covers the choices tried up to the
-hit outside dead states.  The tests keep the plain searches over edge
-colorings and over main-color sequences as references.
+majority moment, and a count state whose subtree reached no complete
+sequence is remembered as dead and never entered again.  The node count
+covers the choices tried up to the hit outside dead states.  The tests
+keep the plain searches over edge colorings and over main-color
+sequences as references.
 """
 
 from __future__ import annotations
@@ -41,11 +40,11 @@ BRUTE_CAPS = {
 }
 ORDERED_CAPS = {
     FamilyKind.ONE_FACTOR: 128,
-    FamilyKind.TWO_FACTOR: 32,
+    FamilyKind.TWO_FACTOR: 128,
     FamilyKind.HAMILTONIAN_CYCLE: 64,
 }
 COMBED_CAPS = {
-    FamilyKind.TWO_FACTOR: 32,
+    FamilyKind.TWO_FACTOR: 128,
     FamilyKind.HAMILTONIAN_CYCLE: 64,
 }
 
@@ -189,64 +188,78 @@ def brute_force_poly(
 def _chain_viable(pending, j, s, last):
     """Can every pending color still reach its majority moment by `last`?
 
-    `pending` holds, at position j, the count of each color that has not
-    yet met 2|M_t(p)| >= p + s: the unsatisfied used colors, and 0 for each
-    color not used yet.  Order them by their majority moments
-    a_1 < a_2 < ...  The i-th, with count c, needs
-    x_i >= ceil((a_i + s)/2) - c placements in (j, a_i], disjoint from
-    those of the colors before it, so a_i >= j + x_1 + ... + x_i.  With
-    q = x_1 + ... + x_{i-1} that gives x_i >= q + j + s - 2c, and x_i >= 1
-    since a color meets the rule first at one of its own placements (the
-    first bound falls below 1 only at j = 0 with s = 0).  The state is
-    viable only if a_r <= last, that is j + q <= last after the last
-    color.  Descending counts give the smallest q over all orders (the
-    rearrangement inequality: each count is subtracted with twice the
-    weight of the next), so that order decides.  One link of the chain is
-    the per-color test 2(c + last - j) >= last + s; the chain also needs a
-    position per pending color, and 2j + s <= last for a new color.
+    `pending` holds, at position j, 2c + a for each color that has not yet
+    met 2c >= p - a + s, c counting its placements since its segment start
+    a (0 but under the 2-factor walk): the unsatisfied used colors, and 0
+    for each color not used yet.  Order them by their moments
+    p_1 < p_2 < ...  The i-th needs x_i >= (p_i - a + s)/2 - c placements
+    in (j, p_i], disjoint from those of the colors before it, so
+    p_i >= j + x_1 + ... + x_i.  With q = x_1 + ... + x_{i-1} that gives
+    x_i >= q + j + s - (2c + a), and x_i >= 1 since a color meets the rule
+    first at one of its own placements.  The state is viable only if
+    p_r <= last, that is j + q <= last after the last color.  Descending
+    2c + a gives the smallest q over all orders (the rearrangement
+    inequality), so that order decides.
     """
     q = 0
-    for c in sorted(pending, reverse=True):
-        q += max(1, q + j + s - 2 * c)
+    for w in sorted(pending, reverse=True):
+        q += max(1, q + j + s - w)
     return j + q <= last
 
 
-def _seq_stage(n, kind, k, pattern, witnesses=None):
+def _seq_stage(n, kind, k, pattern):
     """First (lex) main-color sequence completing the pattern at palette size k.
 
-    The count state holds each color's count and whether it has met its
-    majority moment, core.majority_moments' 2|M_t(j)| >= j + s with s fixed
-    per stage; colors made unitary by the pattern prefix are exempt.
-
-    `witnesses` holds the edge indices of members of K_n's family that
-    refuted earlier leaves (a fresh list when None); a leaf whose colors
-    one of them misses is violated, and each new refutation is appended.
+    A color is satisfied once the sequence puts it on every member; colors
+    made unitary by the pattern prefix are exempt.  The rule is exact per
+    family, so a complete sequence is polychromatic.  f1 and hc read
+    core.majority_moments' 2|M_t(p)| >= p + s (s = 1, 0).  f2 walks
+    segments: K_n minus color t of an ordered coloring is a threshold
+    graph (Chvatal and Hammer 1977; Mahadev and Peled 1995), whose
+    class-t vertices T (mains t below n) are independent and joined to
+    every other vertex before them.  From a = 0, the first p > a + 1 with
+    2|T cap (a, p]| >= p - a is tight, so the T vertices of (a, p] use up
+    the degree left on its other vertices and every member splits at p.
+    That piece is 2-regular bipartite, so it needs 2 T vertices, and the
+    rest needs 3 vertices.  So t is satisfied at p if p - a <= 2 or
+    n - p < 3; otherwise the walk restarts at a = p with count 0.  A last
+    segment with no crossing holds a Hamiltonian cycle avoiding t by the
+    weak rule.
 
     Returns (the verified EdgeColoring or None, nodes explored).
     """
-    if witnesses is None:
-        witnesses = []
     fixed, exempt, recolorings = _PATTERNS[pattern]
     used = max(exempt, default=0)
     if used > k or len(fixed) > n:
         return None, 0
     s = 1 if kind is FamilyKind.ONE_FACTOR else 0
+    walk = kind is FamilyKind.TWO_FACTOR
     last = n - 1  # free positions 1..n-1; position n copies n-1
     counts = [0] * (n + 2)
+    starts = [0] * (n + 2)  # segment starts a; counts are of (a, p]
     satisfied = [t in exempt for t in range(n + 2)]
-    seq = list(fixed[:last])
-    for p, c in enumerate(seq, start=1):
-        counts[c] += 1
-        used = max(used, c)
-        satisfied[c] = satisfied[c] or 2 * counts[c] >= p + s
+    seq = []
     nodes = leaves = 0  # leaves: complete sequences reached, verified or not
-    # keys whose subtree held no complete sequence; one whose complete
-    # sequences merely failed verification stays out, since another
-    # sequence with the same key can pass
+    # keys whose subtree held no complete sequence (a failed leaf keeps it live)
     dead = set()
 
+    def place(pos, c):  # returns c's (count, start, flag) before pos
+        before = counts[c], starts[c], satisfied[c]
+        counts[c] += 1
+        if not satisfied[c] and 2 * counts[c] >= pos - starts[c] + s:
+            if walk and pos - starts[c] > 2 and n - pos >= 3:
+                counts[c], starts[c] = 0, pos
+            else:
+                satisfied[c] = True
+        seq.append(c)
+        return before
+
+    for p, c in enumerate(fixed[:last], start=1):
+        place(p, c)
+        used = max(used, c)
+
     def viable(j):
-        pending = [counts[t] for t in range(1, used + 1) if not satisfied[t]]
+        pending = [2 * counts[t] + starts[t] for t in range(1, used + 1) if not satisfied[t]]
         return _chain_viable(pending + [0] * (k - used), j, s, last)
 
     def complete():
@@ -255,16 +268,8 @@ def _seq_stage(n, kind, k, pattern, witnesses=None):
     def leaf():
         # position n colors no edge; the leaf copies position n-1 into it
         coloring = _pattern_coloring(n, seq + [seq[-1]], recolorings)
-        if coloring.k != k:
-            return None
-        colors = coloring.colors
-        for w in witnesses:
-            if len(set(map(colors.__getitem__, w))) < k:
-                return None
-        cert = is_polychromatic(coloring, kind)
-        if cert.polychromatic:
+        if coloring.k == k and is_polychromatic(coloring, kind).polychromatic:
             return coloring
-        witnesses.append(tuple(edge_index(n, i, j) for (i, j) in cert.witness.edges))
         return None
 
     def rec(j):
@@ -274,11 +279,11 @@ def _seq_stage(n, kind, k, pattern, witnesses=None):
                 return None
             leaves += 1
             return leaf()
-        # the loop's update, viable and complete read only the counts and flags
-        # of colors 1..used and treat those colors alike, so the key drops
+        # the loop's update, viable and complete read only the states of
+        # colors 1..used and treat those colors alike, so the key drops
         # their names
         top = used + 1
-        key = (j, used, tuple(sorted(zip(counts[1:top], satisfied[1:top]))))
+        key = (j, used, tuple(sorted(zip(counts[1:top], satisfied[1:top], starts[1:top]))))
         if key in dead:
             return None
         before = leaves
@@ -286,18 +291,14 @@ def _seq_stage(n, kind, k, pattern, witnesses=None):
         used_before = used
         for c in range(1, min(used_before + 1, k) + 1):
             nodes += 1
-            counts[c] += 1
+            was = place(pos, c)
             used = max(used_before, c)
-            was = satisfied[c]
-            satisfied[c] = was or 2 * counts[c] >= pos + s
-            seq.append(c)
             if viable(pos):
                 res = rec(pos)
                 if res is not None:
                     return res
             seq.pop()
-            counts[c] -= 1
-            satisfied[c] = was
+            counts[c], starts[c], satisfied[c] = was
         used = used_before
         if leaves == before:
             dead.add(key)
@@ -331,12 +332,11 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     start = time.perf_counter()
     total_nodes = 0
     best: Optional[EdgeColoring] = None
-    witnesses: list[tuple[int, ...]] = []  # refuting members, kept across k and patterns
     k_hi = min((n.bit_length() - 1) + 4, n * (n - 1) // 2)
     for k in range(1, k_hi + 1):
         found = None
         for pattern in patterns:
-            coloring, nodes = _seq_stage(n, kind, k, pattern, witnesses)
+            coloring, nodes = _seq_stage(n, kind, k, pattern)
             total_nodes += nodes
             if coloring is not None:
                 found = coloring

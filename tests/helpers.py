@@ -106,6 +106,21 @@ def all_combed_colorings(n: int):
             yield quad_from_tail(n, tail)
 
 
+def walk_on_every_two_factor(mains, t: int) -> bool:
+    """Whether every 2-factor of K_n minus color t of build_ordered(mains)
+    uses t, by the segment walk over the class-t positions below n."""
+    n = len(mains)
+    cls = [p for p in range(1, n) if mains[p - 1] == t]
+    a = 0
+    while True:
+        p = next((p for p in range(a + 1, n) if 2 * sum(a < x <= p for x in cls) >= p - a), None)
+        if p is None:
+            return False
+        if p - a <= 2 or n - p < 3:
+            return True
+        a = p
+
+
 def permute_vertices(c: EdgeColoring, perm: dict[int, int]) -> EdgeColoring:
     mapping = {}
     for (i, j, col) in c.edges():

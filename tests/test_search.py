@@ -11,14 +11,14 @@ from polykn import (
     FamilyKind,
     brute_force_poly,
     build,
+    build_ordered,
     is_polychromatic,
     palette_size,
     structured_poly,
     theorem_table,
 )
 from polykn import families, search
-from polykn.core import all_edges
-from polykn.families import SubgraphWitness, maximum_matching
+from polykn.families import AllowedGraph, find_member, maximum_matching
 from polykn.search import (
     _PATTERNS,
     _chain_viable,
@@ -28,11 +28,14 @@ from polykn.search import (
     _seq_stage,
 )
 from helpers import (
-    all_combed_colorings,
     pattern_coloring,
+    quad_from_tail,
     ref_bf_stage,
     ref_minimal_blockers,
     ref_seq_stage,
+    rgs,
+    triple_from_tail,
+    walk_on_every_two_factor,
 )
 
 F1 = FamilyKind.ONE_FACTOR
@@ -156,10 +159,10 @@ def test_structured_validation():
         structured_poly(6, F1, "combed")
     with pytest.raises(ValueError):
         structured_poly(6, F2, "everything")
-    for kind, n in ((F1, 130), (F2, 33), (HC, 65)):
+    for kind, n in ((F1, 130), (F2, 129), (HC, 65)):
         with pytest.raises(CapExceededError):
             structured_poly(n, kind, "ordered")
-    for kind, n in ((F2, 33), (HC, 65)):
+    for kind, n in ((F2, 129), (HC, 65)):
         with pytest.raises(CapExceededError):
             structured_poly(n, kind, "combed")
 
@@ -180,16 +183,16 @@ def test_structured_combed_at_combed_cap(kind):
     report = structured_poly(20, kind, "combed")
     assert report.optimum == report.coloring.k == palette_size(kind, 20) == 5
     assert is_polychromatic(report.coloring, kind).polychromatic
-    assert report.nodes == {F2: 2_929, HC: 216}[kind]
+    assert report.nodes == {F2: 228, HC: 216}[kind]
 
 
 @pytest.mark.parametrize(
     "mode, kind, n, want, nodes",
     [
         ("ordered", F1, 128, 7, 2_935),
-        ("ordered", F2, 32, 5, 10_315),
+        ("ordered", F2, 128, 7, 2_913),
         ("ordered", HC, 64, 6, 1_045),
-        ("combed", F2, 32, 6, 26_449),
+        ("combed", F2, 128, 8, 3_794),
         ("combed", HC, 64, 7, 1_403),
     ],
 )
@@ -231,11 +234,8 @@ def test_two_factor_never_beats_hamiltonian():
 
 def reference_structured_nodes(monkeypatch, n, kind, mode):
     """Node count of structured_poly with the plain sequence search."""
-    def plain(n, kind, k, pattern, witnesses=None):
-        return ref_seq_stage(n, kind, k, pattern)
-
     with monkeypatch.context() as m:
-        m.setattr(search, "_seq_stage", plain)
+        m.setattr(search, "_seq_stage", ref_seq_stage)
         return structured_poly(n, kind, mode).nodes
 
 
@@ -252,7 +252,7 @@ def test_search_node_counts_pinned(monkeypatch):
         assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
     combed = {
         (F2, 3): (6, 6), (F2, 4): (17, 14), (HC, 3): (6, 6), (HC, 4): (17, 14),
-        (HC, 10): (464, 67), (F2, 10): (551, 108),
+        (HC, 10): (464, 67), (F2, 10): (551, 73),
     }
     ordered = {(F1, 12): (728, 54), (F2, 8): (68, 31)}
     for mode, pins in (("combed", combed), ("ordered", ordered)):
@@ -294,33 +294,39 @@ def test_ordered_one_factor_leaves_need_no_matching(monkeypatch):
 
 @pytest.mark.parametrize("kind, n, patterns", SEQ_DIFFERENTIAL)
 def test_seq_stage_matches_plain_search(kind, n, patterns):
-    # the dead-state memo and the kept witnesses skip no hit: every stage
-    # returns the plain search's first hit, with witnesses kept across k
-    # and patterns as in structured_poly
-    witnesses = []
+    # the dead-state memo and the 2-factor walk skip no hit: every stage
+    # returns the plain search's first hit
     for k in range(1, 7):
         for pattern in patterns:
             want = ref_seq_stage(n, kind, k, pattern)[0]
-            assert _seq_stage(n, kind, k, pattern, witnesses)[0] == want, (k, pattern)
+            assert _seq_stage(n, kind, k, pattern)[0] == want, (k, pattern)
 
 
-def count_states(last, s, k, exempt):
+def count_states(last, s, k, exempt, walk=False):
     """Every count state the sequence search can reach, with a flag saying
     whether some extension to position `last` completes it.
 
-    A state is (j, used, the sorted (count, satisfied) pairs of colors
-    1..used); the root has `exempt` satisfied colors and no position
-    filled.  Yields (j, used, pairs, completes).
+    A state is (j, used, the sorted (count, satisfied, start) triples of
+    colors 1..used); the root has `exempt` satisfied colors and no position
+    filled.  The start stays 0 but under the 2-factor walk (`walk`, with
+    s = 0), where a crossing at pos either satisfies the color or restarts
+    its count at pos.  Yields (j, used, triples, completes).
     """
+    n = last + 1
     memo = {}
 
     def children(j, used, pairs):
         pos = j + 1
         options = [(i, pairs[i]) for i in range(len(pairs)) if pairs[i] not in pairs[:i]]
         if used < k:
-            options.append((None, (0, False)))
-        for i, (count, sat) in options:
-            placed = (count + 1, sat or 2 * (count + 1) >= pos + s)
+            options.append((None, (0, False, 0)))
+        for i, (count, sat, start) in options:
+            placed = (count + 1, sat, start)
+            if not sat and 2 * (count + 1) >= pos - start + s:
+                if walk and pos - start > 2 and n - pos >= 3:
+                    placed = (0, False, pos)
+                else:
+                    placed = (count + 1, True, start)
             rest = list(pairs) if i is None else list(pairs[:i] + pairs[i + 1 :])
             yield used + (i is None), tuple(sorted(rest + [placed]))
 
@@ -328,12 +334,12 @@ def count_states(last, s, k, exempt):
         key = (j, used, pairs)
         if key not in memo:
             if j == last:
-                memo[key] = used == k and all(sat for _, sat in pairs)
+                memo[key] = used == k and all(sat for _, sat, _ in pairs)
             else:
                 memo[key] = any(completes(j + 1, u, p) for u, p in children(j, used, pairs))
         return memo[key]
 
-    root = (0, exempt, ((0, True),) * exempt)
+    root = (0, exempt, ((0, True, 0),) * exempt)
     completes(*root)
     for (j, used, pairs), done in memo.items():
         yield j, used, pairs, done
@@ -343,62 +349,83 @@ def test_chain_viable_on_every_count_state():
     # the chain accepts every state some extension completes, and rejects
     # every state one of the three earlier checks rejects: a pending color
     # that cannot reach its moment even at every position left, more new
-    # colors than positions left, a new color's moment past last
-    stronger = 0
-    for last in range(1, 11):
-        for s in (0, 1):
+    # colors than positions left, a new color's moment past last; the rules
+    # are the strict (s = 1), the weak (s = 0) and the 2-factor walk
+    stronger = {}
+    for s, walk in ((0, False), (1, False), (0, True)):
+        stronger[s, walk] = 0
+        for last in range(1, 11):
             for k in range(1, 6):
                 for exempt in (0, 2, 3):
                     if exempt > k:
                         continue
-                    for j, used, pairs, done in count_states(last, s, k, exempt):
-                        pending = [count for count, sat in pairs if not sat]
+                    for j, used, pairs, done in count_states(last, s, k, exempt, walk):
+                        pending = [2 * count + start for count, sat, start in pairs if not sat]
                         chain = _chain_viable(pending + [0] * (k - used), j, s, last)
                         left = last - j
-                        earlier = all(2 * (count + left) >= last + s for count in pending) and (
+                        earlier = all(w + 2 * left >= last + s for w in pending) and (
                             used >= k or (k - used <= left and 2 * j + s <= last)
                         )
-                        where = (last, s, k, j, used, pairs)
+                        where = (last, s, walk, k, j, used, pairs)
                         assert chain or not done, where
                         assert earlier or not chain, where
-                        stronger += earlier and not chain
-    assert stronger
+                        stronger[s, walk] += earlier and not chain
+    assert all(stronger.values()), stronger
 
 
-def kept_f2_witnesses(n):
-    """Members kept by the 2-factor sequence searches at n, k = 1..6; these
-    are the searches whose complete leaves fail."""
-    witnesses = []
-    for k in range(1, 7):
-        for pattern in sorted(_PATTERNS):
-            _seq_stage(n, F2, k, pattern, witnesses)
-    assert witnesses
-    pairs = all_edges(n)
-    for w in witnesses:
-        SubgraphWitness(F2, tuple(pairs[idx] for idx in w)).validate(n)
-    return witnesses
+def test_structured_leaves_never_refuted(monkeypatch):
+    # every family's count-state rule is exact, so every complete sequence
+    # the searches reach is polychromatic and no leaf verdict refutes
+    verdicts = []
+
+    def recording(c, kind):
+        cert = is_polychromatic(c, kind)
+        verdicts.append((kind, c.n, cert.polychromatic))
+        return cert
+
+    monkeypatch.setattr(search, "is_polychromatic", recording)
+    for kind, mode in ((F1, "ordered"), (F2, "ordered"), (F2, "combed"), (HC, "ordered"), (HC, "combed")):
+        for n in range(2, 25, 2) if kind is F1 else range(3, 25):
+            structured_poly(n, kind, mode)
+    assert len(verdicts) >= 12 + 4 * 22  # at least each search's hit
+    assert [v for v in verdicts if not v[2]] == []
 
 
-def assert_refutes_exactly(witnesses, colorings):
-    # a coloring a kept member misses a color of is violated by the engines too
-    refuted = 0
-    for c in colorings:
-        if any(len(set(map(c.colors.__getitem__, w))) < c.k for w in witnesses):
-            refuted += 1
-            assert not is_polychromatic(c, F2).polychromatic, c.colors
-    assert refuted
+def assert_walk_matches_engine(c, mains, exempt=()):
+    # exempt colors are unitary, so on every member; the others follow the
+    # walk over the full mains
+    for t in range(1, c.k + 1):
+        walked = t in exempt or walk_on_every_two_factor(mains, t)
+        assert walked == (find_member(F2, AllowedGraph.minus_color(c, t)) is None), (mains, t)
+    return c.k
 
 
-def test_kept_witnesses_refute_exactly():
-    assert_refutes_exactly(kept_f2_witnesses(9), all_combed_colorings(9))
-    n = 14
-    rng = random.Random(n)
-    sample = []
-    for _ in range(1_500):
-        fixed, _, recolorings = _PATTERNS[rng.choice(sorted(_PATTERNS))]
-        seq = (list(fixed) + [rng.randint(1, 5) for _ in range(n)])[: n - 1]
-        sample.append(pattern_coloring(n, seq + [seq[-1]], recolorings))
-    assert_refutes_exactly(kept_f2_witnesses(n), sample)
+def test_two_factor_walk_matches_engine():
+    pairs = 0
+    for n in range(3, 10):
+        for seq in rgs(n - 1, max_colors=4):
+            mains = seq + seq[-1:]
+            pairs += assert_walk_matches_engine(build_ordered(mains), mains)
+    assert pairs == 13_176
+    for n in range(5, 10):
+        for tail in rgs(n - 4, used0=3, max_colors=5):
+            mains = (1, 2, 3) + tail
+            mains += mains[-1:]
+            assert_walk_matches_engine(triple_from_tail(n, tail), mains, (1, 2, 3))
+        for tail in rgs(n - 5, used0=2, max_colors=4):
+            mains = (1, 1, 2, 2) + tail
+            mains += mains[-1:]
+            assert_walk_matches_engine(quad_from_tail(n, tail), mains, (1, 2))
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(12, 48)
+        runs = []
+        while len(runs) < n - 1:
+            runs += [rng.randint(1, 6)] * rng.randint(1, max(1, n // 4))
+        first = {}
+        seq = tuple(first.setdefault(c, len(first) + 1) for c in runs[: n - 1])
+        mains = seq + seq[-1:]
+        assert_walk_matches_engine(build_ordered(mains), mains)
 
 
 @pytest.mark.parametrize("kind, n", DIFFERENTIAL)
