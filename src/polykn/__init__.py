@@ -38,8 +38,7 @@ from .transforms import (
 from .verify import (
     NoWitness,
     PolyCertificate,
-    adversarial_hamcycle,
-    adversarial_matching,
+    adversarial_member,
     is_polychromatic,
     majority_upper_bound,
 )
@@ -58,8 +57,7 @@ __all__ = [
     "SearchReport",
     "SubgraphWitness",
     "VertexOrdering",
-    "adversarial_hamcycle",
-    "adversarial_matching",
+    "adversarial_member",
     "brute_force_poly",
     "build",
     "build_ordered",

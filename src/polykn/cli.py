@@ -21,7 +21,7 @@ from .constructions import FamilyKind, build, check_n
 from .core import EdgeColoring, _endpoint_columns, comb_certificate, edge_index
 from .search import SearchReport, brute_force_poly, structured_poly, theorem_table
 from .transforms import improve_toward_combed, recolor_unitary_triple
-from .verify import NoWitness, adversarial_hamcycle, adversarial_matching, is_polychromatic
+from .verify import NoWitness, adversarial_member, is_polychromatic
 
 # fixed 12-entry palette for DOT output, cycled by color index
 DOT_PALETTE = (
@@ -189,9 +189,8 @@ def _cmd_witness(args) -> int:
     ic = comb_certificate(c)
     if ic is None:
         raise CliError("input coloring is not combed; no inherited classes exist")
-    builder = adversarial_matching if kind is FamilyKind.ONE_FACTOR else adversarial_hamcycle
     try:
-        witness = builder(ic, args.color)
+        witness = adversarial_member(ic, args.color, kind)
     except NoWitness as exc:
         _emit(f"no witness: {exc}\n", args.out)
         return 1

@@ -435,10 +435,9 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
 def majority_moments(mains, s: int) -> dict[int, int]:
     """Each color's majority moment along a main-color sequence: the
     smallest j with 2|M_t(j)| >= j + s, for every color t of mains that
-    has one.  s = 1 is the strict rule (|M_t(j)| > j/2, 1-factors), s = 0
-    the weak one (|M_t(j)| >= j/2, 2-factors and cycles).  A color whose
-    count stands still only moves away from the rule, so its moment is a
-    position holding it."""
+    has one: s = 1 strict (|M_t(j)| > j/2), s = 0 weak (|M_t(j)| >= j/2).
+    A color whose count stands still only moves away from the rule, so its
+    moment is a position holding it."""
     counts = [0] * (max(mains, default=0) + 1)
     moments: dict[int, int] = {}
     for j, t in enumerate(mains, start=1):
@@ -454,7 +453,8 @@ def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertifi
     Classes holding a unitary vertex are flagged "unitary", in both modes:
     a unitary vertex's partner edge breaks the counting argument.  Every
     other class gets its majority moment (strict or weak), else "fails".
-    These are the colors verify._prefix_proofs proves for its rule.
+    verify._prefix_proofs proves the same colors for 1-factors (strict)
+    and Hamiltonian cycles (weak); for 2-factors it walks segments.
     """
     moments = majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0)
     exempt = {u.main for u in ic.unitary_set}

@@ -31,7 +31,7 @@ from typing import Optional
 from .constructions import _PATTERNS, FamilyKind, _pattern_coloring, build, check_n, palette_size
 from .core import EdgeColoring, edge_index
 from .families import CapExceededError, enumerate_members
-from .verify import is_polychromatic
+from .verify import PREFIX_RULES, is_polychromatic
 
 BRUTE_CAPS = {
     FamilyKind.ONE_FACTOR: 8,
@@ -211,20 +211,10 @@ def _seq_stage(n, kind, k, pattern):
     """First (lex) main-color sequence completing the pattern at palette size k.
 
     A color is satisfied once the sequence puts it on every member; colors
-    made unitary by the pattern prefix are exempt.  The rule is exact per
-    family, so a complete sequence is polychromatic.  f1 and hc read
-    core.majority_moments' 2|M_t(p)| >= p + s (s = 1, 0).  f2 walks
-    segments: K_n minus color t of an ordered coloring is a threshold
-    graph (Chvatal and Hammer 1977; Mahadev and Peled 1995), whose
-    class-t vertices T (mains t below n) are independent and joined to
-    every other vertex before them.  From a = 0, the first p > a + 1 with
-    2|T cap (a, p]| >= p - a is tight, so the T vertices of (a, p] use up
-    the degree left on its other vertices and every member splits at p.
-    That piece is 2-regular bipartite, so it needs 2 T vertices, and the
-    rest needs 3 vertices.  So t is satisfied at p if p - a <= 2 or
-    n - p < 3; otherwise the walk restarts at a = p with count 0.  A last
-    segment with no crossing holds a Hamiltonian cycle avoiding t by the
-    weak rule.
+    made unitary by the pattern prefix are exempt.  Each placement goes
+    through the family's prefix rule (verify.PREFIX_RULES), which is exact
+    on ordered and combed sequences, so a complete sequence is
+    polychromatic.
 
     Returns (the verified EdgeColoring or None, nodes explored).
     """
@@ -232,8 +222,8 @@ def _seq_stage(n, kind, k, pattern):
     used = max(exempt, default=0)
     if used > k or len(fixed) > n:
         return None, 0
-    s = 1 if kind is FamilyKind.ONE_FACTOR else 0
-    walk = kind is FamilyKind.TWO_FACTOR
+    rule = PREFIX_RULES[kind]
+    step, s = rule.step, rule.s
     last = n - 1  # free positions 1..n-1; position n copies n-1
     counts = [0] * (n + 2)
     starts = [0] * (n + 2)  # segment starts a; counts are of (a, p]
@@ -245,12 +235,10 @@ def _seq_stage(n, kind, k, pattern):
 
     def place(pos, c):  # returns c's (count, start, flag) before pos
         before = counts[c], starts[c], satisfied[c]
-        counts[c] += 1
-        if not satisfied[c] and 2 * counts[c] >= pos - starts[c] + s:
-            if walk and pos - starts[c] > 2 and n - pos >= 3:
-                counts[c], starts[c] = 0, pos
-            else:
-                satisfied[c] = True
+        if satisfied[c]:
+            counts[c] += 1
+        else:
+            counts[c], starts[c], satisfied[c] = step(n, pos, counts[c], starts[c])
         seq.append(c)
         return before
 

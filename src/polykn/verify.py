@@ -2,12 +2,12 @@
 
 A coloring is polychromatic for a family when every member carries every
 color.  The paper's counting argument settles most colors first: along
-the comb prefix, a color whose class holds a majority of some prefix is
-on every member, and no engine runs for it.  The other colors are decided
-exactly: color t is avoidable iff the family has a member inside K_n
-minus the color-t edges.  When a color fails the
-prefix-majority rule, one builder writes down an avoiding member in the
-edge layout of its family; a complete certificate bounds the palette.
+the comb prefix, each family's prefix rule (PREFIX_RULES) names the colors
+on every member, and no engine runs for them.  The other colors are
+decided exactly: color t is avoidable iff the family has a member inside
+K_n minus the color-t edges.  On a combed coloring, a color that the rule
+leaves unproved gets an avoiding member written down in the edge layout of
+its family; a complete certificate bounds the palette.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import FamilyKind, check_n
-from .core import (
-    Edge,
-    InheritedColoring,
-    MajorityCertificate,
-    comb_prefix,
-    majority_certificate,
-    majority_moments,
-)
+from .core import Edge, InheritedColoring, MajorityCertificate, comb_prefix
 from .families import AllowedGraph, SubgraphWitness, find_member
 
 
@@ -45,19 +38,69 @@ class PolyCertificate:
     spot_checks: tuple[tuple[int, Edge], ...] = ()
 
 
-def _prefix_proofs(c, kind: FamilyKind) -> set[int]:
-    """The colors that the comb prefix puts on every member of kind.
+@dataclass(frozen=True)
+class PrefixRule:
+    """When a comb prefix puts color t on every member of a family.
 
-    Every edge from a prefix vertex to a later vertex carries its main
-    color, so a member avoiding a color t whose class holds no unitary
-    vertex joins each class-t vertex of the first j positions only to
-    earlier vertices of other classes.  Hence 2|M_t(j)| >= j + 1 at some j
-    puts t on every member; for Hamiltonian cycles 2|M_t(j)| >= j with
-    j < n does too, since the prefix would close into cycles.
+    Edges from a prefix vertex to later ones carry its main color, so K_n
+    minus color t joins each class-t prefix vertex (T; t no unitary main)
+    only to earlier vertices outside T.  With c the T vertices of (a, p],
+    a member avoiding t needs 2c <= p for 1-factors and 2c < p at p < n
+    for Hamiltonian cycles, so the rule proves t at the first p with
+    2c >= p - a + s, a = 0 (strict s = 1, weak s = 0).  For 2-factors that
+    first p (s = 0) is tight: the T vertices of (a, p] use up the degree
+    left on its others, so every member splits into a 2-regular bipartite
+    piece on (a, p], which needs 2 T vertices, and a rest of n - p >= 3
+    vertices; else t is proved, and the walk restarts at a = p with c = 0.
+    On an ordered coloring K_n minus t is a threshold graph (Chvatal and
+    Hammer 1977; Mahadev and Peled 1995); adversarial_member builds a
+    member avoiding each color its family's rule leaves unproved.
     """
+
+    name: str  # as the no-witness line names it
+    s: int
+    restarts: bool
+
+    def step(self, n: int, p: int, count: int, start: int) -> tuple[int, int, bool]:
+        """(count, start, proved) of an unproved color after it is placed at
+        position p < n, from its count since its segment start."""
+        count += 1
+        if 2 * count < p - start + self.s:
+            return count, start, False
+        if self.restarts and p - start > 2 and n - p >= 3:
+            return 0, p, False
+        return count, start, True
+
+    def walk(self, n: int, mains) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+        """(starts, moments) over positions 1..n-1 of mains: the segment
+        starts (from 0) of each color that restarts, and each proved color's p."""
+        counts: dict[int, int] = {}
+        starts: dict[int, tuple[int, ...]] = {}
+        moments: dict[int, int] = {}
+        for p, t in enumerate(mains[: n - 1], start=1):
+            if t not in moments:
+                seg = starts.get(t, (0,))
+                counts[t], a, proved = self.step(n, p, counts.get(t, 0), seg[-1])
+                if proved:
+                    moments[t] = p
+                elif a > seg[-1]:
+                    starts[t] = seg + (a,)
+        return starts, moments
+
+
+PREFIX_RULES = {
+    FamilyKind.ONE_FACTOR: PrefixRule("majority condition", 1, False),
+    FamilyKind.TWO_FACTOR: PrefixRule("segment walk", 0, True),
+    FamilyKind.HAMILTONIAN_CYCLE: PrefixRule("weak majority condition", 0, False),
+}
+
+
+def _prefix_proofs(c, kind: FamilyKind) -> set[int]:
+    """The colors kind's rule proves along the comb prefix, but for the
+    classes holding a unitary vertex, whose partner edges break it."""
     unitary, _, mains = comb_prefix(c)
-    s = 0 if kind is FamilyKind.HAMILTONIAN_CYCLE else 1
-    return majority_moments(mains[: c.n - 1], s).keys() - {u.main for u in unitary}
+    _, moments = PREFIX_RULES[kind].walk(c.n, mains)
+    return moments.keys() - {u.main for u in unitary}
 
 
 def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
@@ -91,83 +134,55 @@ def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
 
 
 class NoWitness(ValueError):
-    """No adversarial member applies to the color: its class holds a unitary
-    vertex, or it meets the builder's majority rule, which puts it on every
-    member that rule covers (every 1-factor for the strict rule, every
-    Hamiltonian cycle for the weak one).  Bad input raises plain ValueError."""
+    """No adversarial member applies: the color's class holds a unitary
+    vertex, or its family's rule puts it on every member.  Bad input
+    raises plain ValueError."""
 
 
-def _adversarial(ic: InheritedColoring, t: int, kind: FamilyKind, layout) -> SubgraphWitness:
-    """The member of kind that layout(xs, ys) makes of the class-t vertices
-    xs and the others ys, in position order; it is validated and checked to
-    avoid t.  Raises NoWitness for the colors that _prefix_proofs sets aside
-    or proves under kind's rule (strict for 1-factors, weak for cycles)."""
-    strict = kind is FamilyKind.ONE_FACTOR
+def adversarial_member(ic: InheritedColoring, t: int, kind: FamilyKind) -> SubgraphWitness:
+    """A member of kind avoiding color t, validated, when kind's prefix
+    rule leaves t unproved and class t holds no unitary vertex (else
+    NoWitness).
+
+    Each segment of the rule's walk (one but for 2-factors) lists its
+    class-t vertices x_1..x_m and the others y_1.. in position order; the
+    rule failing puts y_i, and for cycles y_(i+1) unless x_i ends a tight
+    segment, left of x_i.  1-factors pair y_i x_i and the leftover y's
+    consecutively; the others close each segment into the cycle
+    y_1 x_1 .. y_m x_m y_(m+1) .. y_1.  Every edge at an x goes left and
+    every other edge carries its earlier end's main (or, at a unitary
+    vertex's partner edge, the partner's), so none carries t.
+    """
+    check_n(kind, ic.n)
     if not (1 <= t <= ic.k):
         raise ValueError(f"color {t} out of range")
-    entry = majority_certificate(ic, strict).entry(t)
-    if entry.status == "unitary":
+    if t in {u.main for u in ic.unitary_set}:
         raise NoWitness(f"class {t} contains a unitary vertex")
-    if entry.status == "prefix":
-        weak = "" if strict else "weak "
-        raise NoWitness(f"color {t} satisfies the {weak}majority condition (j={entry.j})")
-    xs, ys = [], []  # class t and the other vertices, in position order
-    for v, main in zip(ic.ordering.order, ic.sequence):
-        (xs if main == t else ys).append(v)
-    if not xs:
+    rule = PREFIX_RULES[kind]
+    starts, moments = rule.walk(ic.n, ic.sequence)
+    if t in moments:
+        raise NoWitness(f"color {t} satisfies the {rule.name} (j={moments[t]})")
+    if t not in ic.sequence:
         raise ValueError(f"color {t} is not present")
-    witness = SubgraphWitness(kind, tuple(layout(xs, ys)))
+    bounds = (*starts.get(t, (0,)), ic.n)
+    edges = []
+    for a, b in zip(bounds, bounds[1:]):
+        xs, ys = [], []
+        for v, main in zip(ic.ordering.order[a:b], ic.sequence[a:b]):
+            (xs if main == t else ys).append(v)
+        m = len(xs)
+        if kind is FamilyKind.ONE_FACTOR:
+            edges += zip(ys, xs)
+            edges += zip(ys[m::2], ys[m + 1 :: 2])
+        else:
+            cycle = [v for pair in zip(ys, xs) for v in pair] + ys[m:]
+            edges += zip(cycle, cycle[1:] + cycle[:1])
+    witness = SubgraphWitness(kind, tuple(edges))
     witness.validate(ic.n)
     for (i, j) in witness.edges:
         if ic.coloring.color(i, j) == t:
-            member = "matching" if strict else "cycle"
-            raise RuntimeError(f"constructed {member} contains color {t} on ({i}, {j})")
+            raise RuntimeError(f"constructed {kind.value} member contains color {t} on ({i}, {j})")
     return witness
-
-
-def adversarial_matching(ic: InheritedColoring, t: int) -> SubgraphWitness:
-    """A 1-factor avoiding color t when the strict majority condition fails
-    and class t holds no unitary vertex (else NoWitness).
-
-    With x_1..x_m the class-t vertices in order and y_1..y_{n-m} the rest,
-    the matching pairs y_i with x_i (y_i is guaranteed to sit left of x_i)
-    and pairs the leftover y's consecutively.  An edge carries the main of
-    its earlier end, or on a unitary vertex's partner edge the partner's
-    main; neither is t, so no edge carries t.
-    """
-    check_n(FamilyKind.ONE_FACTOR, ic.n)
-
-    def layout(xs, ys):
-        m = len(xs)
-        edges = [(ys[i], xs[i]) for i in range(m)]
-        leftovers = ys[m:]
-        edges.extend((leftovers[i], leftovers[i + 1]) for i in range(0, len(leftovers), 2))
-        return edges
-
-    return _adversarial(ic, t, FamilyKind.ONE_FACTOR, layout)
-
-
-def adversarial_hamcycle(ic: InheritedColoring, t: int) -> SubgraphWitness:
-    """A Hamiltonian cycle avoiding color t when the weak condition fails.
-
-    Requires |M_t(j)| < j/2 for every j < n and no unitary vertex in class
-    t, else NoWitness.
-    The cycle y_1 x_1 y_2 x_2 .. y_m x_m y_{m+1} .. y_{n-m} y_1 interleaves
-    class-t vertices with earlier outsiders; every edge at a class-t vertex
-    goes left, so none carries t.
-    """
-    check_n(FamilyKind.HAMILTONIAN_CYCLE, ic.n)
-
-    def layout(xs, ys):
-        m = len(xs)
-        seq = []
-        for i in range(m):
-            seq.append(ys[i])
-            seq.append(xs[i])
-        seq.extend(ys[m:])
-        return [(seq[i], seq[i + 1]) for i in range(ic.n - 1)] + [(seq[-1], seq[0])]
-
-    return _adversarial(ic, t, FamilyKind.HAMILTONIAN_CYCLE, layout)
 
 
 def majority_upper_bound(cert: MajorityCertificate) -> int:

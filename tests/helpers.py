@@ -106,19 +106,24 @@ def all_combed_colorings(n: int):
             yield quad_from_tail(n, tail)
 
 
-def walk_on_every_two_factor(mains, t: int) -> bool:
-    """Whether every 2-factor of K_n minus color t of build_ordered(mains)
-    uses t, by the segment walk over the class-t positions below n."""
+def two_factor_walk_moment(mains, t: int):
+    """The position at which the segment walk over the class-t positions
+    below n puts t on every 2-factor of K_n minus color t of
+    build_ordered(mains), or None when some 2-factor avoids t."""
     n = len(mains)
     cls = [p for p in range(1, n) if mains[p - 1] == t]
     a = 0
     while True:
         p = next((p for p in range(a + 1, n) if 2 * sum(a < x <= p for x in cls) >= p - a), None)
-        if p is None:
-            return False
-        if p - a <= 2 or n - p < 3:
-            return True
+        if p is None or p - a <= 2 or n - p < 3:
+            return p
         a = p
+
+
+def walk_on_every_two_factor(mains, t: int) -> bool:
+    """Whether every 2-factor of K_n minus color t of build_ordered(mains)
+    uses t, by the segment walk over the class-t positions below n."""
+    return two_factor_walk_moment(mains, t) is not None
 
 
 def permute_vertices(c: EdgeColoring, perm: dict[int, int]) -> EdgeColoring:

@@ -18,8 +18,7 @@ from polykn import (
     EdgeColoring,
     FamilyKind,
     VertexOrdering,
-    adversarial_hamcycle,
-    adversarial_matching,
+    adversarial_member,
     brute_force_poly,
     build,
     comb_certificate,
@@ -133,7 +132,7 @@ def test_criterion_5_majority_property_suite():
                 if poly:
                     assert cert.complete, (n, ic.sequence)
                 for t in cert.failing_colors():
-                    w = adversarial_matching(ic, t)
+                    w = adversarial_member(ic, t, F1)
                     w.validate(n)
                     assert all(c.color(i, j) != t for (i, j) in w.edges)
                     assert not poly
@@ -146,7 +145,7 @@ def test_criterion_5_majority_property_suite():
                     if is_polychromatic(c, kind).polychromatic:
                         assert cert.complete, (n, kind, ic.sequence)
                 for t in cert.failing_colors():
-                    w = adversarial_hamcycle(ic, t)
+                    w = adversarial_member(ic, t, HC)
                     w.validate(n)
                     assert all(c.color(i, j) != t for (i, j) in w.edges)
                     assert not is_polychromatic(c, HC).polychromatic

@@ -193,15 +193,25 @@ def test_witness_f1_agrees_with_verify_on_unitary_coloring(tmp_path, capsys):
     assert out == "violated: color 1 avoided by f1 member [(1, 3), (2, 4), (5, 6), (7, 8)]\n"
 
 
-def test_witness_f2_names_the_weak_rule(tmp_path, capsys):
-    # the weak rule puts color 2 on every Hamiltonian cycle, not on every
-    # 2-factor: the line names the rule, and verify decides the 2-factors
+def test_witness_f2_answers_for_two_factors(tmp_path, capsys):
+    # color 2 meets the weak rule at j = 4, so it is on every Hamiltonian
+    # cycle, but the segment walk splits at 4 and leaves it unproved: the
+    # witness is a 4-cycle and a triangle, and verify agrees
     path = _write_doc(tmp_path, build_ordered((1, 1, 2, 2, 1, 1, 1)))
-    assert run(["witness", "--family", "f2", "--input", path, "--color", "2"]) == 1
-    line = "no witness: color 2 satisfies the weak majority condition (j=4)\n"
-    assert capsys.readouterr() == (line, "")
+    assert run(["witness", "--family", "f2", "--input", path, "--color", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["family"] == "f2" and doc["avoided_color"] == 2
+    assert doc["edges"] == [[1, 3], [1, 4], [2, 3], [2, 4], [5, 6], [5, 7], [6, 7]]
     assert run(["verify", "--family", "f2", "--input", path]) == 1
     assert run(["verify", "--family", "hc", "--input", path]) == 0
+    capsys.readouterr()
+    # after the split at 4, class 2 meets the walk again at 6 with the rest
+    # too small: one line names the walk
+    path = _write_doc(tmp_path, build_ordered((1, 1, 2, 2, 1, 2, 2)))
+    assert run(["witness", "--family", "f2", "--input", path, "--color", "2"]) == 1
+    line = "no witness: color 2 satisfies the segment walk (j=6)\n"
+    assert capsys.readouterr() == (line, "")
+    assert run(["verify", "--family", "f2", "--input", path]) == 0
     capsys.readouterr()
 
 

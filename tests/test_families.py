@@ -433,17 +433,18 @@ def test_hamiltonian_refutations_run_cheapest_first(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [7, 15, 31, 63, 127])
 def test_built_two_factor_coloring_is_refuted_on_the_cover(monkeypatch, n):
-    # at n = 2^m - 1 the comb prefix leaves color k to an engine, and the
-    # capacitated flow on the double cover refutes it: neither the cover
-    # matching nor Tutte's gadget runs, so no blossom call is made
+    # at n = 2^m - 1 the capacitated flow on the double cover refutes a
+    # 2-factor avoiding color k: neither the cover matching nor Tutte's
+    # gadget runs, so no blossom call is made
     import polykn.families as families
-    from polykn import build, is_polychromatic
+    from polykn import build
 
     calls, flows = [], []
     matching, flow = families.maximum_matching, families._cover_flow
     monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a[0]) or matching(*a))
     monkeypatch.setattr(families, "_cover_flow", lambda *a: flows.append(flow(*a)) or flows[-1])
-    assert is_polychromatic(build(F2, n), F2).polychromatic
+    c = build(F2, n)
+    assert find_member(F2, AllowedGraph.minus_color(c, c.k)) is None
     assert flows == [False]
     assert calls == []
 

@@ -14,8 +14,7 @@ from polykn import (
     NoWitness,
     SubgraphWitness,
     VertexOrdering,
-    adversarial_hamcycle,
-    adversarial_matching,
+    adversarial_member,
     build,
     build_ordered,
     comb_certificate,
@@ -158,9 +157,17 @@ def test_prefix_proofs_match_engines(monkeypatch):
             assert find_once(kind, (c, t)) is None, (kind, t, c.colors)
         ic = comb_certificate(c)
         if ic is not None:
-            # verdicts and certificates read one moment table
-            cert = majority_certificate(ic, strict=kind is not HC)
-            prefix = {e.color for e in cert.entries if e.status == "prefix"}
+            # verdicts read the strict and weak certificates' moments for
+            # 1-factors and cycles, and the segment walk for 2-factors
+            if kind is F2:
+                unitary = {u.main for u in ic.unitary_set}
+                prefix = {
+                    t for t in range(1, c.k + 1)
+                    if t not in unitary and helpers.walk_on_every_two_factor(ic.sequence, t)
+                }
+            else:
+                cert = majority_certificate(ic, strict=kind is F1)
+                prefix = {e.color for e in cert.entries if e.status == "prefix"}
             assert proved == prefix, (kind, c.colors)
         if proved and ic is None:
             uncombed_proofs += 1
@@ -195,17 +202,14 @@ def test_built_one_factor_colorings_need_no_engine(monkeypatch):
 
 
 def test_built_colorings_send_only_unitary_colors_to_engines(monkeypatch):
-    # every other color has a strict moment, or a weak one before n for
-    # cycles; at n = 2^m - 1 the last 2-factor color is only weak.  Below
-    # n = 4 only build(F2, 3) has unitary vertices
+    # the family's prefix rule proves every other color.  Below n = 4 only
+    # build(F2, 3) has unitary vertices
     assert _engine_colors(monkeypatch, build(HC, 3), HC) == ([], 0)
     for kind in (F2, HC):
         for n in range(3 if kind is F2 else 4, 41):
             c = build(kind, n)
             unitary = {u.main for u in comb_certificate(c).unitary_set}
             assert len(unitary) == 3, (kind, n)
-            if kind is F2 and (n + 1) & n == 0:
-                unitary.add(c.k)
             want = sorted(unitary)
             assert _engine_colors(monkeypatch, c, kind) == (want, len(want)), (kind, n)
 
@@ -217,7 +221,7 @@ def test_odd_n_one_factor_rejected():
 
 def test_adversarial_matching_example():
     ic = inherited_coloring(build_ordered((1, 1, 2, 2)), VertexOrdering.identity(4))
-    w = adversarial_matching(ic, 2)
+    w = adversarial_member(ic, 2, F1)
     assert w.edges == ((1, 3), (2, 4))
     assert all(ic.coloring.color(i, j) == 1 for (i, j) in w.edges)
 
@@ -226,16 +230,16 @@ def test_adversarial_matching_shifted_blocks():
     for m in (2, 3, 4):
         seq = [1] * m + [2] * m
         ic = inherited_coloring(build_ordered(seq), VertexOrdering.identity(2 * m))
-        w = adversarial_matching(ic, 2)
+        w = adversarial_member(ic, 2, F1)
         assert w.edges == tuple((i, m + i) for i in range(1, m + 1))
 
 
 def test_adversarial_matching_rejects_satisfied_color():
     ic = inherited_coloring(build_ordered((1, 2, 2, 2)), VertexOrdering.identity(4))
     with pytest.raises(ValueError, match=r"^color 2 satisfies the majority condition \(j=3\)$"):
-        adversarial_matching(ic, 2)
+        adversarial_member(ic, 2, F1)
     with pytest.raises(ValueError, match=r"^color 1 satisfies the majority condition \(j=1\)$"):
-        adversarial_matching(ic, 1)
+        adversarial_member(ic, 1, F1)
 
 
 def test_adversarial_matching_randomized_failing_instances():
@@ -248,7 +252,7 @@ def test_adversarial_matching_randomized_failing_instances():
         ic = inherited_coloring(c, VertexOrdering.identity(n))
         cert = majority_certificate(ic, strict=True)
         for t in cert.failing_colors():
-            w = adversarial_matching(ic, t)
+            w = adversarial_member(ic, t, F1)
             w.validate(n)
             assert all(c.color(i, j) != t for (i, j) in w.edges)
             assert not is_polychromatic(c, F1).polychromatic
@@ -258,7 +262,7 @@ def test_adversarial_matching_randomized_failing_instances():
 def test_adversarial_hamcycle_example():
     c = build_ordered((1, 1, 1, 2, 1, 1))
     ic = inherited_coloring(c, VertexOrdering.identity(6))
-    w = adversarial_hamcycle(ic, 2)
+    w = adversarial_member(ic, 2, HC)
     assert w.edges == ((1, 4), (1, 6), (2, 3), (2, 4), (3, 5), (5, 6))
     assert all(c.color(i, j) != 2 for (i, j) in w.edges)
 
@@ -267,12 +271,12 @@ def test_adversarial_hamcycle_rejections():
     c = build_ordered((1, 1, 1, 2, 1, 1))
     ic = inherited_coloring(c, VertexOrdering.identity(6))
     with pytest.raises(ValueError, match=r"^color 3 out of range$"):
-        adversarial_hamcycle(ic, 3)
+        adversarial_member(ic, 3, HC)
     with pytest.raises(ValueError, match=r"^color 1 satisfies the weak majority condition \(j=1\)$"):
-        adversarial_hamcycle(ic, 1)
+        adversarial_member(ic, 1, HC)
     comb = comb_certificate(build(F2, 8))
     with pytest.raises(ValueError, match=r"^class 1 contains a unitary vertex$"):
-        adversarial_hamcycle(comb, 1)
+        adversarial_member(comb, 1, HC)
 
 
 def test_adversarial_rejection_messages():
@@ -280,21 +284,21 @@ def test_adversarial_rejection_messages():
     # (1, 2, 2, 2) meets the weak rule for color 2 at j=2, one position
     # before the strict rule
     ic = inherited_coloring(build_ordered((1, 2, 2, 2)), VertexOrdering.identity(4))
-    for build_witness in (adversarial_matching, adversarial_hamcycle):
+    for kind in (F1, HC):
         for t in (0, 3):
             with pytest.raises(ValueError, match=rf"^color {t} out of range$"):
-                build_witness(ic, t)
+                adversarial_member(ic, t, kind)
     with pytest.raises(ValueError, match=r"^color 2 satisfies the weak majority condition \(j=2\)$"):
-        adversarial_hamcycle(ic, 2)
+        adversarial_member(ic, 2, HC)
     # mains that leave class 2 empty fail both rules for color 2
     c = build_ordered((1, 1, 2, 2))
     empty = InheritedColoring(c, VertexOrdering.identity(4), (1, 1, 1, 1), ())
-    for build_witness in (adversarial_matching, adversarial_hamcycle):
+    for kind in (F1, HC):
         with pytest.raises(ValueError, match=r"^color 2 is not present$"):
-            build_witness(empty, 2)
+            adversarial_member(empty, 2, kind)
     comb = comb_certificate(build(F2, 8))
     with pytest.raises(NoWitness, match=r"^color 4 satisfies the majority condition \(j=7\)$"):
-        adversarial_matching(comb, 4)
+        adversarial_member(comb, 4, F1)
 
 
 def test_adversarial_hamcycle_randomized_failing_instances():
@@ -307,7 +311,7 @@ def test_adversarial_hamcycle_randomized_failing_instances():
         ic = inherited_coloring(c, VertexOrdering.identity(n))
         cert = majority_certificate(ic, strict=False)
         for t in cert.failing_colors():
-            w = adversarial_hamcycle(ic, t)
+            w = adversarial_member(ic, t, HC)
             w.validate(n)
             assert all(c.color(i, j) != t for (i, j) in w.edges)
             assert not is_polychromatic(c, HC).polychromatic
@@ -318,27 +322,28 @@ def test_adversarial_hamcycle_randomized_failing_instances():
 def test_witness_builders_agree_with_prefix_proofs():
     # the contract polykn witness relies on, on every combed coloring up to
     # n = 8: a built member avoids t; NoWitness names a class holding a
-    # unitary vertex, or a color _prefix_proofs proves under the builder's
-    # rule (strict for 1-factors, weak for cycles); nothing else is raised
+    # unitary vertex, or a color _prefix_proofs proves under the family's
+    # rule; nothing else is raised
     unitary_f1 = 0
+    rules = {F1: "majority condition", F2: "segment walk", HC: "weak majority condition"}
     for n in range(3, 9):
         for c in all_combed_colorings(n):
             ic = comb_certificate(c)
             unitary = {u.main for u in ic.unitary_set}
             for kind in (F1, F2, HC) if n % 2 == 0 else (F2, HC):
-                rule = F1 if kind is F1 else HC
-                builder = adversarial_matching if kind is F1 else adversarial_hamcycle
-                proved = _prefix_proofs(c, rule)
-                moments = majority_moments(ic.sequence[: n - 1], 1 if kind is F1 else 0)
-                weak = "" if kind is F1 else "weak "
+                proved = _prefix_proofs(c, kind)
+                if kind is F2:
+                    moments = {t: helpers.two_factor_walk_moment(ic.sequence, t) for t in proved}
+                else:
+                    moments = majority_moments(ic.sequence[: n - 1], 1 if kind is F1 else 0)
                 for t in range(1, c.k + 1):
                     try:
-                        w = builder(ic, t)
+                        w = adversarial_member(ic, t, kind)
                     except NoWitness as exc:
                         if t in unitary:
                             assert str(exc) == f"class {t} contains a unitary vertex"
                         else:
-                            line = f"color {t} satisfies the {weak}majority condition (j={moments[t]})"
+                            line = f"color {t} satisfies the {rules[kind]} (j={moments[t]})"
                             assert t in proved and str(exc) == line, (kind, t, c.colors)
                         continue
                     assert t not in unitary and t not in proved, (kind, t, c.colors)
@@ -346,6 +351,33 @@ def test_witness_builders_agree_with_prefix_proofs():
                     assert all(c.color(i, j) != t for (i, j) in w.edges), (kind, t, c.colors)
                     unitary_f1 += kind is F1 and bool(unitary)
     assert unitary_f1 >= 400
+
+
+def test_two_factor_witness_is_exact():
+    # on every combed coloring up to n = 8 the 2-factor builder writes down
+    # an avoiding member exactly when the engine finds one, outside the
+    # classes holding a unitary vertex
+    built = proved = 0
+    for n in range(3, 9):
+        for c in all_combed_colorings(n):
+            ic = comb_certificate(c)
+            unitary = {u.main for u in ic.unitary_set}
+            for t in range(1, c.k + 1):
+                engine = find_member(F2, AllowedGraph.minus_color(c, t))
+                try:
+                    w = adversarial_member(ic, t, F2)
+                except NoWitness as exc:
+                    if t in unitary:
+                        assert str(exc) == f"class {t} contains a unitary vertex"
+                    else:
+                        assert engine is None, (t, c.colors, str(exc))
+                        proved += 1
+                    continue
+                assert engine is not None, (t, c.colors)
+                w.validate(n)
+                assert all(c.color(i, j) != t for (i, j) in w.edges), (t, c.colors)
+                built += 1
+    assert (built, proved) == (2533, 2154)  # generator repeats included
 
 
 def test_majority_upper_bound_strict():
@@ -437,7 +469,7 @@ def test_strict_condition_sweep_n10():
         cert = majority_certificate(ic, strict=True)
         assert cert.complete == ref_is_polychromatic(c, F1).polychromatic
         for t in cert.failing_colors():
-            w = adversarial_matching(ic, t)
+            w = adversarial_member(ic, t, F1)
             assert all(c.color(i, j) != t for (i, j) in w.edges)
         count += 1
     assert count == 21147  # set partitions of the 9 free positions
@@ -451,7 +483,7 @@ def test_weak_condition_sweep_n9():
             if ref_is_polychromatic(c, kind).polychromatic:
                 assert cert.complete
         for t in cert.failing_colors():
-            w = adversarial_hamcycle(ic, t)
+            w = adversarial_member(ic, t, HC)
             w.validate(9)
             assert all(c.color(i, j) != t for (i, j) in w.edges)
 
