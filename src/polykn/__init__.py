@@ -15,7 +15,6 @@ from .core import (
     inherited_coloring,
     is_ordered_at,
     is_unitary,
-    majority_certificate,
 )
 from .families import (
     AllowedGraph,
@@ -40,6 +39,7 @@ from .verify import (
     PolyCertificate,
     adversarial_member,
     is_polychromatic,
+    majority_certificate,
     majority_upper_bound,
 )
 

@@ -431,36 +431,3 @@ def comb_certificate(c: EdgeColoring) -> Optional[InheritedColoring]:
         return None
     return InheritedColoring(c, VertexOrdering(tuple(order)), tuple(mains), unitary)
 
-
-def majority_moments(mains, s: int) -> dict[int, int]:
-    """Each color's majority moment along a main-color sequence: the
-    smallest j with 2|M_t(j)| >= j + s, for every color t of mains that
-    has one: s = 1 strict (|M_t(j)| > j/2), s = 0 weak (|M_t(j)| >= j/2).
-    A color whose count stands still only moves away from the rule, so its
-    moment is a position holding it."""
-    counts = [0] * (max(mains, default=0) + 1)
-    moments: dict[int, int] = {}
-    for j, t in enumerate(mains, start=1):
-        counts[t] += 1
-        if 2 * counts[t] >= j + s and t not in moments:
-            moments[t] = j
-    return moments
-
-
-def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:
-    """Prefix-majority certificate over all colors of the coloring.
-
-    Classes holding a unitary vertex are flagged "unitary", in both modes:
-    a unitary vertex's partner edge breaks the counting argument.  Every
-    other class gets its majority moment (strict or weak), else "fails".
-    verify._prefix_proofs proves the same colors for 1-factors (strict)
-    and Hamiltonian cycles (weak); for 2-factors it walks segments.
-    """
-    moments = majority_moments(ic.sequence[: ic.n - 1], 1 if strict else 0)
-    exempt = {u.main for u in ic.unitary_set}
-    entries = tuple(
-        MajorityEntry(t, "unitary", None) if t in exempt
-        else MajorityEntry(t, "prefix" if t in moments else "fails", moments.get(t))
-        for t in range(1, ic.k + 1)
-    )
-    return MajorityCertificate(ic.n, "strict" if strict else "weak", entries)

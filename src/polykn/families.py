@@ -173,7 +173,7 @@ def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
     """
     match = [-1] * n
     # a vertex whose few neighbors are taken early stays free, so the
-    # greedy seed matches low degrees first and leaves fewer searches
+    # greedy seed matches low degrees first and needs fewer searches
     for v in sorted(range(n), key=lambda v: len(adj[v])):
         if match[v] == -1:
             for u in adj[v]:
@@ -393,14 +393,14 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
     arcs v->w and w->v.  A member, doubled, is a feasible flow, so an
     infeasible one refutes.  With every target 2, or every target 2 but 1
     at two vertices t < h (a 2-factor through the forced edge th, which g
-    leaves out), the matching comes next; the forced edge is the arc t->h,
+    lacks), the matching comes next; the forced edge is the arc t->h,
     so t's out-copy and h's in-copy are dropped.  With no edge forced, a
     feasible flow is a 2-regular bipartite graph on the cover, which has a
     perfect matching (Konig), so the matching refutes only forced-edge
     queries.  A perfect matching of the cover is a permutation of the
     vertices along allowed edges; once `_split_two_cycles` has exchanged
     away its 2-cycles, its arcs are the member.  A 2-cycle that no
-    exchange removes leaves the question to Tutte's gadget, the exact step.
+    exchange removes hands the question to Tutte's gadget, the exact step.
     """
     n = g.n
     if any(g.degree(v) < targets[v] for v in range(1, n + 1)):

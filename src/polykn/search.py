@@ -8,7 +8,7 @@ depth-first search packs them; its node count covers the whole search.
 
 Ordered and combed modes search main-color sequences instead, with an
 exact rule per family for when a sequence puts a color on every member,
-so each hit needs one engine check.  The unitary-prefix patterns live in
+so a complete sequence is a hit.  The unitary-prefix patterns live in
 constructions, where build reads the paper's rainbow triple from the same
 table; _seq_stage keeps the sequence's per-color state in its own locals.
 Each palette size is one serial depth-first search from the root that
@@ -38,15 +38,7 @@ BRUTE_CAPS = {
     FamilyKind.TWO_FACTOR: 7,
     FamilyKind.HAMILTONIAN_CYCLE: 7,
 }
-ORDERED_CAPS = {
-    FamilyKind.ONE_FACTOR: 128,
-    FamilyKind.TWO_FACTOR: 128,
-    FamilyKind.HAMILTONIAN_CYCLE: 64,
-}
-COMBED_CAPS = {
-    FamilyKind.TWO_FACTOR: 128,
-    FamilyKind.HAMILTONIAN_CYCLE: 64,
-}
+STRUCTURED_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -216,7 +208,8 @@ def _seq_stage(n, kind, k, pattern):
     on ordered and combed sequences, so a complete sequence is
     polychromatic.
 
-    Returns (the verified EdgeColoring or None, nodes explored).
+    Returns (the first complete sequence's EdgeColoring or None, nodes
+    explored).
     """
     fixed, exempt, recolorings = _PATTERNS[pattern]
     used = max(exempt, default=0)
@@ -229,9 +222,8 @@ def _seq_stage(n, kind, k, pattern):
     starts = [0] * (n + 2)  # segment starts a; counts are of (a, p]
     satisfied = [t in exempt for t in range(n + 2)]
     seq = []
-    nodes = leaves = 0  # leaves: complete sequences reached, verified or not
-    # keys whose subtree held no complete sequence (a failed leaf keeps it live)
-    dead = set()
+    nodes = 0
+    dead = set()  # keys whose subtree held no complete sequence
 
     def place(pos, c):  # returns c's (count, start, flag) before pos
         before = counts[c], starts[c], satisfied[c]
@@ -247,34 +239,25 @@ def _seq_stage(n, kind, k, pattern):
         used = max(used, c)
 
     def viable(j):
+        # at j == last this holds only with every color used and satisfied,
+        # since the chain adds at least 1 for each pending entry
         pending = [2 * counts[t] + starts[t] for t in range(1, used + 1) if not satisfied[t]]
         return _chain_viable(pending + [0] * (k - used), j, s, last)
 
-    def complete():
-        return used == k and all(satisfied[1 : k + 1])
-
-    def leaf():
-        # position n colors no edge; the leaf copies position n-1 into it
-        coloring = _pattern_coloring(n, seq + [seq[-1]], recolorings)
-        if coloring.k == k and is_polychromatic(coloring, kind).polychromatic:
-            return coloring
-        return None
+    def coloring():
+        # position n colors no edge; the sequence copies position n-1 into it
+        return _pattern_coloring(n, seq + [seq[-1]], recolorings)
 
     def rec(j):
-        nonlocal nodes, leaves, used
+        nonlocal nodes, used
         if j == last:
-            if not complete():
-                return None
-            leaves += 1
-            return leaf()
-        # the loop's update, viable and complete read only the states of
-        # colors 1..used and treat those colors alike, so the key drops
-        # their names
+            return coloring()
+        # the loop's update and viable read only the states of colors
+        # 1..used and treat those colors alike, so the key drops their names
         top = used + 1
         key = (j, used, tuple(sorted(zip(counts[1:top], satisfied[1:top], starts[1:top]))))
         if key in dead:
             return None
-        before = leaves
         pos = j + 1
         used_before = used
         for c in range(1, min(used_before + 1, k) + 1):
@@ -288,13 +271,12 @@ def _seq_stage(n, kind, k, pattern):
             seq.pop()
             counts[c], starts[c], satisfied[c] = was
         used = used_before
-        if leaves == before:
-            dead.add(key)
+        dead.add(key)
         return None
 
     j0 = len(seq)
     if j0 == last:
-        return (leaf() if complete() else None), 1
+        return (coloring() if viable(j0) else None), 1
     if not viable(j0):
         return None, 0
     return rec(j0), nodes
@@ -306,16 +288,17 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     Ordered colorings are exactly the images of main-color sequences; combed
     mode additionally tries the 3- and 4-vertex unitary prefixes.  For
     1-factors the ordered optimum equals the true optimum; for the other
-    families the value is exact only for the restricted class.
+    families the value is exact only for the restricted class.  Each
+    palette size's hit gets one exact check (is_polychromatic); a hit that
+    fails it raises RuntimeError.
     """
     if mode not in ("ordered", "combed"):
         raise ValueError(f"unknown mode {mode!r}")
     if kind is FamilyKind.ONE_FACTOR and mode == "combed":
         raise ValueError("combed search applies to 2-factors and Hamiltonian cycles")
     check_n(kind, n)
-    cap = (ORDERED_CAPS if mode == "ordered" else COMBED_CAPS)[kind]
-    if n > cap:
-        raise CapExceededError(f"{mode} search cap exceeded: n={n} > {cap}")
+    if n > STRUCTURED_CAP:
+        raise CapExceededError(f"{mode} search cap exceeded: n={n} > {STRUCTURED_CAP}")
     patterns = ("ordered",) if mode == "ordered" else ("ordered", "triple", "quad")
     start = time.perf_counter()
     total_nodes = 0
@@ -330,10 +313,11 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
                 found = coloring
                 break
         if found is not None:
+            if found.k != k or not is_polychromatic(found, kind).polychromatic:
+                raise RuntimeError(f"structured search hit at k={k} is not polychromatic")
             best = found
         elif mode == "ordered":
             break  # merging two colors keeps ordered colorings polychromatic
-    # every hit has passed is_polychromatic in _seq_stage's leaf
     if best is None:
         raise RuntimeError("structured search produced no verified optimum")
     return SearchReport(n, kind, mode, best.k, best, total_nodes, time.perf_counter() - start)

@@ -6,7 +6,7 @@ the comb prefix, each family's prefix rule (PREFIX_RULES) names the colors
 on every member, and no engine runs for them.  The other colors are
 decided exactly: color t is avoidable iff the family has a member inside
 K_n minus the color-t edges.  On a combed coloring, a color that the rule
-leaves unproved gets an avoiding member written down in the edge layout of
+does not prove gets an avoiding member written down in the edge layout of
 its family; a complete certificate bounds the palette.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import FamilyKind, check_n
-from .core import Edge, InheritedColoring, MajorityCertificate, comb_prefix
+from .core import Edge, InheritedColoring, MajorityCertificate, MajorityEntry, comb_prefix
 from .families import AllowedGraph, SubgraphWitness, find_member
 
 
@@ -54,7 +54,7 @@ class PrefixRule:
     vertices; else t is proved, and the walk restarts at a = p with c = 0.
     On an ordered coloring K_n minus t is a threshold graph (Chvatal and
     Hammer 1977; Mahadev and Peled 1995); adversarial_member builds a
-    member avoiding each color its family's rule leaves unproved.
+    member avoiding each color its family's rule does not prove.
     """
 
     name: str  # as the no-witness line names it
@@ -141,7 +141,7 @@ class NoWitness(ValueError):
 
 def adversarial_member(ic: InheritedColoring, t: int, kind: FamilyKind) -> SubgraphWitness:
     """A member of kind avoiding color t, validated, when kind's prefix
-    rule leaves t unproved and class t holds no unitary vertex (else
+    rule does not prove t and class t holds no unitary vertex (else
     NoWitness).
 
     Each segment of the rule's walk (one but for 2-factors) lists its
@@ -183,6 +183,27 @@ def adversarial_member(ic: InheritedColoring, t: int, kind: FamilyKind) -> Subgr
         if ic.coloring.color(i, j) == t:
             raise RuntimeError(f"constructed {kind.value} member contains color {t} on ({i}, {j})")
     return witness
+
+
+def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertificate:
+    """Prefix-majority certificate over all colors of the coloring.
+
+    Classes holding a unitary vertex are flagged "unitary", in both modes:
+    a unitary vertex's partner edge breaks the counting argument.  Every
+    other class gets the position at which PREFIX_RULES proves it, else
+    "fails": the 1-factor rule in strict mode and the Hamiltonian-cycle
+    rule in weak mode, so each mode proves what _prefix_proofs proves for
+    that family.
+    """
+    kind = FamilyKind.ONE_FACTOR if strict else FamilyKind.HAMILTONIAN_CYCLE
+    _, moments = PREFIX_RULES[kind].walk(ic.n, ic.sequence)
+    exempt = {u.main for u in ic.unitary_set}
+    entries = tuple(
+        MajorityEntry(t, "unitary", None) if t in exempt
+        else MajorityEntry(t, "prefix" if t in moments else "fails", moments.get(t))
+        for t in range(1, ic.k + 1)
+    )
+    return MajorityCertificate(ic.n, "strict" if strict else "weak", entries)
 
 
 def majority_upper_bound(cert: MajorityCertificate) -> int:

@@ -106,6 +106,12 @@ def all_combed_colorings(n: int):
             yield quad_from_tail(n, tail)
 
 
+def majority_moment(mains, t: int, s: int):
+    """The smallest j < n = len(mains) with 2|M_t(j)| >= j + s (s = 1
+    strict, 0 weak), recounting each prefix of mains, or None."""
+    return next((j for j in range(1, len(mains)) if 2 * mains[:j].count(t) >= j + s), None)
+
+
 def two_factor_walk_moment(mains, t: int):
     """The position at which the segment walk over the class-t positions
     below n puts t on every 2-factor of K_n minus color t of

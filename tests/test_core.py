@@ -22,8 +22,9 @@ from polykn import (
     is_unitary,
     majority_certificate,
 )
-from polykn.core import all_edges, majority_moments
+from polykn.core import all_edges
 from polykn.transforms import recolor_unitary_triple
+from polykn.verify import PREFIX_RULES
 from helpers import (
     all_ordered_colorings,
     oracle_combed,
@@ -347,7 +348,8 @@ def test_majority_monotone_strict_implies_weak():
 
 
 def test_majority_moments_match_per_prefix_recount():
-    # each color's moment is the smallest j at which its count in the first
+    # each color's moment under the 1-factor (s = 1) and Hamiltonian-cycle
+    # (s = 0) prefix rules is the smallest j at which its count in the first
     # j positions, recounted from scratch, meets 2|M_t(j)| >= j + s
     rng = random.Random(2121)
     seqs = [(), (1,), (2, 2, 2, 2), (1, 2), (1, 1, 1)]
@@ -361,7 +363,7 @@ def test_majority_moments_match_per_prefix_recount():
                 js = [j for j in range(1, len(seq) + 1) if 2 * seq[:j].count(t) >= j + s]
                 if js:
                     want[t] = min(js)
-            assert majority_moments(seq, s) == want, (seq, s)
+            assert PREFIX_RULES[F1 if s else HC].walk(len(seq) + 1, seq)[1] == want, (seq, s)
 
 
 def test_ordering_validation():

@@ -9,6 +9,7 @@ import pytest
 from polykn import (
     CapExceededError,
     FamilyKind,
+    PolyCertificate,
     brute_force_poly,
     build,
     build_ordered,
@@ -159,10 +160,10 @@ def test_structured_validation():
         structured_poly(6, F1, "combed")
     with pytest.raises(ValueError):
         structured_poly(6, F2, "everything")
-    for kind, n in ((F1, 130), (F2, 129), (HC, 65)):
+    for kind, n in ((F1, 130), (F2, 129), (HC, 129)):
         with pytest.raises(CapExceededError):
             structured_poly(n, kind, "ordered")
-    for kind, n in ((F2, 129), (HC, 65)):
+    for kind, n in ((F2, 129), (HC, 129)):
         with pytest.raises(CapExceededError):
             structured_poly(n, kind, "combed")
 
@@ -191,15 +192,15 @@ def test_structured_combed_at_combed_cap(kind):
     [
         ("ordered", F1, 128, 7, 2_935),
         ("ordered", F2, 128, 7, 2_913),
-        ("ordered", HC, 64, 6, 1_045),
+        ("ordered", HC, 128, 7, 2_879),
         ("combed", F2, 128, 8, 3_794),
-        ("combed", HC, 64, 7, 1_403),
+        ("combed", HC, 128, 8, 3_742),
     ],
 )
 def test_structured_at_cap(mode, kind, n, want, nodes):
     # each family's cap in each mode: the optimum and the first-hit search's
     # node count; ordered f1 at n = 128 is the paper's floor(log2 n)
-    assert n == (search.ORDERED_CAPS if mode == "ordered" else search.COMBED_CAPS)[kind]
+    assert n == search.STRUCTURED_CAP
     report = structured_poly(n, kind, mode)
     assert report.optimum == report.coloring.k == want
     assert is_polychromatic(report.coloring, kind).polychromatic
@@ -277,6 +278,21 @@ def test_structured_optimum_verified_once(monkeypatch):
         assert [ok for c, ok in verdicts if c is report.coloring] == [True], (kind, n)
 
 
+def test_structured_refuted_hit_raises(monkeypatch):
+    # the hit is checked once, outside the search, and a refuted hit is an
+    # error, not a reason to search on
+    calls = []
+
+    def refuting(c, kind):
+        calls.append(c)
+        return PolyCertificate(False, 1, None)
+
+    monkeypatch.setattr(search, "is_polychromatic", refuting)
+    with pytest.raises(RuntimeError, match="k=1 is not polychromatic"):
+        structured_poly(12, F1, "ordered")
+    assert len(calls) == 1
+
+
 def test_ordered_one_factor_leaves_need_no_matching(monkeypatch):
     # a complete main-color sequence meets the strict rule for every color,
     # so its leaf is proved polychromatic with no blossom call
@@ -293,9 +309,14 @@ def test_ordered_one_factor_leaves_need_no_matching(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, n, patterns", SEQ_DIFFERENTIAL)
-def test_seq_stage_matches_plain_search(kind, n, patterns):
+def test_seq_stage_matches_plain_search(monkeypatch, kind, n, patterns):
     # the dead-state memo and the 2-factor walk skip no hit: every stage
-    # returns the plain search's first hit
+    # returns the plain search's first hit, which the plain search checks
+    # with the engines at every complete sequence and _seq_stage never does
+    def no_engines(c, kind):
+        raise AssertionError("_seq_stage called is_polychromatic")
+
+    monkeypatch.setattr(search, "is_polychromatic", no_engines)
     for k in range(1, 7):
         for pattern in patterns:
             want = ref_seq_stage(n, kind, k, pattern)[0]
@@ -374,8 +395,8 @@ def test_chain_viable_on_every_count_state():
 
 
 def test_structured_leaves_never_refuted(monkeypatch):
-    # every family's count-state rule is exact, so every complete sequence
-    # the searches reach is polychromatic and no leaf verdict refutes
+    # every family's count-state rule is exact, so the first complete
+    # sequence of each stage is polychromatic and no hit check refutes
     verdicts = []
 
     def recording(c, kind):

@@ -26,7 +26,7 @@ from polykn import (
 )
 from polykn import verify
 from polykn.constructions import check_n
-from polykn.core import MajorityEntry, majority_moments
+from polykn.core import MajorityEntry
 from polykn.families import AllowedGraph, find_member
 from polykn.verify import _prefix_proofs
 import helpers
@@ -335,7 +335,8 @@ def test_witness_builders_agree_with_prefix_proofs():
                 if kind is F2:
                     moments = {t: helpers.two_factor_walk_moment(ic.sequence, t) for t in proved}
                 else:
-                    moments = majority_moments(ic.sequence[: n - 1], 1 if kind is F1 else 0)
+                    s = 1 if kind is F1 else 0
+                    moments = {t: helpers.majority_moment(ic.sequence, t, s) for t in proved}
                 for t in range(1, c.k + 1):
                     try:
                         w = adversarial_member(ic, t, kind)
