@@ -11,15 +11,16 @@ exact rule per family for when a sequence puts a color on every member,
 so a complete sequence is a hit.  The unitary-prefix patterns live in
 constructions, where build reads the paper's rainbow triple from the same
 table; _seq_stage keeps the sequence's per-color state in its own locals.
-Each palette size is one serial depth-first search from the root that
-stops at its first (lexicographically least) hit.  Two exact shortcuts
-keep it small: a count state is entered only if one counting chain over
-all its pending colors (_chain_viable) lets each of them still reach its
-majority moment, and a count state whose subtree reached no complete
-sequence is remembered as dead and never entered again.  The node count
-covers the choices tried up to the hit outside dead states.  The tests
-keep the plain searches over edge colorings and over main-color
-sequences as references.
+Palette sizes are tried from the counting bound down, and the first size
+with a hit is the optimum.  Each size is one serial depth-first search from
+the root that stops at its first (lexicographically least) hit.  Two exact
+shortcuts keep it small: a count state is entered only if one counting
+chain over all its pending colors (_chain_viable) lets each of them still
+reach its majority moment, and a count state whose subtree reached no
+complete sequence is remembered as dead and never entered again.  The node
+count covers the choices tried, outside dead states, at every size from
+the bound down to the optimum's hit.  The tests keep the plain searches
+over edge colorings and over main-color sequences as references.
 """
 
 from __future__ import annotations
@@ -288,9 +289,10 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     Ordered colorings are exactly the images of main-color sequences; combed
     mode additionally tries the 3- and 4-vertex unitary prefixes.  For
     1-factors the ordered optimum equals the true optimum; for the other
-    families the value is exact only for the restricted class.  Each
-    palette size's hit gets one exact check (is_polychromatic); a hit that
-    fails it raises RuntimeError.
+    families the value is exact only for the restricted class.  Palette
+    sizes are tried from the counting bound down and the search stops at
+    the first hit, which gets one exact check (is_polychromatic); a hit
+    that fails it raises RuntimeError.
     """
     if mode not in ("ordered", "combed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -302,25 +304,18 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     patterns = ("ordered",) if mode == "ordered" else ("ordered", "triple", "quad")
     start = time.perf_counter()
     total_nodes = 0
-    best: Optional[EdgeColoring] = None
-    k_hi = min((n.bit_length() - 1) + 4, n * (n - 1) // 2)
-    for k in range(1, k_hi + 1):
-        found = None
+    # majority_upper_bound's largest value: the weak base n.bit_length() plus
+    # 3 set-aside unitary classes, capped by m; the search starts there
+    k_hi = min(n.bit_length() + 3, n * (n - 1) // 2)
+    for k in range(k_hi, 0, -1):
         for pattern in patterns:
-            coloring, nodes = _seq_stage(n, kind, k, pattern)
+            found, nodes = _seq_stage(n, kind, k, pattern)
             total_nodes += nodes
-            if coloring is not None:
-                found = coloring
-                break
-        if found is not None:
-            if found.k != k or not is_polychromatic(found, kind).polychromatic:
-                raise RuntimeError(f"structured search hit at k={k} is not polychromatic")
-            best = found
-        elif mode == "ordered":
-            break  # merging two colors keeps ordered colorings polychromatic
-    if best is None:
-        raise RuntimeError("structured search produced no verified optimum")
-    return SearchReport(n, kind, mode, best.k, best, total_nodes, time.perf_counter() - start)
+            if found is not None:
+                if found.k != k or not is_polychromatic(found, kind).polychromatic:
+                    raise RuntimeError(f"structured search hit at k={k} is not polychromatic")
+                return SearchReport(n, kind, mode, k, found, total_nodes, time.perf_counter() - start)
+    raise RuntimeError("structured search produced no verified optimum")
 
 
 def theorem_table(kind: FamilyKind, n_range) -> list[TheoremRow]:

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections import Counter
 
 from polykn import EdgeColoring, FamilyKind, VertexOrdering, build_ordered, is_polychromatic
 from polykn.cli import CliError
 from polykn.constructions import check_n
 from polykn.core import Edge, all_edges, edge_index, is_ordered_at, is_unitary
-from polykn.families import AllowedGraph, SubgraphWitness, find_member
-from polykn.search import _PATTERNS, _pattern_coloring
+from polykn.families import AllowedGraph, CapExceededError, SubgraphWitness, find_member
+from polykn.search import _PATTERNS, STRUCTURED_CAP, SearchReport, _pattern_coloring, _seq_stage
 from polykn.transforms import MaxVertexProfile, VertexStats
 from polykn.verify import PolyCertificate
 
@@ -673,3 +674,38 @@ def ref_seq_stage(n, kind, k, pattern):
     if not state.viable(j0):
         return None, 0
     return rec(j0), nodes
+
+
+def ref_structured_poly(n, kind, mode):
+    """structured_poly with the ascending palette loop: k = 1, 2, ... up to
+    the counting bound, checking every stage's hit; ordered mode stops at
+    its first k with no hit, combed mode runs every k."""
+    if mode not in ("ordered", "combed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if kind is FamilyKind.ONE_FACTOR and mode == "combed":
+        raise ValueError("combed search applies to 2-factors and Hamiltonian cycles")
+    check_n(kind, n)
+    if n > STRUCTURED_CAP:
+        raise CapExceededError(f"{mode} search cap exceeded: n={n} > {STRUCTURED_CAP}")
+    patterns = ("ordered",) if mode == "ordered" else ("ordered", "triple", "quad")
+    start = time.perf_counter()
+    total_nodes = 0
+    best = None
+    k_hi = min((n.bit_length() - 1) + 4, n * (n - 1) // 2)
+    for k in range(1, k_hi + 1):
+        found = None
+        for pattern in patterns:
+            coloring, nodes = _seq_stage(n, kind, k, pattern)
+            total_nodes += nodes
+            if coloring is not None:
+                found = coloring
+                break
+        if found is not None:
+            if found.k != k or not is_polychromatic(found, kind).polychromatic:
+                raise RuntimeError(f"structured search hit at k={k} is not polychromatic")
+            best = found
+        elif mode == "ordered":
+            break  # merging two colors keeps ordered colorings polychromatic
+    if best is None:
+        raise RuntimeError("structured search produced no verified optimum")
+    return SearchReport(n, kind, mode, best.k, best, total_nodes, time.perf_counter() - start)

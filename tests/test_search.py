@@ -34,6 +34,7 @@ from helpers import (
     ref_bf_stage,
     ref_minimal_blockers,
     ref_seq_stage,
+    ref_structured_poly,
     rgs,
     triple_from_tail,
     walk_on_every_two_factor,
@@ -175,7 +176,7 @@ def test_structured_one_factor_at_ordered_cap():
     assert is_polychromatic(report.coloring, F1).polychromatic
     # the memoized search's node count, pinned at a depth the small pins
     # of test_search_node_counts_pinned never reach
-    assert report.nodes == 377
+    assert report.nodes == 129
 
 
 @pytest.mark.parametrize("kind", [F2, HC])
@@ -184,19 +185,21 @@ def test_structured_combed_at_combed_cap(kind):
     report = structured_poly(20, kind, "combed")
     assert report.optimum == report.coloring.k == palette_size(kind, 20) == 5
     assert is_polychromatic(report.coloring, kind).polychromatic
-    assert report.nodes == {F2: 228, HC: 216}[kind]
+    assert report.nodes == {F2: 77, HC: 72}[kind]
 
 
-@pytest.mark.parametrize(
-    "mode, kind, n, want, nodes",
-    [
-        ("ordered", F1, 128, 7, 2_935),
-        ("ordered", F2, 128, 7, 2_913),
-        ("ordered", HC, 128, 7, 2_879),
-        ("combed", F2, 128, 8, 3_794),
-        ("combed", HC, 128, 8, 3_742),
-    ],
-)
+# each family's structured cap in each mode: (mode, kind, n, optimum, nodes)
+CAP_SEARCHES = [
+    ("ordered", F1, 128, 7, 769),
+    ("ordered", F2, 128, 7, 762),
+    ("ordered", HC, 128, 7, 748),
+    ("combed", F2, 128, 8, 881),
+    ("combed", HC, 128, 8, 863),
+]
+CAP_ROWS = [(kind, mode, n) for mode, kind, n, _, _ in CAP_SEARCHES]
+
+
+@pytest.mark.parametrize("mode, kind, n, want, nodes", CAP_SEARCHES)
 def test_structured_at_cap(mode, kind, n, want, nodes):
     # each family's cap in each mode: the optimum and the first-hit search's
     # node count; ordered f1 at n = 128 is the paper's floor(log2 n)
@@ -252,10 +255,10 @@ def test_search_node_counts_pinned(monkeypatch):
     for (kind, n), nodes in packing.items():
         assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
     combed = {
-        (F2, 3): (6, 6), (F2, 4): (17, 14), (HC, 3): (6, 6), (HC, 4): (17, 14),
-        (HC, 10): (464, 67), (F2, 10): (551, 73),
+        (F2, 3): (1, 1), (F2, 4): (10, 7), (HC, 3): (1, 1), (HC, 4): (10, 7),
+        (HC, 10): (407, 26), (F2, 10): (457, 28),
     }
-    ordered = {(F1, 12): (728, 54), (F2, 8): (68, 31)}
+    ordered = {(F1, 12): (1_614, 26), (F2, 8): (105, 14)}
     for mode, pins in (("combed", combed), ("ordered", ordered)):
         for (kind, n), (plain, memo) in pins.items():
             assert reference_structured_nodes(monkeypatch, n, kind, mode) == plain, (kind, n)
@@ -279,8 +282,9 @@ def test_structured_optimum_verified_once(monkeypatch):
 
 
 def test_structured_refuted_hit_raises(monkeypatch):
-    # the hit is checked once, outside the search, and a refuted hit is an
-    # error, not a reason to search on
+    # the first hit from the top (k = 3, f1's optimum at n = 12) is checked
+    # once, outside the search, and a refuted hit is an error, not a reason
+    # to search on
     calls = []
 
     def refuting(c, kind):
@@ -288,7 +292,7 @@ def test_structured_refuted_hit_raises(monkeypatch):
         return PolyCertificate(False, 1, None)
 
     monkeypatch.setattr(search, "is_polychromatic", refuting)
-    with pytest.raises(RuntimeError, match="k=1 is not polychromatic"):
+    with pytest.raises(RuntimeError, match="k=3 is not polychromatic"):
         structured_poly(12, F1, "ordered")
     assert len(calls) == 1
 
@@ -394,22 +398,57 @@ def test_chain_viable_on_every_count_state():
     assert all(stronger.values()), stronger
 
 
-def test_structured_leaves_never_refuted(monkeypatch):
+def k_ceiling(n):
+    """The counting bound structured_poly starts from: majority_upper_bound's
+    largest value, the weak base n.bit_length() plus 3 unitary classes,
+    capped by the number of edges."""
+    return min(n.bit_length() + 3, n * (n - 1) // 2)
+
+
+def structured_grid(top):
+    """(kind, mode, n) for every structured search with n <= top."""
+    return [(F1, "ordered", n) for n in range(2, top + 1, 2)] + [
+        (kind, mode, n) for kind in (F2, HC) for mode in ("ordered", "combed") for n in range(3, top + 1)
+    ]
+
+
+def test_structured_leaves_never_refuted():
     # every family's count-state rule is exact, so the first complete
-    # sequence of each stage is polychromatic and no hit check refutes
+    # sequence of every stage, at every palette size up to the counting
+    # bound and in every pattern, is polychromatic
     verdicts = []
-
-    def recording(c, kind):
-        cert = is_polychromatic(c, kind)
-        verdicts.append((kind, c.n, cert.polychromatic))
-        return cert
-
-    monkeypatch.setattr(search, "is_polychromatic", recording)
-    for kind, mode in ((F1, "ordered"), (F2, "ordered"), (F2, "combed"), (HC, "ordered"), (HC, "combed")):
+    for kind in (F1, F2, HC):
+        patterns = ("ordered",) if kind is F1 else ("ordered", "triple", "quad")
         for n in range(2, 25, 2) if kind is F1 else range(3, 25):
-            structured_poly(n, kind, mode)
-    assert len(verdicts) >= 12 + 4 * 22  # at least each search's hit
-    assert [v for v in verdicts if not v[2]] == []
+            for k in range(1, k_ceiling(n) + 1):
+                for pattern in patterns:
+                    hit = _seq_stage(n, kind, k, pattern)[0]
+                    if hit is not None:
+                        verdicts.append((kind, n, k, pattern, is_polychromatic(hit, kind).polychromatic))
+    # the ascending search checked 395 hits over the same ranges
+    assert len(verdicts) >= 395
+    assert [v for v in verdicts if not v[-1]] == []
+
+
+def test_structured_matches_ascending_reference():
+    # walking down from the counting bound finds the optimum and the coloring
+    # of the ascending loop, which checks every palette size's hit
+    for kind, mode, n in structured_grid(64) + CAP_ROWS:
+        got, want = structured_poly(n, kind, mode), ref_structured_poly(n, kind, mode)
+        assert (got.optimum, got.coloring) == (want.optimum, want.coloring), (kind, mode, n)
+
+
+def test_counting_bound_stage_never_hits():
+    # from n = 4 on the top stage dies in every pattern, so starting there
+    # never truncates the optimum; below, only f1 at n = 2 and combed n = 3
+    # hit at the ceiling, where it is the number of edges
+    for kind, mode, n in structured_grid(search.STRUCTURED_CAP):
+        patterns = ("ordered",) if mode == "ordered" else ("ordered", "triple", "quad")
+        hits = [p for p in patterns if _seq_stage(n, kind, k_ceiling(n), p)[0] is not None]
+        if n >= 4:
+            assert hits == [], (kind, mode, n)
+        elif hits:
+            assert k_ceiling(n) == n * (n - 1) // 2, (kind, mode, n)
 
 
 def assert_walk_matches_engine(c, mains, exempt=()):
