@@ -7,20 +7,20 @@ three families go through one function that strips the forced edge and
 lowers the degree targets of its endpoints once.  Two engines answer the
 rest:
 
-* 1-factors and 2-factors via one degree-constrained subgraph engine over
-  blossom maximum matching: with every target at most 1 (1-factors, where
-  a forced edge drops its endpoints to 0) the blossom runs on the target-1
-  vertices directly.  A 2-factor query, forced edge or not, passes the
-  degree check and then goes to the bipartite double cover (an out-copy
-  and an in-copy per vertex, 2n nodes at most): first a flow that may use
-  each arc once refutes every query whose fractional relaxation is empty,
-  then a cover without a perfect matching refutes (with no edge forced, a
-  feasible flow implies one), and a perfect matching whose 2-cycles one
-  exchange each removes is the member.  The rest goes to Tutte's compact
-  reduction (two external nodes per allowed edge, target(v) core nodes per
-  vertex), which stays exact.  The blossom contracts locally, relabelling
-  only the vertices of the merged blossoms, and returns a perfect matching
-  or None, stopping at the first free root whose search fails,
+* 1-factors and 2-factors via one degree-constrained subgraph engine:
+  with every target at most 1 (1-factors, where a forced edge drops its
+  endpoints to 0) blossom maximum matching runs on the target-1 vertices
+  directly.  A 2-factor query, forced edge or not, passes the degree check
+  and then goes to one bitset flow on the bipartite double cover (an
+  out-copy and an in-copy per vertex): at the targets it refutes every
+  query whose fractional relaxation is empty; at unit capacity it is the
+  cover's perfect matching, whose absence refutes (only with an edge
+  forced) and whose 2-cycles one exchange each removes to give the member.
+  The rest goes to Tutte's compact reduction (two external nodes per
+  allowed edge, target(v) core nodes per vertex), which the blossom solves
+  exactly.  The blossom contracts locally, relabelling only the vertices
+  of the merged blossoms, and returns a perfect matching or None,
+  stopping at the first free root whose search fails,
 * Hamiltonian cycles via a ladder of refutations, cheapest first, at
   every n: the separator test (which, with no edge forced, already cuts
   off every vertex of degree below 2), then the degree check and the
@@ -151,7 +151,8 @@ class SubgraphWitness:
             deg = masks[v].bit_count()
             if deg != target:
                 raise ValueError(f"vertex {v} has degree {deg}, expected {target}")
-        if self.kind is FamilyKind.HAMILTONIAN_CYCLE and not _spans(n, self.edges):
+        all_bits = (2 << n) - 2
+        if self.kind is FamilyKind.HAMILTONIAN_CYCLE and _reach(masks, 2, all_bits) != all_bits:
             raise ValueError("Hamiltonian cycle witness is disconnected")
 
 
@@ -260,45 +261,48 @@ def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
 # degree-constrained subgraphs: 1-factors and 2-factors, forced edges or not
 
 
-def _index_lists(masks, rows: list[int], cols: list[int], offset: int = 0) -> list[list[int]]:
-    """Adjacency lists for the blossom: entry r lists the neighbors of rows[r]
-    that lie in cols, each as its position in cols plus offset."""
+def _index_lists(masks, verts: list[int]) -> list[list[int]]:
+    """Adjacency lists for the blossom on verts: entry r lists the neighbors
+    of verts[r] that lie in verts, each as its position in verts."""
     index = [0] * len(masks)
     live = 0
-    for i, v in enumerate(cols, start=offset):
+    for i, v in enumerate(verts):
         index[v] = i
         live |= 1 << v
     flags = bytes.maketrans(b"01", b"\0\1")
     # byte u of the reversed binary string is bit u
     return [list(compress(index, format(masks[v] & live, "b")[::-1].encode().translate(flags)))
-            for v in rows]
+            for v in verts]
 
 
-def _cover_flow(masks, targets: list[int]) -> bool:
-    """Whether the double cover routes every unit: the out-copy of each v
-    supplies targets[v], the in-copy of each w absorbs targets[w], and each
+def _cover_flow(masks, supply: list[int], demand: list[int]) -> Optional[list[int]]:
+    """Route the double cover: the out-copy of each v supplies supply[v],
+    the in-copy of each w absorbs demand[w] (the two sum alike), and each
     allowed edge vw carries at most one unit on each of v->w and w->v.
+    Returns used (used[v]: the in-copies v's out-copy feeds) when every
+    unit routes, else None.
 
-    That holds exactly when {0 <= x <= 1, x(delta(v)) = targets[v]} is
-    nonempty, so False refutes every member (Anstee 1987).  A greedy seed
-    takes the lowest degrees first; each missing unit then takes one
-    breadth-first augmenting path, with bitset frontiers and per-vertex
-    parents.
+    With supply = demand = targets, a routing exists exactly when
+    {0 <= x <= 1, x(delta(v)) = targets[v]} is nonempty, so None refutes
+    every member (Anstee 1987); at unit supply and demand a routing is a
+    perfect matching of the cover.  A greedy seed takes the lowest degrees
+    first; each missing unit then takes one breadth-first augmenting path,
+    with bitset frontiers and per-vertex parents.
     """
-    n = len(targets) - 1
+    n = len(supply) - 1
     used = [0] * (n + 1)  # used[v]: the in-copies fed by v's out-copy
     fed = [0] * (n + 1)  # fed[w]: the out-copies feeding w's in-copy
-    short = sum(1 << w for w in range(1, n + 1) if targets[w])  # in-copies with room
+    short = sum(1 << w for w in range(1, n + 1) if demand[w])  # in-copies with room
     spare = 0  # out-copies with units left
     for v in sorted(range(1, n + 1), key=lambda v: masks[v].bit_count()):
-        need, m = targets[v], masks[v] & short
+        need, m = supply[v], masks[v] & short
         while need and m:
             bit = m & -m
             m ^= bit
             w = bit.bit_length() - 1
             used[v] |= bit
             fed[w] |= 1 << v
-            if fed[w].bit_count() == targets[w]:
+            if fed[w].bit_count() == demand[w]:
                 short ^= bit
             need -= 1
         if need:
@@ -334,7 +338,7 @@ def _cover_flow(masks, targets: list[int]) -> bool:
                         via_out[b.bit_length() - 1] = w
             frontier = nxt
         if not end:
-            return False
+            return None
         # each inner in-copy gains one feeder and loses one: only the ends change
         w = end
         while True:
@@ -346,11 +350,11 @@ def _cover_flow(masks, targets: list[int]) -> bool:
             w = via_out[v]
             used[v] ^= 1 << w
             fed[w] ^= 1 << v
-        if fed[end].bit_count() == targets[end]:
+        if fed[end].bit_count() == demand[end]:
             short ^= 1 << end
-        if used[v].bit_count() == targets[v]:
+        if used[v].bit_count() == supply[v]:
             spare ^= 1 << v
-    return True
+    return used
 
 
 def _split_two_cycles(masks, succ: list[int]) -> bool:
@@ -386,20 +390,18 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
     With every target at most 1 this is a perfect matching of the target-1
     vertices, found by the blossom on those vertices alone.
 
-    Otherwise the rungs run in order: the degree check, the capacitated
-    flow on the bipartite double cover (`_cover_flow`), then the cover's
-    perfect matching and one exchange per 2-cycle, then Tutte's gadget.
-    Each vertex gets an out-copy and an in-copy, each allowed edge vw the
-    arcs v->w and w->v.  A member, doubled, is a feasible flow, so an
-    infeasible one refutes.  With every target 2, or every target 2 but 1
-    at two vertices t < h (a 2-factor through the forced edge th, which g
-    lacks), the matching comes next; the forced edge is the arc t->h,
-    so t's out-copy and h's in-copy are dropped.  With no edge forced, a
-    feasible flow is a 2-regular bipartite graph on the cover, which has a
-    perfect matching (Konig), so the matching refutes only forced-edge
-    queries.  A perfect matching of the cover is a permutation of the
-    vertices along allowed edges; once `_split_two_cycles` has exchanged
-    away its 2-cycles, its arcs are the member.  A 2-cycle that no
+    Otherwise every target is 2, or 2 but 1 at two vertices t < h (a
+    2-factor through the forced edge th, which g lacks), and after the
+    degree check the rungs run on the bipartite double cover
+    (`_cover_flow`): an out-copy and an in-copy per vertex, the arcs v->w
+    and w->v per allowed edge vw.  A member, doubled, routes the targets,
+    so a failed routing refutes.  Routed at unit supply and demand, with
+    t's out-copy and h's in-copy left out for the forced arc t->h, the
+    cover gives a perfect matching: a permutation of the vertices along
+    allowed edges.  With no edge forced, a routing of the targets is
+    2-regular on the cover and so has one (Konig), so this refutes only
+    forced-edge queries.  Once `_split_two_cycles` has exchanged away its
+    2-cycles, the permutation's arcs are the member.  A 2-cycle that no
     exchange removes hands the question to Tutte's gadget, the exact step.
     """
     n = g.n
@@ -407,25 +409,19 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
         return None
     if max(targets) <= 1:
         verts = [v for v in range(1, n + 1) if targets[v]]
-        match = maximum_matching(len(verts), _index_lists(g.masks, verts, verts))
+        match = maximum_matching(len(verts), _index_lists(g.masks, verts))
         return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
-    if not _cover_flow(g.masks, targets):
+    if _cover_flow(g.masks, targets, targets) is None:
         return None
-    ones = [v for v in range(1, n + 1) if targets[v] != 2]
-    if len(ones) in (0, 2) and all(targets[v] == 1 for v in ones):
-        tail, head = ones or (0, 0)
-        outs = [v for v in range(1, n + 1) if v != tail]
-        ins = [v for v in range(1, n + 1) if v != head]
-        m = len(outs)
-        cover = _index_lists(g.masks, outs, ins, m) + _index_lists(g.masks, ins, outs)
-        match = maximum_matching(2 * m, cover)
-        if match is None:
-            return None
-        succ = [0] * (n + 1)
-        for v, j in zip(outs, match):
-            succ[v] = ins[j - m]
-        if _split_two_cycles(g.masks, succ):
-            return [(v, w) if v < w else (w, v) for v, w in enumerate(succ) if w]
+    tail, head = [v for v in range(1, n + 1) if targets[v] == 1] or (0, 0)
+    supply, demand = [0] + [1] * n, [0] + [1] * n
+    supply[tail] = demand[head] = 0
+    used = _cover_flow(g.masks, supply, demand)
+    if used is None:
+        return None
+    succ = [u.bit_length() - 1 if u else 0 for u in used]
+    if _split_two_cycles(g.masks, succ):
+        return [(v, w) if v < w else (w, v) for v, w in enumerate(succ) if w]
     return _tutte_gadget(g, targets)
 
 

@@ -408,7 +408,7 @@ def test_relaxation_refutes_tutte_barrier_before_exact_search(monkeypatch):
     edges += [(v, v + 1) for v in range(a + 1, n, 2)]
     g = AllowedGraph.from_edges(n, edges)
     assert not families._separator_refutes(g, 0)
-    assert not families._cover_flow(g.masks, [0] + [2] * n)
+    assert families._cover_flow(g.masks, [0] + [2] * n, [0] + [2] * n) is None
     assert families._degree_constrained_subgraph(g, [0] + [2] * n) is None
     gadget, calls = families._tutte_gadget, []
     monkeypatch.setattr(families, "_tutte_gadget", lambda *args: calls.append(args) or gadget(*args))
@@ -434,8 +434,8 @@ def test_hamiltonian_refutations_run_cheapest_first(monkeypatch, n):
 @pytest.mark.parametrize("n", [7, 15, 31, 63, 127])
 def test_built_two_factor_coloring_is_refuted_on_the_cover(monkeypatch, n):
     # at n = 2^m - 1 the capacitated flow on the double cover refutes a
-    # 2-factor avoiding color k: neither the cover matching nor Tutte's
-    # gadget runs, so no blossom call is made
+    # 2-factor avoiding color k: neither the unit flow nor Tutte's gadget
+    # runs, so no blossom call is made
     import polykn.families as families
     from polykn import build
 
@@ -445,7 +445,7 @@ def test_built_two_factor_coloring_is_refuted_on_the_cover(monkeypatch, n):
     monkeypatch.setattr(families, "_cover_flow", lambda *a: flows.append(flow(*a)) or flows[-1])
     c = build(F2, n)
     assert find_member(F2, AllowedGraph.minus_color(c, c.k)) is None
-    assert flows == [False]
+    assert flows == [None]
     assert calls == []
 
 
@@ -516,25 +516,30 @@ def _without_forced(g: AllowedGraph, forced):
 
 def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # the 2-factor engine asks the bipartite double cover first, its flow
-    # and then its matching: each query is refuted by the flow or by the
-    # matching, found there, or falls back to Tutte's gadget.  The answers
-    # match the enumeration oracle at n <= 10 and the gadget alone at
-    # n = 30..120, every member found has exactly the target degrees
-    # inside g, and the random grid reaches every outcome but a refutation
-    # by the matching, which a planted case below reaches
+    # at the targets and then at unit capacity, the cover's perfect
+    # matching: each query is refuted by either flow, found there, or falls
+    # back to Tutte's gadget, and the blossom runs once per fallback and
+    # never on the cover.  The answers match the enumeration oracle at
+    # n <= 10 and the gadget alone at n = 30..120, every member found has
+    # exactly the target degrees inside g, and the random grid reaches
+    # every outcome but a refutation by the unit flow, which a planted case
+    # below reaches
     import polykn.families as families
 
-    gadget, flow = families._tutte_gadget, families._cover_flow
-    fell_back, routed = [], []
+    gadget, flow, matching = families._tutte_gadget, families._cover_flow, families.maximum_matching
+    fell_back, routed, blossoms = [], [], []
     monkeypatch.setattr(families, "_tutte_gadget", lambda *a: fell_back.append(a) or gadget(*a))
     monkeypatch.setattr(families, "_cover_flow", lambda *a: routed.append(flow(*a)) or routed[-1])
+    monkeypatch.setattr(families, "maximum_matching", lambda *a: blossoms.append(a[0]) or matching(*a))
     outcomes = []
 
     def query(g0, forced):
         g, targets = _without_forced(g0, forced)
         fell_back.clear()
         routed.clear()
+        blossoms.clear()
         got = families._degree_constrained_subgraph(g, targets)
+        assert len(blossoms) == len(fell_back), (blossoms, len(fell_back))
         if got is not None:
             deg = [0] * (g.n + 1)
             assert len(set(got)) == len(got)
@@ -547,7 +552,7 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
             outcomes.append("degree")
         else:
             outcomes.append("fell back" if fell_back else "found" if got is not None
-                            else "cover" if routed == [True] else "flow")
+                            else "cover" if routed[0] is not None else "flow")
         return got, g, targets
 
     rng = random.Random(18_1)
@@ -595,7 +600,7 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # and the n = 14 search leaf, the ordered coloring of 1^6 2^6 1 1 minus
     # color 2, where S = {1..6} saturates the independent {7..12}.  Their
     # fractional relaxations are empty, so the flow refutes them before the
-    # matching.  A perfect matching alone is short of degree 2 before any
+    # unit flow.  A perfect matching alone is short of degree 2 before any
     # cover, and K_{2,5} fails the flow as its cover fails Hall.
     #
     # A hub joined by one edge to each of three K_4's (n = 13) passes the
@@ -603,8 +608,8 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # enter and leave a K_4 by its one attaching vertex.  Only the parity
     # of Tutte's condition refutes it, so the gadget must, also with a
     # clique edge forced; with the hub edge (1, 2) forced, every
-    # permutation through the arc 1 -> 2 stays inside 2's K_4, so the
-    # matching refutes.  No random graph with n <= 10 needs the gadget to
+    # permutation through the arc 1 -> 2 stays inside 2's K_4, so the unit
+    # flow refutes.  No random graph with n <= 10 needs the gadget to
     # refute, so these are planted
     from polykn import build_ordered
 
@@ -637,21 +642,24 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
 
 def test_cover_flow_matches_networkx_max_flow():
     # the same network for networkx: a source feeding each out-copy its
-    # target, each in-copy draining its target into the sink, and one
+    # supply, each in-copy draining its demand into the sink, and one
     # unit-capacity arc per allowed ordered pair; the flow routes every unit
-    # exactly when the maximum flow value is the sum of the targets
+    # exactly when the maximum flow value is the sum of the supplies.  Each
+    # query routes the 2-factor targets and the unit shape of the engine's
+    # second call: all ones, with the forced tail's supply and head's demand
+    # 0.  A routing uses allowed arcs only and meets every supply and demand
     nx = pytest.importorskip("networkx")
     from polykn.families import _cover_flow
 
-    def routes_all(g, targets):
+    def routes_all(g, supply, demand):
         net = nx.DiGraph()
         for v in range(1, g.n + 1):
-            net.add_edge("s", ("out", v), capacity=targets[v])
-            net.add_edge(("in", v), "t", capacity=targets[v])
+            net.add_edge("s", ("out", v), capacity=supply[v])
+            net.add_edge(("in", v), "t", capacity=demand[v])
             for w in range(1, g.n + 1):
                 if g.has_edge(v, w):
                     net.add_edge(("out", v), ("in", w), capacity=1)
-        return nx.maximum_flow_value(net, "s", "t") == sum(targets)
+        return nx.maximum_flow_value(net, "s", "t") == sum(supply)
 
     rng = random.Random(25_1)
     outcomes = Counter()
@@ -661,9 +669,21 @@ def test_cover_flow_matches_networkx_max_flow():
             g0 = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
             for forced in (None, tuple(sorted(rng.sample(range(1, n + 1), 2)))):
                 g, targets = _without_forced(g0, forced)
-                got = _cover_flow(g.masks, targets)
-                assert got == routes_all(g, targets), (n, forced, g.edges())
-                outcomes[got, forced is None] += 1
+                tail, head = forced or (0, 0)
+                supply, demand = [0] + [1] * n, [0] + [1] * n
+                supply[tail] = demand[head] = 0
+                for shape in ((targets, targets), (supply, demand)):
+                    used = _cover_flow(g.masks, *shape)
+                    assert (used is not None) == routes_all(g, *shape), (n, forced, shape, g.edges())
+                    outcomes[used is not None, forced is None, shape[0] is supply] += 1
+                    if used is None:
+                        continue
+                    fed = [0] * (n + 1)
+                    for v, u in enumerate(used):
+                        assert u & ~g.masks[v] == 0 and u.bit_count() == shape[0][v], (v, u)
+                        for w in range(1, n + 1):
+                            fed[w] += (u >> w) & 1
+                    assert fed == shape[1], (fed, shape[1])
     assert min(outcomes.values()) >= 40, outcomes
 
 
@@ -681,7 +701,7 @@ def test_cover_flow_never_refutes_a_two_factor():
         for p in (0.3, 0.5, 0.7):
             for _ in range(125):
                 g = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
-                routes = _cover_flow(g.masks, [0] + [2] * n)
+                routes = _cover_flow(g.masks, [0] + [2] * n, [0] + [2] * n) is not None
                 has = next(enumerate_members(F2, n, allowed=g), None) is not None
                 assert routes == has, g.edges()
                 refuted += not routes
