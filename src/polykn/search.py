@@ -2,9 +2,11 @@
 
 Full mode packs blockers.  Every color class of a polychromatic coloring
 meets every family member, so the optimum is the largest number of pairwise
-disjoint minimal blockers (edge sets meeting every member).  The minimal
-blockers come from Berge's incremental algorithm and one branch-and-bound
-depth-first search packs them; its node count covers the whole search.
+disjoint minimal blockers (edge sets meeting every member).  Berge's
+incremental algorithm lists those of at most c edges, c rising from the
+near-star size until the packing's residual bound meets a lower bound, and
+one branch-and-bound depth-first search packs them; the node count sums
+over the caps tried.
 
 Ordered and combed modes search main-color sequences instead, with an
 exact rule per family for when a sequence puts a color on every member,
@@ -76,7 +78,7 @@ def _member_masks(n, kind):
     )
 
 
-def _minimal_blockers(members):
+def _minimal_blockers(members, cap=None):
     """Every minimal edge set meeting all members, by Berge's algorithm.
 
     Members are folded in one at a time.  A minimal blocker of the members
@@ -85,13 +87,18 @@ def _minimal_blockers(members):
     by containing a kept set s.  Since b misses the member, s then meets it
     in e alone (e is private to s), so each extension is tested only
     against the kept sets with private edge e, as s - e inside b; with none,
-    every extension by e is kept untested.  Returns the blockers as bitmasks
-    sorted by (size, mask).
+    every extension by e is kept untested.  Sets never shrink, so dropping
+    missed sets of `cap` edges leaves exactly the blockers of at most `cap`.
+    Returns the blockers as bitmasks sorted by (size, mask).
     """
     blockers = [0]
     for mem in members:
-        kept = [b for b in blockers if b & mem]
         missed = [b for b in blockers if not b & mem]
+        if not missed:
+            continue  # every set meets mem, so none changes
+        kept = [b for b in blockers if b & mem]
+        if cap is not None:
+            missed = [b for b in missed if b.bit_count() < cap]
         private = {}  # edge e -> s minus e, for each kept s meeting mem in e alone
         for s in kept:
             hit = s & mem
@@ -111,35 +118,41 @@ def _minimal_blockers(members):
     return sorted(blockers, key=lambda b: (b.bit_count(), b))
 
 
-def _pack(blockers, m):
-    """Largest set of pairwise disjoint blockers.
+def _pack(blockers, m, cap=None):
+    """Largest set of pairwise disjoint blockers, and a bound on any packing.
 
     One branch-and-bound DFS over index-increasing choices: a node with
     `chosen` blockers and `free` uncovered edges can reach at most
-    chosen + free // (smallest remaining blocker size), so once m blockers
-    are chosen it prunes every branch left.
+    chosen + free // (smallest remaining blocker size).  Blockers left out
+    have over `cap` edges, so the bound is the largest chosen +
+    free // (cap + 1); with no cap it is the packing's size.
 
-    Returns (the chosen blockers, nodes explored).
+    Returns (the chosen blockers, the bound, nodes explored).
     """
+    room = m + 1 if cap is None else cap + 1
     best = []
+    bound = 0
     chosen = []
     nodes = 0
 
     def rec(cands, free):
-        nonlocal best, nodes
+        nonlocal best, bound, nodes
         nodes += 1
         if len(chosen) > len(best):
             best = chosen[:]
+        bound = max(bound, len(chosen) + free // room)
         for i, b in enumerate(cands):
             size = b.bit_count()
-            if len(chosen) + free // size <= len(best):
+            reach = len(chosen) + free // size
+            # go on only to raise the bound or to meet it with a real packing
+            if reach <= len(best) or reach < bound:
                 return
             chosen.append(b)
             rec([c for c in cands[i + 1 :] if not c & b], free - size)
             chosen.pop()
 
     rec(blockers, m)
-    return best, nodes
+    return best, bound, nodes
 
 
 def brute_force_poly(
@@ -151,8 +164,10 @@ def brute_force_poly(
 
     A coloring is polychromatic exactly when every color class meets every
     member, so the optimum is the largest number of pairwise disjoint
-    minimal blockers (edge sets meeting every member).  Blocker t takes
-    color t and every edge left over takes color 1.
+    minimal blockers (edge sets meeting every member).  Blockers of at
+    most c edges are packed, c rising from the near-star size, until the
+    bound meets the packing or build's palette.  Blocker t takes color t
+    and every edge left over takes color 1; a short packing returns build.
     """
     cap = max_n if max_n is not None else BRUTE_CAPS[kind]
     if n > cap:
@@ -160,17 +175,26 @@ def brute_force_poly(
     m = n * (n - 1) // 2
     start = time.perf_counter()
     members = _member_masks(n, kind)
-    packing, nodes = _pack(_minimal_blockers(members), m)
-    colors = [1] * m
-    for t, b in enumerate(packing, start=1):
-        for idx in range(m):
-            if b >> idx & 1:
-                colors[idx] = t
-    coloring = EdgeColoring.from_colors(n, colors)
+    built = build(kind, n)
+    nodes = 0
+    for c in range(n - 1 if kind is FamilyKind.ONE_FACTOR else n - 2, m + 1):
+        packing, bound, tried = _pack(_minimal_blockers(members, c), m, c)
+        nodes += tried
+        if bound == max(len(packing), built.k):
+            break
+    if len(packing) == bound:
+        colors = [1] * m
+        for t, b in enumerate(packing, start=1):
+            for idx in range(m):
+                if b >> idx & 1:
+                    colors[idx] = t
+        coloring = EdgeColoring.from_colors(n, colors)
+    else:
+        coloring = built
     if not is_polychromatic(coloring, kind).polychromatic:
         raise RuntimeError("search produced a non-polychromatic optimum")
     return SearchReport(
-        n, kind, "full", len(packing), coloring, nodes, time.perf_counter() - start
+        n, kind, "full", bound, coloring, nodes, time.perf_counter() - start
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -20,11 +21,14 @@ from polykn import (
 )
 from polykn import families, search
 from polykn.families import AllowedGraph, find_member, maximum_matching
+from polykn.core import EdgeColoring
 from polykn.search import (
     _PATTERNS,
+    BRUTE_CAPS,
     _chain_viable,
     _member_masks,
     _minimal_blockers,
+    _pack,
     _pattern_coloring,
     _seq_stage,
 )
@@ -55,6 +59,16 @@ SEQ_DIFFERENTIAL = [(F1, n, ("ordered",)) for n in range(2, 13, 2)] + [
 ]
 
 
+@functools.cache
+def uncapped_blockers(kind, n):
+    return _minimal_blockers(_member_masks(n, kind))
+
+
+@functools.cache
+def reference_blockers(kind, n):
+    return ref_minimal_blockers(_member_masks(n, kind))
+
+
 def coloring_dfs_optimum(n, kind):
     """(optimum, nodes) of the reference search over edge colorings.
 
@@ -81,6 +95,7 @@ def coloring_dfs_optimum(n, kind):
 def test_brute_force_values(n, kind, want):
     report = brute_force_poly(n, kind)
     assert report.optimum == want
+    # at hc n = 3 build gives 2 colors, so this coloring is the packing's
     assert report.coloring.k == want
     assert is_polychromatic(report.coloring, kind).polychromatic
     assert report.mode == "full"
@@ -244,14 +259,14 @@ def reference_structured_nodes(monkeypatch, n, kind, mode):
 
 
 def test_search_node_counts_pinned(monkeypatch):
-    # node counts of the reference coloring DFS, of the blocker packing and
-    # of the first-hit structured searches, as (plain sequence search,
-    # memoized one); pruning changes that keep the same tree must keep
-    # these exactly
+    # node counts of the reference coloring DFS, of the blocker packing
+    # (summed over every cap tried) and of the first-hit structured
+    # searches, as (plain sequence search, memoized one); pruning changes
+    # that keep the same tree must keep these exactly
     full = {(F1, 4): 67, (F1, 6): 22_000, (F2, 4): 234, (F2, 5): 8_324, (HC, 5): 8_324}
     for (kind, n), nodes in full.items():
         assert coloring_dfs_optimum(n, kind)[1] == nodes, (kind, n)
-    packing = {(F1, 4): 3, (F1, 6): 8, (F2, 4): 4, (F2, 5): 4, (HC, 5): 4}
+    packing = {(F1, 4): 3, (F1, 6): 7, (F2, 4): 4, (F2, 5): 4, (HC, 5): 4}
     for (kind, n), nodes in packing.items():
         assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
     combed = {
@@ -520,8 +535,72 @@ def test_minimal_blockers_match_subset_scan(kind, n):
 def test_minimal_blockers_match_reference(kind, n):
     # the private-edge rule drops exactly the extensions the test against
     # every kept set through e drops
+    assert uncapped_blockers(kind, n) == reference_blockers(kind, n)
+
+
+# every (kind, n) under the full-search caps
+UNDER_CAPS = [
+    (kind, n)
+    for kind in (F1, F2, HC)
+    for n in range(2 if kind is F1 else 3, BRUTE_CAPS[kind] + 1, 2 if kind is F1 else 1)
+]
+
+
+
+
+@pytest.mark.parametrize("kind, n", UNDER_CAPS)
+def test_capped_blockers_are_the_uncapped_list_cut(kind, n):
+    # a set never shrinks as members are folded in, so the capped run lists
+    # exactly the minimal blockers of at most c edges, at every c
     members = _member_masks(n, kind)
-    assert _minimal_blockers(members) == ref_minimal_blockers(members)
+    full, ref = uncapped_blockers(kind, n), reference_blockers(kind, n)
+    for c in range(1, full[-1].bit_count() + 1):
+        cut = [b for b in full if b.bit_count() <= c]
+        assert _minimal_blockers(members, c) == cut, (kind, n, c)
+        assert [b for b in ref if b.bit_count() <= c] == cut, (kind, n, c)
+
+
+@pytest.mark.parametrize("kind, n", UNDER_CAPS)
+def test_capped_search_matches_uncapped_packing(kind, n):
+    m = n * (n - 1) // 2
+    best, bound, _ = _pack(uncapped_blockers(kind, n), m)
+    assert bound == len(best)  # with no cap the bound is the packing
+    report = brute_force_poly(n, kind)
+    assert report.optimum == report.coloring.k == len(best), (kind, n)
+    assert is_polychromatic(report.coloring, kind).polychromatic
+
+
+def test_full_search_raises_the_cap_past_a_weak_lower_bound(monkeypatch):
+    # every real case stops at the near-star cap; a construction with its
+    # top two colors merged forces the loop to list larger blockers until a
+    # real packing meets the bound
+    def weak_build(kind, n):
+        c = build(kind, n)
+        weak = EdgeColoring.from_colors(n, [min(t, max(c.k - 1, 1)) for t in c.colors])
+        assert is_polychromatic(weak, kind).polychromatic
+        return weak
+
+    caps = []
+
+    def recording(members, cap=None):
+        caps.append(cap)
+        return _minimal_blockers(members, cap)
+
+    monkeypatch.setattr(search, "build", weak_build)
+    monkeypatch.setattr(search, "_minimal_blockers", recording)
+    raised = {}
+    for kind, n in UNDER_CAPS:
+        caps.clear()
+        want = len(_pack(uncapped_blockers(kind, n), n * (n - 1) // 2)[0])
+        report = brute_force_poly(n, kind)
+        assert report.optimum == report.coloring.k == want, (kind, n)
+        assert is_polychromatic(report.coloring, kind).polychromatic
+        first = n - 1 if kind is F1 else n - 2
+        assert caps == list(range(first, first + len(caps))), (kind, n)
+        assert caps[-1] <= n * (n - 1) // 2
+        if len(caps) > 1:
+            raised[kind, n] = caps[:]
+    assert raised == {(F1, 6): [5, 6], (F1, 8): [7, 8, 9, 10, 11], (F2, 7): [5, 6], (HC, 7): [5, 6]}
 
 
 @pytest.mark.parametrize("pattern", sorted(_PATTERNS))
