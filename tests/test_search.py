@@ -20,8 +20,8 @@ from polykn import (
     theorem_table,
 )
 from polykn import families, search
-from polykn.families import AllowedGraph, find_member, maximum_matching
 from polykn.core import EdgeColoring
+from polykn.families import AllowedGraph, find_member, maximum_matching
 from polykn.search import (
     _PATTERNS,
     BRUTE_CAPS,
@@ -544,8 +544,6 @@ UNDER_CAPS = [
     for kind in (F1, F2, HC)
     for n in range(2 if kind is F1 else 3, BRUTE_CAPS[kind] + 1, 2 if kind is F1 else 1)
 ]
-
-
 
 
 @pytest.mark.parametrize("kind, n", UNDER_CAPS)
