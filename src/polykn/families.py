@@ -1,11 +1,10 @@
 """Exact existence and enumeration engines for spanning subgraph families.
 
 Existence queries run against an allowed edge set (typically K_n minus one
-color class, built from the coloring's per-color vertex bitsets in O(n)
-mask operations), optionally with one edge forced into the member; all
-three families go through one function that strips the forced edge and
-lowers the degree targets of its endpoints once.  Two engines answer the
-rest:
+color class), validated once as an `AllowedGraph`; the engines read its
+per-vertex bitset rows alone.  All three families go through one function
+that strips a forced edge from a copy of the rows and lowers the degree
+targets of its endpoints once.  Two engines answer the rest:
 
 * 1-factors and 2-factors via one degree-constrained subgraph engine:
   with every target at most 1 (1-factors, where a forced edge drops its
@@ -18,15 +17,13 @@ rest:
   forced) and whose 2-cycles one exchange each removes to give the member.
   The rest goes to Tutte's compact reduction (two external nodes per
   allowed edge, target(v) core nodes per vertex), which the blossom solves
-  exactly.  The blossom contracts locally, relabelling only the vertices
-  of the merged blossoms, and returns a perfect matching or None,
-  stopping at the first free root whose search fails,
+  exactly,
 * Hamiltonian cycles via a ladder of refutations, cheapest first, at
-  every n: the separator test (which, with no edge forced, already cuts
-  off every vertex of degree below 2), then the degree check and the
-  2-factor relaxation, then one exact Hamiltonian path search closing the
-  cycle: a pruned depth-first search, run on an explicit stack, that never
-  expands a failed (free set, current vertex) state twice.
+  every n: the separator test (with uv forced, first on g plus uv; with
+  none, it cuts off every vertex of degree below 2), then the degree check
+  and the 2-factor relaxation, then one exact Hamiltonian path search
+  closing the cycle: a pruned depth-first search, run on an explicit
+  stack, that never expands a failed (free set, current vertex) state twice.
 
 Enumeration is a separate brute-force oracle that emits members in
 lexicographic order of their sorted edge lists.
@@ -109,16 +106,20 @@ class AllowedGraph:
         return self.masks[v].bit_count()
 
     def edges(self) -> list[Edge]:
-        out = []
-        for i in range(1, self.n + 1):
-            m = self.masks[i] >> (i + 1)
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((i, j))
-                m >>= 1
-                j += 1
-        return out
+        return _edges(self.masks)
+
+
+def _edges(masks) -> list[Edge]:
+    out = []
+    for i in range(1, len(masks)):
+        m = masks[i] >> (i + 1)
+        j = i + 1
+        while m:
+            if m & 1:
+                out.append((i, j))
+            m >>= 1
+            j += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -384,14 +385,14 @@ def _split_two_cycles(masks, succ: list[int]) -> bool:
     return True
 
 
-def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optional[list[Edge]]:
-    """Spanning subgraph of g with degree targets[v] at every v, or None.
+def _degree_constrained_subgraph(masks, targets: list[int]) -> Optional[list[Edge]]:
+    """Spanning subgraph of the rows with degree targets[v] at every v, or None.
 
     With every target at most 1 this is a perfect matching of the target-1
     vertices, found by the blossom on those vertices alone.
 
     Otherwise every target is 2, or 2 but 1 at two vertices t < h (a
-    2-factor through the forced edge th, which g lacks), and after the
+    2-factor through the forced edge th, which the rows lack), and after the
     degree check the rungs run on the bipartite double cover
     (`_cover_flow`): an out-copy and an in-copy per vertex, the arcs v->w
     and w->v per allowed edge vw.  A member, doubled, routes the targets,
@@ -404,28 +405,28 @@ def _degree_constrained_subgraph(g: AllowedGraph, targets: list[int]) -> Optiona
     2-cycles, the permutation's arcs are the member.  A 2-cycle that no
     exchange removes hands the question to Tutte's gadget, the exact step.
     """
-    n = g.n
-    if any(g.degree(v) < targets[v] for v in range(1, n + 1)):
+    n = len(masks) - 1
+    if any(masks[v].bit_count() < targets[v] for v in range(1, n + 1)):
         return None
     if max(targets) <= 1:
         verts = [v for v in range(1, n + 1) if targets[v]]
-        match = maximum_matching(len(verts), _index_lists(g.masks, verts))
+        match = maximum_matching(len(verts), _index_lists(masks, verts))
         return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
-    if _cover_flow(g.masks, targets, targets) is None:
+    if _cover_flow(masks, targets, targets) is None:
         return None
     tail, head = [v for v in range(1, n + 1) if targets[v] == 1] or (0, 0)
     supply, demand = [0] + [1] * n, [0] + [1] * n
     supply[tail] = demand[head] = 0
-    used = _cover_flow(g.masks, supply, demand)
+    used = _cover_flow(masks, supply, demand)
     if used is None:
         return None
     succ = [u.bit_length() - 1 if u else 0 for u in used]
-    if _split_two_cycles(g.masks, succ):
+    if _split_two_cycles(masks, succ):
         return [(v, w) if v < w else (w, v) for v, w in enumerate(succ) if w]
-    return _tutte_gadget(g, targets)
+    return _tutte_gadget(masks, targets)
 
 
-def _tutte_gadget(g: AllowedGraph, targets: list[int]) -> Optional[list[Edge]]:
+def _tutte_gadget(masks, targets: list[int]) -> Optional[list[Edge]]:
     """Exact degree-constrained subgraph by Tutte's reduction to perfect matching.
 
     Each allowed edge becomes two joined external nodes, one per endpoint,
@@ -435,9 +436,9 @@ def _tutte_gadget(g: AllowedGraph, targets: list[int]) -> Optional[list[Edge]]:
     are matched to each other; otherwise both are matched into the cores
     of their endpoints.
     """
-    n = g.n
+    n = len(masks) - 1
     adj: list[list[int]] = []
-    edges = g.edges()
+    edges = _edges(masks)
     incident: list[list[int]] = [[] for _ in range(n + 1)]  # external nodes at v
     for k, (a, b) in enumerate(edges):
         incident[a].append(2 * k)
@@ -472,17 +473,7 @@ def _reach(masks, seed: int, within: int) -> int:
     return reach
 
 
-def _spans(n: int, edges) -> bool:
-    """Whether the edges join vertex 1 to every vertex of 1..n."""
-    masks = [0] * (n + 1)
-    for (i, j) in edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    all_bits = (2 << n) - 2
-    return _reach(masks, 2, all_bits) == all_bits
-
-
-def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[int]]:
+def _ham_path(adj, start: int, end: Optional[int]) -> Optional[list[int]]:
     """Hamiltonian path from start to end (to a neighbor of start when end
     is None, so that it closes into a cycle), or None.
 
@@ -497,7 +488,6 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
     twice, so at most n * 2^(n-1) states are searched, the bound of the
     Held-Karp bitmask DP.
     """
-    adj = g.masks
     target = 1 << (start if end is None else end)
     end_bit = 0 if end is None else target
     dead: set[tuple[int, int]] = set()
@@ -526,7 +516,7 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
         return iter(cands)
 
     # one frame (path vertex, free set, untried candidates) per path vertex
-    free = ((2 << g.n) - 2) & ~(1 << start)
+    free = ((2 << (len(adj) - 1)) - 2) & ~(1 << start)
     stack = [(start, free, candidates(start, free))]
     while stack:
         cur, free, cands = stack[-1]
@@ -547,19 +537,20 @@ def _ham_path(g: AllowedGraph, start: int, end: Optional[int]) -> Optional[list[
     return None
 
 
-def _separator_refutes(g: AllowedGraph, slack: int) -> bool:
+def _separator_refutes(masks, slack: int) -> bool:
     """Hamiltonian refutation: removing S must leave at most |S| components
     (|S| + 1 for a Hamiltonian path).  Tries S = N(u), the open
     neighborhood of u, for every u."""
-    all_bits = (2 << g.n) - 2
-    for u in range(1, g.n + 1):
-        s_bits = g.masks[u]
+    n = len(masks) - 1
+    all_bits = (2 << n) - 2
+    for u in range(1, n + 1):
+        s_bits = masks[u]
         size = s_bits.bit_count()
-        if size >= g.n - 1:
+        if size >= n - 1:
             continue
         left = all_bits & ~s_bits
         for _ in range(size + slack):  # drop the allowed number of components
-            left &= ~_reach(g.masks, left & -left, left)
+            left &= ~_reach(masks, left & -left, left)
         if left:
             return True
     return False
@@ -574,25 +565,25 @@ def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional
     Hamiltonian queries go down the refutation ladder, cheapest first."""
     n = g.n
     check_n(kind, n)
+    masks = plus = g.masks
     targets = [0] + [_DEGREE[kind]] * n
     if forced is not None:
-        u, v = forced
-        masks = list(g.masks)
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        g = AllowedGraph(n, tuple(masks))
-        targets[u] -= 1
-        targets[v] -= 1
+        masks, plus = list(masks), list(masks)  # g minus and plus the forced edge
+        for a, b in (forced, forced[::-1]):
+            masks[a] &= ~(1 << b)
+            plus[a] |= 1 << b
+            targets[a] -= 1
     if kind is not FamilyKind.HAMILTONIAN_CYCLE:
-        found = _degree_constrained_subgraph(g, targets)
+        found = _degree_constrained_subgraph(masks, targets)
         if found is not None and forced is not None:
             found.append(forced)
-    elif (_separator_refutes(g, 0 if forced is None else 1)
-          or _degree_constrained_subgraph(g, targets) is None):
+    elif ((forced is not None and _separator_refutes(plus, 0))
+          or _separator_refutes(masks, 0 if forced is None else 1)
+          or _degree_constrained_subgraph(masks, targets) is None):
         found = None
     else:
         start, end = forced if forced is not None else (1, None)
-        path = _ham_path(g, start, end)
+        path = _ham_path(masks, start, end)
         # the cycle closes with (end, start): `forced`, or an edge of g
         found = None if path is None else list(zip(path, path[1:] + path[:1]))
     if found is None:
@@ -600,7 +591,7 @@ def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional
     witness = SubgraphWitness(kind, tuple(found))
     witness.validate(n)
     for e in witness.edges:
-        if e != forced and not g.has_edge(*e):
+        if e != forced and not (masks[e[0]] >> e[1]) & 1:
             raise RuntimeError(f"engine used forbidden edge {e}")
     return witness
 
@@ -622,35 +613,43 @@ def find_member_containing(kind: FamilyKind, g: AllowedGraph, edge: Edge) -> Opt
 # enumeration oracle
 
 
-def _degree_regular_members(n: int, target: int, allowed: AllowedGraph) -> Iterator[tuple[Edge, ...]]:
-    """All spanning subgraphs with every degree == target, lexicographically.
+def _degree_regular_members(kind: FamilyKind, rows) -> Iterator[tuple[Edge, ...]]:
+    """All members of the family inside the rows, lexicographically.
 
     Completes vertices in increasing order, so the edge list is built
     already sorted and members stream in lexicographic order of their
-    sorted edge lists.
+    sorted edge lists.  The member's own rows give its degrees.
     """
-    deg = [0] * (n + 2)
+    n = len(rows) - 1
+    target = _DEGREE[kind]
+    all_bits = (2 << n) - 2
+    mem = [0] * (n + 1)
     edges: list[Edge] = []
 
-    def rec(lo: int) -> Iterator[tuple[Edge, ...]]:
-        v = lo
-        while v <= n and deg[v] == target:
+    def rec(v: int) -> Iterator[tuple[Edge, ...]]:
+        while v <= n and mem[v].bit_count() == target:
             v += 1
         if v > n:
-            yield tuple(edges)
+            if kind is not FamilyKind.HAMILTONIAN_CYCLE or _reach(mem, 2, all_bits) == all_bits:
+                yield tuple(edges)
             return
-        start = edges[-1][1] + 1 if edges and edges[-1][0] == v else v + 1
-        partners = [w for w in range(start, n + 1) if deg[w] < target and allowed.has_edge(v, w)]
-        if len(partners) < target - deg[v]:
+        start = max(v + 1, mem[v].bit_length())  # past v's last partner
+        m, partners = rows[v] >> start << start, []
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            if mem[w].bit_count() < target:
+                partners.append(w)
+        if len(partners) < target - mem[v].bit_count():
             return
-        for w in partners:  # each branch restores deg, so the list stays valid
-            deg[v] += 1
-            deg[w] += 1
+        for w in partners:  # each branch restores mem, so the list stays valid
+            mem[v] |= 1 << w
+            mem[w] |= 1 << v
             edges.append((v, w))
             yield from rec(v)
             edges.pop()
-            deg[v] -= 1
-            deg[w] -= 1
+            mem[v] ^= 1 << w
+            mem[w] ^= 1 << v
 
     yield from rec(1)
 
@@ -674,7 +673,5 @@ def enumerate_members(
     g = allowed if allowed is not None else AllowedGraph.complete(n)
     if g.n != n:
         raise ValueError("allowed graph size mismatch")
-    for edges in _degree_regular_members(n, _DEGREE[kind], g):
-        if kind is FamilyKind.HAMILTONIAN_CYCLE and not _spans(n, edges):
-            continue  # a 2-factor with several cycles
+    for edges in _degree_regular_members(kind, g.masks):
         yield SubgraphWitness(kind, edges)

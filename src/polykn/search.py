@@ -74,11 +74,11 @@ def _member_masks(n, kind):
     """Every member of the family on K_n as a bitmask over the edge indices."""
     return tuple(
         sum(1 << edge_index(n, i, j) for (i, j) in w.edges)
-        for w in enumerate_members(kind, n, max_n=max(n, 12))
+        for w in enumerate_members(kind, n, max_n=n)
     )
 
 
-def _minimal_blockers(members, cap=None):
+def _minimal_blockers(members, cap):
     """Every minimal edge set meeting all members, by Berge's algorithm.
 
     Members are folded in one at a time.  A minimal blocker of the members
@@ -97,8 +97,7 @@ def _minimal_blockers(members, cap=None):
         if not missed:
             continue  # every set meets mem, so none changes
         kept = [b for b in blockers if b & mem]
-        if cap is not None:
-            missed = [b for b in missed if b.bit_count() < cap]
+        missed = [b for b in missed if b.bit_count() < cap]
         private = {}  # edge e -> s minus e, for each kept s meeting mem in e alone
         for s in kept:
             hit = s & mem
@@ -118,20 +117,20 @@ def _minimal_blockers(members, cap=None):
     return sorted(blockers, key=lambda b: (b.bit_count(), b))
 
 
-def _pack(blockers, m, cap=None):
+def _pack(blockers, m, cap, floor):
     """Largest set of pairwise disjoint blockers, and a bound on any packing.
 
     One branch-and-bound DFS over index-increasing choices: a node with
     `chosen` blockers and `free` uncovered edges can reach at most
     chosen + free // (smallest remaining blocker size).  Blockers left out
     have over `cap` edges, so the bound is the largest chosen +
-    free // (cap + 1); with no cap it is the packing's size.
+    free // (cap + 1), or `floor`, a known lower bound on the optimum, if
+    larger; a branch that cannot pass the floor is cut.
 
     Returns (the chosen blockers, the bound, nodes explored).
     """
-    room = m + 1 if cap is None else cap + 1
     best = []
-    bound = 0
+    bound = floor
     chosen = []
     nodes = 0
 
@@ -140,12 +139,12 @@ def _pack(blockers, m, cap=None):
         nodes += 1
         if len(chosen) > len(best):
             best = chosen[:]
-        bound = max(bound, len(chosen) + free // room)
+        bound = max(bound, len(chosen) + free // (cap + 1))
         for i, b in enumerate(cands):
             size = b.bit_count()
             reach = len(chosen) + free // size
             # go on only to raise the bound or to meet it with a real packing
-            if reach <= len(best) or reach < bound:
+            if reach <= max(len(best), floor) or reach < bound:
                 return
             chosen.append(b)
             rec([c for c in cands[i + 1 :] if not c & b], free - size)
@@ -178,7 +177,7 @@ def brute_force_poly(
     built = build(kind, n)
     nodes = 0
     for c in range(n - 1 if kind is FamilyKind.ONE_FACTOR else n - 2, m + 1):
-        packing, bound, tried = _pack(_minimal_blockers(members, c), m, c)
+        packing, bound, tried = _pack(_minimal_blockers(members, c), m, c, built.k)
         nodes += tried
         if bound == max(len(packing), built.k):
             break

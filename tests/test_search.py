@@ -61,7 +61,7 @@ SEQ_DIFFERENTIAL = [(F1, n, ("ordered",)) for n in range(2, 13, 2)] + [
 
 @functools.cache
 def uncapped_blockers(kind, n):
-    return _minimal_blockers(_member_masks(n, kind))
+    return _minimal_blockers(_member_masks(n, kind), n * (n - 1) // 2)
 
 
 @functools.cache
@@ -95,8 +95,10 @@ def coloring_dfs_optimum(n, kind):
 def test_brute_force_values(n, kind, want):
     report = brute_force_poly(n, kind)
     assert report.optimum == want
-    # at hc n = 3 build gives 2 colors, so this coloring is the packing's
+    # at hc n = 3 build gives 2 colors, so this coloring is the packing's;
+    # everywhere else build's palette meets the bound and build is returned
     assert report.coloring.k == want
+    assert (report.coloring == build(kind, n)) == ((kind, n) != (HC, 3))
     assert is_polychromatic(report.coloring, kind).polychromatic
     assert report.mode == "full"
     assert report.nodes > 0
@@ -266,7 +268,10 @@ def test_search_node_counts_pinned(monkeypatch):
     full = {(F1, 4): 67, (F1, 6): 22_000, (F2, 4): 234, (F2, 5): 8_324, (HC, 5): 8_324}
     for (kind, n), nodes in full.items():
         assert coloring_dfs_optimum(n, kind)[1] == nodes, (kind, n)
-    packing = {(F1, 4): 3, (F1, 6): 7, (F2, 4): 4, (F2, 5): 4, (HC, 5): 4}
+    # build's palette is the packing's floor, so the search stops at the
+    # root wherever the near-star bound already equals it
+    packing = {(F1, 4): 1, (F1, 6): 7, (F1, 8): 9, (F2, 4): 1, (F2, 5): 1, (HC, 3): 4,
+               (HC, 5): 1, (F2, 7): 1, (HC, 7): 1}
     for (kind, n), nodes in packing.items():
         assert brute_force_poly(n, kind).nodes == nodes, (kind, n)
     combed = {
@@ -515,7 +520,7 @@ def test_packing_matches_coloring_dfs(kind, n):
 def test_minimal_blockers_match_subset_scan(kind, n):
     members = _member_masks(n, kind)
     m = n * (n - 1) // 2
-    blockers = _minimal_blockers(members)
+    blockers = _minimal_blockers(members, m)
 
     def meets_all(s):
         return all(s & mem for mem in members)
@@ -561,8 +566,8 @@ def test_capped_blockers_are_the_uncapped_list_cut(kind, n):
 @pytest.mark.parametrize("kind, n", UNDER_CAPS)
 def test_capped_search_matches_uncapped_packing(kind, n):
     m = n * (n - 1) // 2
-    best, bound, _ = _pack(uncapped_blockers(kind, n), m)
-    assert bound == len(best)  # with no cap the bound is the packing
+    best, bound, _ = _pack(uncapped_blockers(kind, n), m, m, 0)
+    assert bound == len(best)  # at cap m with floor 0 the bound is the packing
     report = brute_force_poly(n, kind)
     assert report.optimum == report.coloring.k == len(best), (kind, n)
     assert is_polychromatic(report.coloring, kind).polychromatic
@@ -580,7 +585,7 @@ def test_full_search_raises_the_cap_past_a_weak_lower_bound(monkeypatch):
 
     caps = []
 
-    def recording(members, cap=None):
+    def recording(members, cap):
         caps.append(cap)
         return _minimal_blockers(members, cap)
 
@@ -589,7 +594,8 @@ def test_full_search_raises_the_cap_past_a_weak_lower_bound(monkeypatch):
     raised = {}
     for kind, n in UNDER_CAPS:
         caps.clear()
-        want = len(_pack(uncapped_blockers(kind, n), n * (n - 1) // 2)[0])
+        m = n * (n - 1) // 2
+        want = len(_pack(uncapped_blockers(kind, n), m, m, 0)[0])
         report = brute_force_poly(n, kind)
         assert report.optimum == report.coloring.k == want, (kind, n)
         assert is_polychromatic(report.coloring, kind).polychromatic
