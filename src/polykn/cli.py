@@ -164,38 +164,35 @@ def _emit_coloring(c: EdgeColoring, fmt: str, out: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
-    kind = FamilyKind.parse(args.family)
-    c = build(kind, args.n)
+    c = build(args.family, args.n)
     _emit_coloring(c, args.format, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    kind = FamilyKind.parse(args.family)
     c = _load_coloring(args.input)
-    cert = is_polychromatic(c, kind)
+    cert = is_polychromatic(c, args.family)
     if cert.polychromatic:
-        _emit(f"polychromatic: n={c.n} k={c.k} family={kind.value}\n", args.out)
+        _emit(f"polychromatic: n={c.n} k={c.k} family={args.family.value}\n", args.out)
         return 0
     edges = list(cert.witness.edges)
-    _emit(f"violated: color {cert.violating_color} avoided by {kind.value} member {edges}\n", args.out)
+    _emit(f"violated: color {cert.violating_color} avoided by {args.family.value} member {edges}\n", args.out)
     return 1
 
 
 def _cmd_witness(args) -> int:
-    kind = FamilyKind.parse(args.family)
     c = _load_coloring(args.input)
-    check_n(kind, c.n)
+    check_n(args.family, c.n)
     ic = comb_certificate(c)
     if ic is None:
         raise CliError("input coloring is not combed; no inherited classes exist")
     try:
-        witness = adversarial_member(ic, args.color, kind)
+        witness = adversarial_member(ic, args.color, args.family)
     except NoWitness as exc:
         _emit(f"no witness: {exc}\n", args.out)
         return 1
     doc = {
-        "family": kind.value,
+        "family": args.family.value,
         "avoided_color": args.color,
         "edges": [list(e) for e in witness.edges],
     }
@@ -216,11 +213,10 @@ def _report_to_text(report: SearchReport) -> str:
 
 
 def _cmd_search(args) -> int:
-    kind = FamilyKind.parse(args.family)
     if args.mode == "full":
-        report = brute_force_poly(args.n, kind)
+        report = brute_force_poly(args.n, args.family)
     else:
-        report = structured_poly(args.n, kind, args.mode)
+        report = structured_poly(args.n, args.family, args.mode)
     _emit(_report_to_text(report), args.out)
     return 0
 
@@ -237,16 +233,12 @@ def _parse_range(spec: str) -> range:
 
 
 def _cmd_table(args) -> int:
-    kind = FamilyKind.parse(args.family)
-    if args.n_range:
-        ns = _parse_range(args.n_range)
-    elif args.n is not None:
-        ns = range(args.n, args.n + 1)
-    else:
-        raise CliError("table needs --n or --n-range")
-    rows = theorem_table(kind, ns)
+    if (args.n is None) == (args.n_range is None):
+        raise CliError("table needs exactly one of --n and --n-range")
+    ns = range(args.n, args.n + 1) if args.n_range is None else _parse_range(args.n_range)
+    rows = theorem_table(args.family, ns)
     if not rows:
-        raise CliError(f"no n in {ns.start}..{ns.stop - 1} is valid for family {kind.value}")
+        raise CliError(f"no n in {ns.start}..{ns.stop - 1} is valid for family {args.family.value}")
     records = [
         {
             "n": r.n, "family": r.kind.value,
@@ -277,10 +269,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    kind = FamilyKind.parse(args.family)
+    if (args.op == "recolor") != (args.vertices is not None):
+        raise CliError("--vertices x,y,z goes with --op recolor, and only with it")
     c = _load_coloring(args.input)
     if args.op == "improve":
-        result = improve_toward_combed(c, kind)
+        result = improve_toward_combed(c, args.family)
         # stdout may carry the coloring document, so the summary goes to stderr
         print(
             f"moves={result.moves} combed={str(result.combed).lower()} "
@@ -291,7 +284,7 @@ def _cmd_transform(args) -> int:
     else:
         try:
             x, y, z = (int(v) for v in args.vertices.split(","))
-        except (AttributeError, ValueError):
+        except ValueError:
             raise CliError("recolor needs --vertices x,y,z")
         _emit_coloring(recolor_unitary_triple(c, x, y, z), args.format, args.out)
     return 0
@@ -349,6 +342,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    args.family = FamilyKind.parse(args.family)
     handlers = {
         "construct": _cmd_construct,
         "verify": _cmd_verify,

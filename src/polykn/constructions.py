@@ -89,13 +89,13 @@ def _ordered_colors(main) -> tuple[int, ...]:
 
 
 # the unitary prefixes of combed colorings: pattern name -> (fixed leading
-# mains, colors exempt via unitarity, edge recolorings applied after the
-# ordered build); "triple" is the rainbow triangle on v_1, v_2, v_3 and
-# "quad" the 4-vertex unitary prefix
+# mains, whose colors are exempt as the prefix vertices are unitary, edge
+# recolorings applied after the ordered build); "triple" is the rainbow
+# triangle on v_1, v_2, v_3 and "quad" the 4-vertex unitary prefix
 _PATTERNS = {
-    "ordered": ((), (), ()),
-    "triple": ((1, 2, 3), (1, 2, 3), (((1, 3), 3),)),
-    "quad": ((1, 1, 2, 2), (1, 2), (((1, 3), 2), ((2, 4), 2))),
+    "ordered": ((), ()),
+    "triple": ((1, 2, 3), (((1, 3), 3),)),
+    "quad": ((1, 1, 2, 2), (((1, 3), 2), ((2, 4), 2))),
 }
 
 
@@ -133,4 +133,4 @@ def build(kind: FamilyKind, n: int) -> EdgeColoring:
     sizes = class_sizes(kind, n)
     mains = [t for t, size in enumerate(sizes, start=1) for _ in range(size)]
     triple = kind is not FamilyKind.ONE_FACTOR and len(sizes) >= 3
-    return _pattern_coloring(n, mains, _PATTERNS["triple" if triple else "ordered"][2])
+    return _pattern_coloring(n, mains, _PATTERNS["triple" if triple else "ordered"][1])

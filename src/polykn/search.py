@@ -235,8 +235,8 @@ def _seq_stage(n, kind, k, pattern):
     Returns (the first complete sequence's EdgeColoring or None, nodes
     explored).
     """
-    fixed, exempt, recolorings = _PATTERNS[pattern]
-    used = max(exempt, default=0)
+    fixed, recolorings = _PATTERNS[pattern]
+    used = max(fixed, default=0)
     if used > k or len(fixed) > n:
         return None, 0
     rule = PREFIX_RULES[kind]
@@ -244,7 +244,7 @@ def _seq_stage(n, kind, k, pattern):
     last = n - 1  # free positions 1..n-1; position n copies n-1
     counts = [0] * (n + 2)
     starts = [0] * (n + 2)  # segment starts a; counts are of (a, p]
-    satisfied = [t in exempt for t in range(n + 2)]
+    satisfied = [t in fixed for t in range(n + 2)]
     seq = []
     nodes = 0
     dead = set()  # keys whose subtree held no complete sequence
@@ -260,7 +260,6 @@ def _seq_stage(n, kind, k, pattern):
 
     for p, c in enumerate(fixed[:last], start=1):
         place(p, c)
-        used = max(used, c)
 
     def viable(j):
         # at j == last this holds only with every color used and satisfied,

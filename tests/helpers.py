@@ -512,12 +512,12 @@ class RefSeqState:
         self.k = k
         self.strict = kind is FamilyKind.ONE_FACTOR
         self.last = n - 1  # free positions 1..n-1; position n copies n-1
-        fixed, exempt, self.recolorings = _PATTERNS[pattern]
+        fixed, self.recolorings = _PATTERNS[pattern]
         self.fixed = fixed
         self.counts = [0] * (n + 2)
         self.satisfied = [False] * (n + 2)
         self.used = 0
-        for t in exempt:
+        for t in fixed:
             self.satisfied[t] = True
             self.used = max(self.used, t)
 

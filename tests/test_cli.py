@@ -284,11 +284,19 @@ def test_table_text_format(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["--n-range", "3-6"], "error: bad range '3-6', expected a:b", id="dash-range"),
-    pytest.param([], "error: table needs --n or --n-range", id="no-n"),
+    pytest.param([], "error: table needs exactly one of --n and --n-range", id="no-n"),
+    pytest.param(["--n", "5", "--n-range", "3:4"],
+                 "error: table needs exactly one of --n and --n-range", id="both-n"),
 ])
 def test_table_bad_n_flags_exit_two(capsys, argv, message):
     assert run(["table", "--family", "hc", *argv]) == 2
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_unknown_family_keeps_argparse_message(capsys):
+    assert run(["construct", "--family", "f3", "--n", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --family: invalid choice: 'f3'" in err
 
 
 def test_table_n_zero_is_not_missing(capsys):
@@ -384,12 +392,24 @@ def test_transform_recolor_command(tmp_path, capsys):
     assert is_unitary(recolored, 4) == (1, 2, 5)
     assert run([
         "transform", "--family", "f2", "--input", path, "--op", "recolor",
-    ]) == 2  # missing --vertices
-    assert run([
-        "transform", "--family", "f2", "--input", path, "--op", "recolor",
         "--vertices", "1,2,99",
     ]) == 2  # vertex outside 1..n
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--op", "recolor"], id="recolor-without-vertices"),
+    pytest.param(["--op", "improve", "--vertices", "1,2,3"], id="improve-with-vertices"),
+    pytest.param(["--vertices", "1,2,3"], id="default-improve-with-vertices"),
+])
+def test_transform_vertices_only_with_recolor(tmp_path, capsys, argv):
+    # refused before the input is read: a missing file gives the same error
+    written = _write_doc(tmp_path, build(FamilyKind.TWO_FACTOR, 6))
+    for path in (written, str(tmp_path / "missing.json")):
+        assert run(["transform", "--family", "f2", "--input", path, *argv]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --vertices x,y,z goes with --op recolor, and only with it\n"
+        )
 
 
 _FUZZ_NS = {"f1": (4, 6), "f2": (3, 4, 5, 6), "hc": (3, 4, 5, 6)}

@@ -609,7 +609,7 @@ def test_full_search_raises_the_cap_past_a_weak_lower_bound(monkeypatch):
 
 @pytest.mark.parametrize("pattern", sorted(_PATTERNS))
 def test_pattern_coloring_matches_dict_build(pattern):
-    fixed, _, recolorings = _PATTERNS[pattern]
+    fixed, recolorings = _PATTERNS[pattern]
     rng = random.Random(len(pattern))
     for n in range(4, 11):
         for _ in range(20):
