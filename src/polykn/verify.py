@@ -3,11 +3,12 @@
 A coloring is polychromatic for a family when every member carries every
 color.  The paper's counting argument settles most colors first: along
 the comb prefix, each family's prefix rule (PREFIX_RULES) names the colors
-on every member, and no engine runs for them.  The other colors are
-decided exactly: color t is avoidable iff the family has a member inside
-K_n minus the color-t edges.  On a combed coloring, a color that the rule
-does not prove gets an avoiding member written down in the edge layout of
-its family; a complete certificate bounds the palette.
+on every member, as a unitary vertex's main is for 2-regular members, and
+no engine runs for them.  The other colors are decided exactly: color t
+is avoidable iff the family has a member inside K_n minus the color-t
+edges.  On a combed coloring, a color that the rule does not prove gets
+an avoiding member written down in the edge layout of its family; a
+complete certificate bounds the palette.
 """
 
 from __future__ import annotations
@@ -96,11 +97,13 @@ PREFIX_RULES = {
 
 
 def _prefix_proofs(c, kind: FamilyKind) -> set[int]:
-    """The colors kind's rule proves along the comb prefix, but for the
-    classes holding a unitary vertex, whose partner edges break it."""
+    """The colors kind's rule proves along the comb prefix, and for 2-factors
+    and cycles the classes holding a unitary vertex: it has one edge off its
+    main, so every 2-regular member takes the main there, as a 1-factor need not."""
     unitary, _, mains = comb_prefix(c)
     _, moments = PREFIX_RULES[kind].walk(c.n, mains)
-    return moments.keys() - {u.main for u in unitary}
+    held = {u.main for u in unitary}
+    return moments.keys() - held if kind is FamilyKind.ONE_FACTOR else moments.keys() | held
 
 
 def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
@@ -112,11 +115,8 @@ def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
     """
     check_n(kind, c.n)
     proved = _prefix_proofs(c, kind)
-    for t in range(1, c.k + 1):
-        if t in proved:
-            continue
-        allowed = AllowedGraph.minus_color(c, t)
-        witness = find_member(kind, allowed)
+    for t in sorted(set(range(1, c.k + 1)) - proved):
+        witness = find_member(kind, AllowedGraph.minus_color(c, t))
         if witness is not None:
             return PolyCertificate(False, t, witness)
     if kind is FamilyKind.ONE_FACTOR:
@@ -193,7 +193,7 @@ def majority_certificate(ic: InheritedColoring, strict: bool) -> MajorityCertifi
     other class gets the position at which PREFIX_RULES proves it, else
     "fails": the 1-factor rule in strict mode and the Hamiltonian-cycle
     rule in weak mode, so each mode proves what _prefix_proofs proves for
-    that family.
+    that family outside the unitary classes.
     """
     kind = FamilyKind.ONE_FACTOR if strict else FamilyKind.HAMILTONIAN_CYCLE
     _, moments = PREFIX_RULES[kind].walk(ic.n, ic.sequence)

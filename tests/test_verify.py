@@ -158,9 +158,10 @@ def test_prefix_proofs_match_engines(monkeypatch):
         ic = comb_certificate(c)
         if ic is not None:
             # verdicts read the strict and weak certificates' moments for
-            # 1-factors and cycles, and the segment walk for 2-factors
+            # 1-factors and cycles, and the segment walk for 2-factors; for
+            # 2-factors and cycles the unitary classes are proved as well
+            unitary = {u.main for u in ic.unitary_set}
             if kind is F2:
-                unitary = {u.main for u in ic.unitary_set}
                 prefix = {
                     t for t in range(1, c.k + 1)
                     if t not in unitary and helpers.walk_on_every_two_factor(ic.sequence, t)
@@ -168,6 +169,8 @@ def test_prefix_proofs_match_engines(monkeypatch):
             else:
                 cert = majority_certificate(ic, strict=kind is F1)
                 prefix = {e.color for e in cert.entries if e.status == "prefix"}
+            if kind is not F1:
+                prefix |= unitary
             assert proved == prefix, (kind, c.colors)
         if proved and ic is None:
             uncombed_proofs += 1
@@ -197,21 +200,40 @@ def _engine_colors(monkeypatch, c, kind):
 
 
 def test_built_one_factor_colorings_need_no_engine(monkeypatch):
-    for n in (2, 16, 128, 512):
+    # the prefix rule proves every color of build(F1, n); n = 256 is the CI
+    # round trip's
+    for n in (2, 16, 128, 256, 512):
         assert _engine_colors(monkeypatch, build(F1, n), F1) == ([], 0), n
 
 
 def test_built_colorings_send_only_unitary_colors_to_engines(monkeypatch):
-    # the family's prefix rule proves every other color.  Below n = 4 only
-    # build(F2, 3) has unitary vertices
-    assert _engine_colors(monkeypatch, build(HC, 3), HC) == ([], 0)
+    # the family's prefix rule proves every color outside the 3 unitary
+    # classes, and their vertices' mains prove those, so none is left for
+    # the engines.  Below n = 4 only build(F2, 3) has unitary vertices
     for kind in (F2, HC):
-        for n in range(3 if kind is F2 else 4, 41):
+        for n in range(3, 130):
             c = build(kind, n)
             unitary = {u.main for u in comb_certificate(c).unitary_set}
-            assert len(unitary) == 3, (kind, n)
-            want = sorted(unitary)
-            assert _engine_colors(monkeypatch, c, kind) == (want, len(want)), (kind, n)
+            assert len(unitary) == (0 if (kind, n) == (HC, 3) else 3), (kind, n)
+            queried, calls = _engine_colors(monkeypatch, c, kind)
+            assert set(queried) <= unitary, (kind, n)
+            assert (queried, calls) == ([], 0), (kind, n)
+
+
+def test_one_factors_may_avoid_a_unitary_class():
+    # a perfect matching may take the unitary vertices' off-main edges, so
+    # the 1-factor proofs leave their classes to the engines; in the combed
+    # colorings of K_4, K_6 and K_8 most unitary classes are avoidable
+    classes = avoided = 0
+    for n in (4, 6, 8):
+        for c in all_combed_colorings(n):
+            proved = _prefix_proofs(c, F1)
+            for t in {u.main for u in comb_certificate(c).unitary_set}:
+                classes += 1
+                if find_member(F1, AllowedGraph.minus_color(c, t)) is not None:
+                    avoided += 1
+                    assert t not in proved, (t, c.colors)
+    assert (avoided, classes) == (1154, 1252)
 
 
 def test_odd_n_one_factor_rejected():
