@@ -11,13 +11,26 @@ from __future__ import annotations
 import enum
 from itertools import chain, repeat
 
-from .core import EdgeColoring, edge_index
+from .core import Edge, EdgeColoring, edge_index
 
 
 class FamilyKind(enum.Enum):
     ONE_FACTOR = "f1"
     TWO_FACTOR = "f2"
     HAMILTONIAN_CYCLE = "hc"
+
+    @property
+    def degree(self) -> int:
+        """The degree d of a member at every vertex: 1 for 1-factors, else 2."""
+        return 1 if self is FamilyKind.ONE_FACTOR else 2
+
+    def along(self, seq) -> list[Edge]:
+        """The member written along a vertex sequence: its consecutive pairs
+        at degree 1, the cycle through it at degree 2."""
+        seq = list(seq)
+        if self.degree == 1:
+            return list(zip(seq[::2], seq[1::2]))
+        return list(zip(seq, seq[1:] + seq[:1]))
 
     @staticmethod
     def parse(code: str) -> "FamilyKind":
@@ -28,12 +41,11 @@ class FamilyKind(enum.Enum):
 
 
 def check_n(kind: FamilyKind, n: int) -> None:
-    """Raise ValueError unless K_n has members of the family."""
-    if kind is FamilyKind.ONE_FACTOR:
-        if n < 2 or n % 2:
-            raise ValueError("1-factors need even n >= 2")
-    elif n < 3:
-        raise ValueError("2-factors and Hamiltonian cycles need n >= 3")
+    """Raise ValueError unless K_n has members of the family: n > d, d*n even."""
+    d = kind.degree
+    if n <= d or d * n % 2:
+        raise ValueError("1-factors need even n >= 2" if d == 1
+                         else "2-factors and Hamiltonian cycles need n >= 3")
 
 
 def palette_size(kind: FamilyKind, n: int) -> int:
@@ -125,12 +137,11 @@ def build(kind: FamilyKind, n: int) -> EdgeColoring:
     """The polychromatic coloring of K_n for the given family.
 
     Inherited class sizes follow class_sizes(kind, n); classes occupy
-    consecutive vertex blocks.  Two-factors and Hamiltonian cycles with at
-    least 3 colors take the "triple" pattern's recoloring of edge v_1 v_3
-    from 1 to 3, which makes v_1, v_2, v_3 unitary with a rainbow triangle
-    between them.
+    consecutive vertex blocks.  Families of degree 2 with at least 3 colors
+    take the "triple" pattern's recoloring of edge v_1 v_3 from 1 to 3,
+    which makes v_1, v_2, v_3 unitary with a rainbow triangle between them.
     """
     sizes = class_sizes(kind, n)
     mains = [t for t, size in enumerate(sizes, start=1) for _ in range(size)]
-    triple = kind is not FamilyKind.ONE_FACTOR and len(sizes) >= 3
+    triple = kind.degree == 2 and len(sizes) >= 3
     return _pattern_coloring(n, mains, _PATTERNS["triple" if triple else "ordered"][1])

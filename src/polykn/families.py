@@ -45,9 +45,6 @@ ENUMERATION_CAPS = {
     FamilyKind.HAMILTONIAN_CYCLE: 12,
 }
 
-# the degree of every vertex in a member of the family
-_DEGREE = {FamilyKind.ONE_FACTOR: 1, FamilyKind.TWO_FACTOR: 2, FamilyKind.HAMILTONIAN_CYCLE: 2}
-
 
 class CapExceededError(ValueError):
     pass
@@ -147,7 +144,7 @@ class SubgraphWitness:
                 raise ValueError(f"repeated witness edge ({i}, {j})")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        target = _DEGREE[self.kind]
+        target = self.kind.degree
         for v in range(1, n + 1):
             deg = masks[v].bit_count()
             if deg != target:
@@ -218,13 +215,11 @@ def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     cur = lca(v, to)
-                    blossom: dict[int, None] = {}  # bases on the cycle, in path order
+                    blossom: dict[int, None] = {}  # bases on the cycle below cur, in path order
                     mark_path(v, cur, to, blossom)
                     mark_path(to, cur, v, blossom)
                     into = members[cur]
                     for b in blossom:
-                        if b == cur:
-                            continue
                         for i in members.pop(b):
                             base[i] = cur
                             if not outer[i]:
@@ -566,7 +561,7 @@ def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional
     n = g.n
     check_n(kind, n)
     masks = plus = g.masks
-    targets = [0] + [_DEGREE[kind]] * n
+    targets = [0] + [kind.degree] * n
     if forced is not None:
         masks, plus = list(masks), list(masks)  # g minus and plus the forced edge
         for a, b in (forced, forced[::-1]):
@@ -585,7 +580,7 @@ def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional
         start, end = forced if forced is not None else (1, None)
         path = _ham_path(masks, start, end)
         # the cycle closes with (end, start): `forced`, or an edge of g
-        found = None if path is None else list(zip(path, path[1:] + path[:1]))
+        found = None if path is None else kind.along(path)
     if found is None:
         return None
     witness = SubgraphWitness(kind, tuple(found))
@@ -621,7 +616,7 @@ def _degree_regular_members(kind: FamilyKind, rows) -> Iterator[tuple[Edge, ...]
     sorted edge lists.  The member's own rows give its degrees.
     """
     n = len(rows) - 1
-    target = _DEGREE[kind]
+    target = kind.degree
     all_bits = (2 << n) - 2
     mem = [0] * (n + 1)
     edges: list[Edge] = []

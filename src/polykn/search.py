@@ -176,7 +176,7 @@ def brute_force_poly(
     members = _member_masks(n, kind)
     built = build(kind, n)
     nodes = 0
-    for c in range(n - 1 if kind is FamilyKind.ONE_FACTOR else n - 2, m + 1):
+    for c in range(n - kind.degree, m + 1):
         packing, bound, tried = _pack(_minimal_blockers(members, c), m, c, built.k)
         nodes += tried
         if bound == max(len(packing), built.k):
@@ -309,16 +309,16 @@ def structured_poly(n: int, kind: FamilyKind, mode: str) -> SearchReport:
     """Optimum over the ordered or combed class of colorings.
 
     Ordered colorings are exactly the images of main-color sequences; combed
-    mode additionally tries the 3- and 4-vertex unitary prefixes.  For
-    1-factors the ordered optimum equals the true optimum; for the other
-    families the value is exact only for the restricted class.  Palette
-    sizes are tried from the counting bound down and the search stops at
-    the first hit, which gets one exact check (is_polychromatic); a hit
-    that fails it raises RuntimeError.
+    mode, for degree 2 only, also tries the 3- and 4-vertex unitary
+    prefixes.  For 1-factors the ordered optimum equals the true optimum;
+    for the other families the value is exact only for the restricted
+    class.  Palette sizes are tried from the counting bound down and the
+    search stops at the first hit, which gets one exact check
+    (is_polychromatic); a hit that fails it raises RuntimeError.
     """
     if mode not in ("ordered", "combed"):
         raise ValueError(f"unknown mode {mode!r}")
-    if kind is FamilyKind.ONE_FACTOR and mode == "combed":
+    if kind.degree == 1 and mode == "combed":
         raise ValueError("combed search applies to 2-factors and Hamiltonian cycles")
     check_n(kind, n)
     if n > STRUCTURED_CAP:

@@ -27,10 +27,10 @@ class PolyCertificate:
 
     On violation: the avoided color and a verified member avoiding it.
     On success: one example edge per color, all taken from one fixed
-    member of the family, (1,2),(3,4),... for 1-factors and the cycle
-    1-2-...-n-1 otherwise; no engine runs for it.  The spot checks only
-    illustrate the verdict: it rests on the prefix proofs and the engine
-    refutations, which the certificate does not record.
+    member of the family, the one written along 1..n (FamilyKind.along);
+    no engine runs for it.  The spot checks only illustrate the verdict:
+    it rests on the prefix proofs and the engine refutations, which the
+    certificate does not record.
     """
 
     polychromatic: bool
@@ -97,13 +97,13 @@ PREFIX_RULES = {
 
 
 def _prefix_proofs(c, kind: FamilyKind) -> set[int]:
-    """The colors kind's rule proves along the comb prefix, and for 2-factors
-    and cycles the classes holding a unitary vertex: it has one edge off its
-    main, so every 2-regular member takes the main there, as a 1-factor need not."""
+    """The colors kind's rule proves along the comb prefix, and at degree 2
+    the classes holding a unitary vertex: it has one edge off its main, so
+    every 2-regular member takes the main there, as a 1-factor need not."""
     unitary, _, mains = comb_prefix(c)
     _, moments = PREFIX_RULES[kind].walk(c.n, mains)
     held = {u.main for u in unitary}
-    return moments.keys() - held if kind is FamilyKind.ONE_FACTOR else moments.keys() | held
+    return moments.keys() | held if kind.degree == 2 else moments.keys() - held
 
 
 def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
@@ -119,11 +119,7 @@ def is_polychromatic(c, kind: FamilyKind) -> PolyCertificate:
         witness = find_member(kind, AllowedGraph.minus_color(c, t))
         if witness is not None:
             return PolyCertificate(False, t, witness)
-    if kind is FamilyKind.ONE_FACTOR:
-        edges = [(i, i + 1) for i in range(1, c.n, 2)]
-    else:
-        edges = [(i, i + 1) for i in range(1, c.n)] + [(1, c.n)]
-    member = SubgraphWitness(kind, tuple(edges))
+    member = SubgraphWitness(kind, tuple(kind.along(range(1, c.n + 1))))
     member.validate(c.n)
     first: dict[int, Edge] = {}  # color -> its first edge on the member
     for (i, j) in member.edges:
@@ -147,11 +143,11 @@ def adversarial_member(ic: InheritedColoring, t: int, kind: FamilyKind) -> Subgr
     Each segment of the rule's walk (one but for 2-factors) lists its
     class-t vertices x_1..x_m and the others y_1.. in position order; the
     rule failing puts y_i, and for cycles y_(i+1) unless x_i ends a tight
-    segment, left of x_i.  1-factors pair y_i x_i and the leftover y's
-    consecutively; the others close each segment into the cycle
-    y_1 x_1 .. y_m x_m y_(m+1) .. y_1.  Every edge at an x goes left and
-    every other edge carries its earlier end's main (or, at a unitary
-    vertex's partner edge, the partner's), so none carries t.
+    segment, left of x_i.  kind.along writes each segment's member along
+    y_1 x_1 .. y_m x_m y_(m+1) ..: its pairs at degree 1, its cycle at
+    degree 2.  Every edge at an x goes left and every other edge carries
+    its earlier end's main (or, at a unitary vertex's partner edge, the
+    partner's), so none carries t.
     """
     check_n(kind, ic.n)
     if not (1 <= t <= ic.k):
@@ -170,13 +166,7 @@ def adversarial_member(ic: InheritedColoring, t: int, kind: FamilyKind) -> Subgr
         xs, ys = [], []
         for v, main in zip(ic.ordering.order[a:b], ic.sequence[a:b]):
             (xs if main == t else ys).append(v)
-        m = len(xs)
-        if kind is FamilyKind.ONE_FACTOR:
-            edges += zip(ys, xs)
-            edges += zip(ys[m::2], ys[m + 1 :: 2])
-        else:
-            cycle = [v for pair in zip(ys, xs) for v in pair] + ys[m:]
-            edges += zip(cycle, cycle[1:] + cycle[:1])
+        edges += kind.along([v for pair in zip(ys, xs) for v in pair] + ys[len(xs):])
     witness = SubgraphWitness(kind, tuple(edges))
     witness.validate(ic.n)
     for (i, j) in witness.edges:

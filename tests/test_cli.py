@@ -395,6 +395,13 @@ def test_transform_recolor_command(tmp_path, capsys):
         "--vertices", "1,2,99",
     ]) == 2  # vertex outside 1..n
     capsys.readouterr()
+    # not three integers: exit 2 and one error line, no traceback
+    for vertices in ("1,2", "a,b,c", "1,2,3,4"):
+        assert run([
+            "transform", "--family", "f2", "--input", path, "--op", "recolor",
+            "--vertices", vertices,
+        ]) == 2
+        assert capsys.readouterr() == ("", "error: recolor needs --vertices x,y,z\n")
 
 
 @pytest.mark.parametrize("argv", [

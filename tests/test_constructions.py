@@ -15,11 +15,32 @@ from polykn import (
     majority_certificate,
     palette_size,
 )
+from polykn.constructions import check_n
 from helpers import ref_palette_size
 
 F1 = FamilyKind.ONE_FACTOR
 F2 = FamilyKind.TWO_FACTOR
 HC = FamilyKind.HAMILTONIAN_CYCLE
+
+
+def test_members_along_a_sequence():
+    # degree 1 pairs consecutive vertices; degree 2 closes the cycle
+    assert [kind.degree for kind in (F1, F2, HC)] == [1, 2, 2]
+    assert F1.along([3, 1, 4, 2]) == [(3, 1), (4, 2)]
+    for kind in (F2, HC):
+        assert kind.along([3, 1, 4]) == [(3, 1), (1, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("kind, bad, good", [
+    (F1, (0, 1, 3, 7), (2, 4)), (F2, (0, 1, 2), (3, 4)), (HC, (0, 1, 2), (3, 5)),
+], ids=["f1", "f2", "hc"])
+def test_check_n_needs_n_past_the_degree_and_an_even_degree_sum(kind, bad, good):
+    message = "1-factors need even n >= 2" if kind is F1 else "2-factors and Hamiltonian cycles need n >= 3"
+    for n in bad:
+        with pytest.raises(ValueError, match=message):
+            check_n(kind, n)
+    for n in good:
+        check_n(kind, n)
 
 
 @pytest.mark.parametrize(

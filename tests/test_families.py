@@ -278,6 +278,24 @@ def test_ham_path_matches_enumeration():
                     assert_path(path, g, start, end)
 
 
+@pytest.mark.parametrize("m, calls", [(5, 81), (11, 1_321)])
+def test_ham_path_reachability_cut_on_petersen_graphs(monkeypatch, m, calls):
+    # the generalized Petersen graphs GP(5, 2) and GP(11, 2) have no
+    # Hamiltonian cycle (Alspach 1983); the search refutes them with a
+    # pinned number of reachability cuts, which a search that never asks
+    # whether every free vertex is still reachable cannot match
+    from polykn import families
+
+    outer = [(i, i % m + 1) for i in range(1, m + 1)]
+    spokes = [(i, m + i) for i in range(1, m + 1)]
+    inner = [(m + i + 1, m + (i + 2) % m + 1) for i in range(m)]
+    g = AllowedGraph.from_edges(2 * m, outer + spokes + inner)
+    reach, counted = families._reach, []
+    monkeypatch.setattr(families, "_reach", lambda *a: counted.append(a) or reach(*a))
+    assert families._ham_path(list(g.masks), 1, None) is None
+    assert len(counted) == calls
+
+
 def test_exact_search_refutes_graph_past_every_refutation():
     # three separator vertices over four 4-cliques: deleting them leaves four
     # components, so no Hamiltonian cycle, yet the degree, 2-factor and
