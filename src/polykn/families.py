@@ -3,27 +3,27 @@
 Existence queries run against an allowed edge set (typically K_n minus one
 color class), validated once as an `AllowedGraph`; the engines read its
 per-vertex bitset rows alone.  All three families go through one function
-that strips a forced edge from a copy of the rows and lowers the degree
-targets of its endpoints once.  Two engines answer the rest:
+that turns a forced edge into an unforced query on a copy of the rows: a
+1-factor edge leaves with its endpoints, and any other edge uv gives way to
+a new vertex joined only to u and v.  Two engines answer the rest:
 
 * 1-factors and 2-factors via one degree-constrained subgraph engine:
-  with every target at most 1 (1-factors, where a forced edge drops its
-  endpoints to 0) blossom maximum matching runs on the target-1 vertices
-  directly.  A 2-factor query, forced edge or not, passes the degree check
+  with every target at most 1, blossom maximum matching runs on the
+  target-1 vertices directly.  A 2-factor query passes the degree check
   and then goes to one bitset flow on the bipartite double cover (an
   out-copy and an in-copy per vertex): at the targets it refutes every
   query whose fractional relaxation is empty; at unit capacity it is the
-  cover's perfect matching, whose absence refutes (only with an edge
-  forced) and whose 2-cycles one exchange each removes to give the member.
-  The rest goes to Tutte's compact reduction (two external nodes per
-  allowed edge, target(v) core nodes per vertex), which the blossom solves
-  exactly,
+  cover's perfect matching, whose 2-cycles one exchange each removes to
+  give the member.  The rest goes to Tutte's compact reduction (two
+  external nodes per allowed edge, target(v) core nodes per vertex), which
+  the blossom solves exactly,
 * Hamiltonian cycles via a ladder of refutations, cheapest first, at
-  every n: the separator test (with uv forced, first on g plus uv; with
-  none, it cuts off every vertex of degree below 2), then the degree check
-  and the 2-factor relaxation, then one exact Hamiltonian path search
-  closing the cycle: a pruned depth-first search, run on an explicit
-  stack, that never expands a failed (free set, current vertex) state twice.
+  every n: the separator test (which cuts off every vertex of degree
+  below 2), then the degree check and the 2-factor relaxation, then one
+  exact search for a Hamiltonian path that closes the cycle, from vertex 1
+  or from a forced edge's new vertex: a pruned depth-first search, run on
+  an explicit stack, that never expands a failed (free set, current
+  vertex) state twice.
 
 Enumeration is a separate brute-force oracle that emits members in
 lexicographic order of their sorted edge lists.
@@ -254,7 +254,7 @@ def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# degree-constrained subgraphs: 1-factors and 2-factors, forced edges or not
+# degree-constrained subgraphs: 1-factors and 2-factors
 
 
 def _index_lists(masks, verts: list[int]) -> list[list[int]]:
@@ -271,24 +271,24 @@ def _index_lists(masks, verts: list[int]) -> list[list[int]]:
             for v in verts]
 
 
-def _cover_flow(masks, supply: list[int], demand: list[int]) -> Optional[list[int]]:
+def _cover_flow(masks, supply: list[int]) -> Optional[list[int]]:
     """Route the double cover: the out-copy of each v supplies supply[v],
-    the in-copy of each w absorbs demand[w] (the two sum alike), and each
-    allowed edge vw carries at most one unit on each of v->w and w->v.
-    Returns used (used[v]: the in-copies v's out-copy feeds) when every
-    unit routes, else None.
+    the in-copy of each w absorbs supply[w], and each allowed edge vw
+    carries at most one unit on each of v->w and w->v.  Returns used
+    (used[v]: the in-copies v's out-copy feeds) when every unit routes,
+    else None.
 
-    With supply = demand = targets, a routing exists exactly when
-    {0 <= x <= 1, x(delta(v)) = targets[v]} is nonempty, so None refutes
-    every member (Anstee 1987); at unit supply and demand a routing is a
-    perfect matching of the cover.  A greedy seed takes the lowest degrees
-    first; each missing unit then takes one breadth-first augmenting path,
-    with bitset frontiers and per-vertex parents.
+    At the targets a routing exists exactly when {0 <= x <= 1,
+    x(delta(v)) = targets[v]} is nonempty, so None refutes every member
+    (Anstee 1987); at unit supply a routing is a perfect matching of the
+    cover.  A greedy seed takes the lowest degrees first; each missing unit
+    then takes one breadth-first augmenting path, with bitset frontiers and
+    per-vertex parents.
     """
     n = len(supply) - 1
     used = [0] * (n + 1)  # used[v]: the in-copies fed by v's out-copy
     fed = [0] * (n + 1)  # fed[w]: the out-copies feeding w's in-copy
-    short = sum(1 << w for w in range(1, n + 1) if demand[w])  # in-copies with room
+    short = sum(1 << w for w in range(1, n + 1) if supply[w])  # in-copies with room
     spare = 0  # out-copies with units left
     for v in sorted(range(1, n + 1), key=lambda v: masks[v].bit_count()):
         need, m = supply[v], masks[v] & short
@@ -298,7 +298,7 @@ def _cover_flow(masks, supply: list[int], demand: list[int]) -> Optional[list[in
             w = bit.bit_length() - 1
             used[v] |= bit
             fed[w] |= 1 << v
-            if fed[w].bit_count() == demand[w]:
+            if fed[w].bit_count() == supply[w]:
                 short ^= bit
             need -= 1
         if need:
@@ -346,7 +346,7 @@ def _cover_flow(masks, supply: list[int], demand: list[int]) -> Optional[list[in
             w = via_out[v]
             used[v] ^= 1 << w
             fed[w] ^= 1 << v
-        if fed[end].bit_count() == demand[end]:
+        if fed[end].bit_count() == supply[end]:
             short ^= 1 << end
         if used[v].bit_count() == supply[v]:
             spare ^= 1 << v
@@ -354,15 +354,13 @@ def _cover_flow(masks, supply: list[int], demand: list[int]) -> Optional[list[in
 
 
 def _split_two_cycles(masks, succ: list[int]) -> bool:
-    """Remove the 2-cycles of the permutation succ in place, one exchange
-    each; False if one of them stays.
+    """Remove the 2-cycles of the permutation succ of 1..n in place, one
+    exchange each; False if one of them stays.
 
     For a 2-cycle succ[u] = v, succ[v] = u, a vertex a outside it with
     b = succ[a], ub allowed and av allowed gives succ[u] = b, succ[a] = v.
     The exchange closes no new 2-cycle: u's only preimage is v, and b != v
     because v's only preimage was u != a; v maps to u, not to a.
-    succ[x] = 0 marks a vertex x without an out-arc: no exchange moves it,
-    and 0 is never an allowed neighbor.
     """
     n = len(succ) - 1
     for x in range(1, n + 1):
@@ -386,19 +384,16 @@ def _degree_constrained_subgraph(masks, targets: list[int]) -> Optional[list[Edg
     With every target at most 1 this is a perfect matching of the target-1
     vertices, found by the blossom on those vertices alone.
 
-    Otherwise every target is 2, or 2 but 1 at two vertices t < h (a
-    2-factor through the forced edge th, which the rows lack), and after the
-    degree check the rungs run on the bipartite double cover
-    (`_cover_flow`): an out-copy and an in-copy per vertex, the arcs v->w
-    and w->v per allowed edge vw.  A member, doubled, routes the targets,
-    so a failed routing refutes.  Routed at unit supply and demand, with
-    t's out-copy and h's in-copy left out for the forced arc t->h, the
-    cover gives a perfect matching: a permutation of the vertices along
-    allowed edges.  With no edge forced, a routing of the targets is
-    2-regular on the cover and so has one (Konig), so this refutes only
-    forced-edge queries.  Once `_split_two_cycles` has exchanged away its
-    2-cycles, the permutation's arcs are the member.  A 2-cycle that no
-    exchange removes hands the question to Tutte's gadget, the exact step.
+    Otherwise every target is 2, and after the degree check the rungs run
+    on the bipartite double cover (`_cover_flow`): an out-copy and an
+    in-copy per vertex, the arcs v->w and w->v per allowed edge vw.  A
+    member, doubled, routes the targets, so a failed routing refutes.  A
+    routing of the targets is 2-regular on the cover, so it holds a perfect
+    matching (Konig), and the flow at unit supply finds one: a permutation
+    of the vertices along allowed edges.  Once `_split_two_cycles` has
+    exchanged away its 2-cycles, the permutation's arcs are the member.  A
+    2-cycle that no exchange removes hands the question to Tutte's gadget,
+    the exact step.
     """
     n = len(masks) - 1
     if any(masks[v].bit_count() < targets[v] for v in range(1, n + 1)):
@@ -407,17 +402,11 @@ def _degree_constrained_subgraph(masks, targets: list[int]) -> Optional[list[Edg
         verts = [v for v in range(1, n + 1) if targets[v]]
         match = maximum_matching(len(verts), _index_lists(masks, verts))
         return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
-    if _cover_flow(masks, targets, targets) is None:
+    if _cover_flow(masks, targets) is None:
         return None
-    tail, head = [v for v in range(1, n + 1) if targets[v] == 1] or (0, 0)
-    supply, demand = [0] + [1] * n, [0] + [1] * n
-    supply[tail] = demand[head] = 0
-    used = _cover_flow(masks, supply, demand)
-    if used is None:
-        return None
-    succ = [u.bit_length() - 1 if u else 0 for u in used]
+    succ = [u.bit_length() - 1 for u in _cover_flow(masks, [0] + [1] * n)]
     if _split_two_cycles(masks, succ):
-        return [(v, w) if v < w else (w, v) for v, w in enumerate(succ) if w]
+        return [(v, w) if v < w else (w, v) for v, w in enumerate(succ) if v]
     return _tutte_gadget(masks, targets)
 
 
@@ -468,40 +457,42 @@ def _reach(masks, seed: int, within: int) -> int:
     return reach
 
 
-def _ham_path(adj, start: int, end: Optional[int]) -> Optional[list[int]]:
-    """Hamiltonian path from start to end (to a neighbor of start when end
-    is None, so that it closes into a cycle), or None.
+def _ham_path(adj, start: int) -> Optional[list[int]]:
+    """Hamiltonian path from start to a neighbor of start, so that it
+    closes into a cycle, or None.
 
     Depth-first on an explicit stack, so the path may be longer than the
-    recursion limit: free neighbors with the fewest free neighbors go first
-    and end is kept back until the last step.  The target is end, or start when
-    the path closes.  A step cur -> v is cut when another neighbor of cur,
-    free or the target, keeps fewer usable neighbors than it needs (2 for a
-    free vertex, 1 for the target; usable means free, v or the target), or
-    when some free vertex is no longer reachable from v through free
-    vertices.  A failed (free set, current vertex) state is never expanded
-    twice, so at most n * 2^(n-1) states are searched, the bound of the
-    Held-Karp bitmask DP.
+    recursion limit: free neighbors with the fewest free neighbors go first.
+    The closers are the neighbors of start that may still end the path.
+    Once a first step a has been tried, a is no closer: a cycle closing at
+    a would, reversed, have started with a (the reversal cut).  A step
+    cur -> v is cut when no closer stays free to end the path, or v ends it
+    and is no closer (the closer cut); when another free neighbor of cur
+    keeps fewer than 2 usable neighbors (free, v or start); or when some
+    free vertex is no longer reachable from v through free vertices.  A
+    failed (free set, current vertex) state is never expanded twice, so at
+    most n * 2^(n-1) states are searched, the bound of the Held-Karp
+    bitmask DP.  Fewer closers never revive a failed state.
     """
-    target = 1 << (start if end is None else end)
-    end_bit = 0 if end is None else target
+    target = 1 << start
+    closers = adj[start]
     dead: set[tuple[int, int]] = set()
 
     def viable(cur: int, v: int, rest: int) -> bool:
         here = 1 << v
+        if not closers & (rest or here):
+            return False
         usable = rest | here | target
-        m = adj[cur] & (rest | target) & ~here  # cur's neighbors lost a usable one
+        m = adj[cur] & rest  # cur's free neighbors lost a usable one
         while m:
             bit = m & -m
             m ^= bit
-            if (adj[bit.bit_length() - 1] & usable).bit_count() < (1 if bit == target else 2):
+            if (adj[bit.bit_length() - 1] & usable).bit_count() < 2:
                 return False
         return not rest & ~_reach(adj, here, rest)
 
     def candidates(cur: int, free: int) -> Iterator[int]:
         m = adj[cur] & free
-        if free != end_bit:
-            m &= ~end_bit
         cands = []
         while m:
             bit = m & -m
@@ -511,20 +502,21 @@ def _ham_path(adj, start: int, end: Optional[int]) -> Optional[list[int]]:
         return iter(cands)
 
     # one frame (path vertex, free set, untried candidates) per path vertex
-    free = ((2 << (len(adj) - 1)) - 2) & ~(1 << start)
+    free = ((2 << (len(adj) - 1)) - 2) & ~target
     stack = [(start, free, candidates(start, free))]
     while stack:
         cur, free, cands = stack[-1]
         for v in cands:
+            if cur == start:
+                closers &= ~(1 << v)
             rest = free & ~(1 << v)
             if (rest, v) in dead:
                 continue
             if viable(cur, v, rest):
-                if rest:
-                    stack.append((v, rest, candidates(v, rest)))
-                    break
-                if end is not None or adj[v] & target:
+                if not rest:
                     return [frame[0] for frame in stack] + [v]
+                stack.append((v, rest, candidates(v, rest)))
+                break
             dead.add((rest, v))
         else:  # every candidate failed, so the state (free, cur) did
             stack.pop()
@@ -532,10 +524,9 @@ def _ham_path(adj, start: int, end: Optional[int]) -> Optional[list[int]]:
     return None
 
 
-def _separator_refutes(masks, slack: int) -> bool:
-    """Hamiltonian refutation: removing S must leave at most |S| components
-    (|S| + 1 for a Hamiltonian path).  Tries S = N(u), the open
-    neighborhood of u, for every u."""
+def _separator_refutes(masks) -> bool:
+    """Hamiltonian refutation: removing S must leave at most |S| components.
+    Tries S = N(u), the open neighborhood of u, for every u."""
     n = len(masks) - 1
     all_bits = (2 << n) - 2
     for u in range(1, n + 1):
@@ -544,7 +535,7 @@ def _separator_refutes(masks, slack: int) -> bool:
         if size >= n - 1:
             continue
         left = all_bits & ~s_bits
-        for _ in range(size + slack):  # drop the allowed number of components
+        for _ in range(size):  # drop the allowed number of components
             left &= ~_reach(masks, left & -left, left)
         if left:
             return True
@@ -557,32 +548,36 @@ def _separator_refutes(masks, slack: int) -> bool:
 
 def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional[SubgraphWitness]:
     """Member of the family in g, containing `forced` when given, or None;
-    Hamiltonian queries go down the refutation ladder, cheapest first."""
+    Hamiltonian queries go down the refutation ladder, cheapest first.
+
+    A forced 1-factor edge uv drops u and v.  Otherwise uv leaves the rows
+    and a vertex x = n + 1 joins u and v alone: read ux and xv back as uv,
+    and the members through x are exactly the members through uv.
+    """
     n = g.n
     check_n(kind, n)
-    masks = plus = g.masks
+    masks = g.masks
     targets = [0] + [kind.degree] * n
     if forced is not None:
-        masks, plus = list(masks), list(masks)  # g minus and plus the forced edge
-        for a, b in (forced, forced[::-1]):
-            masks[a] &= ~(1 << b)
-            plus[a] |= 1 << b
-            targets[a] -= 1
+        u, v = forced
+        if kind.degree == 1:
+            targets[u] = targets[v] = 0
+        else:
+            masks = [*masks, (1 << u) | (1 << v)]
+            masks[u] = masks[u] & ~(1 << v) | 1 << (n + 1)
+            masks[v] = masks[v] & ~(1 << u) | 1 << (n + 1)
+            targets.append(2)
     if kind is not FamilyKind.HAMILTONIAN_CYCLE:
         found = _degree_constrained_subgraph(masks, targets)
-        if found is not None and forced is not None:
-            found.append(forced)
-    elif ((forced is not None and _separator_refutes(plus, 0))
-          or _separator_refutes(masks, 0 if forced is None else 1)
-          or _degree_constrained_subgraph(masks, targets) is None):
+    elif _separator_refutes(masks) or _degree_constrained_subgraph(masks, targets) is None:
         found = None
     else:
-        start, end = forced if forced is not None else (1, None)
-        path = _ham_path(masks, start, end)
-        # the cycle closes with (end, start): `forced`, or an edge of g
+        path = _ham_path(masks, 1 if forced is None else n + 1)
         found = None if path is None else kind.along(path)
     if found is None:
         return None
+    if forced is not None:  # ux and xv, or nothing for 1-factors, become uv
+        found = [e for e in found if n + 1 not in e] + [forced]
     witness = SubgraphWitness(kind, tuple(found))
     witness.validate(n)
     for e in witness.edges:

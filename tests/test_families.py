@@ -246,44 +246,37 @@ def test_find_member_containing_forced_edge():
 
 
 def test_ham_path_matches_enumeration():
-    # the exact path search against the enumeration oracle, closed cycles
-    # and cycles forced through (u, v) alike
+    # the closing search from every start vertex against the enumeration
+    # oracle: a path exactly when a Hamiltonian cycle exists, starting at
+    # start, covering 1..n along allowed edges and ending at a neighbor of
+    # start.  Forced queries start at their new vertex, and
+    # test_find_member_containing_forced_edge checks those
     from polykn.families import _ham_path
 
-    def assert_path(path, g, start, end):
-        n = g.n
-        assert path[0] == start and sorted(path) == list(range(1, n + 1))
-        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
-        assert path[-1] == end if end is not None else g.has_edge(path[-1], start)
-
-    rng = random.Random(314)
-    for n in (6, 8, 9):
-        for _ in range(60):
+    rng = random.Random(99)
+    checked = 0
+    for n in range(3, 10):
+        for _ in range(300):
             p = rng.choice([0.3, 0.5, 0.7])
-            edges = [e for e in all_edges(n) if rng.random() < p]
-            g = AllowedGraph.from_edges(n, edges)
-            u = rng.randint(1, n - 1)
-            v = rng.randint(u + 1, n)
-            for start, end in ((1, None), (u, v)):
-                path = _ham_path(g.masks, start, end)
-                if end is None:
-                    members = enumerate_members(HC, n, allowed=g)
-                else:
-                    g2 = AllowedGraph.from_edges(n, g.edges() + [(u, v)])
-                    members = (
-                        w for w in enumerate_members(HC, n, allowed=g2) if (u, v) in w.edges
-                    )
-                assert (path is not None) == (next(members, None) is not None)
+            g = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
+            want = next(enumerate_members(HC, n, allowed=g), None) is not None
+            for start in range(1, n + 1):
+                path = _ham_path(g.masks, start)
+                assert (path is not None) == want, (g.edges(), start)
                 if path is not None:
-                    assert_path(path, g, start, end)
+                    assert path[0] == start and sorted(path) == list(range(1, n + 1))
+                    assert all(g.has_edge(a, b) for a, b in zip(path, path[1:] + path[:1]))
+                checked += 1
+    assert checked == 12_600
 
 
-@pytest.mark.parametrize("m, calls", [(5, 81), (11, 1_321)])
+@pytest.mark.parametrize("m, calls", [(5, 50), (11, 770)])
 def test_ham_path_reachability_cut_on_petersen_graphs(monkeypatch, m, calls):
     # the generalized Petersen graphs GP(5, 2) and GP(11, 2) have no
     # Hamiltonian cycle (Alspach 1983); the search refutes them with a
     # pinned number of reachability cuts, which a search that never asks
-    # whether every free vertex is still reachable cannot match
+    # whether every free vertex is still reachable cannot match, nor one
+    # without the reversal cut (81 and 1,285) or the closer cut (81 and 1,439)
     from polykn import families
 
     outer = [(i, i % m + 1) for i in range(1, m + 1)]
@@ -292,7 +285,7 @@ def test_ham_path_reachability_cut_on_petersen_graphs(monkeypatch, m, calls):
     g = AllowedGraph.from_edges(2 * m, outer + spokes + inner)
     reach, counted = families._reach, []
     monkeypatch.setattr(families, "_reach", lambda *a: counted.append(a) or reach(*a))
-    assert families._ham_path(list(g.masks), 1, None) is None
+    assert families._ham_path(list(g.masks), 1) is None
     assert len(counted) == calls
 
 
@@ -310,7 +303,7 @@ def test_exact_search_refutes_graph_past_every_refutation():
     g = AllowedGraph.from_edges(n, edges)
     assert min(g.degree(v) for v in range(1, n + 1)) >= 2
     assert _degree_constrained_subgraph(g.masks, [0] + [2] * n) is not None
-    assert not _separator_refutes(g.masks, 0)
+    assert not _separator_refutes(g.masks)
     assert find_member(HC, g) is None
 
 
@@ -424,7 +417,7 @@ def test_separator_refutation_is_sound():
         for _ in range(150):
             edges = [e for e in all_edges(n) if rng.random() < 0.5]
             g = AllowedGraph.from_edges(n, edges)
-            if _separator_refutes(g.masks, 0):
+            if _separator_refutes(g.masks):
                 assert find_member(HC, g) is None
 
 
@@ -435,17 +428,18 @@ def test_relaxation_refutes_bowtie_past_separator(monkeypatch):
     import polykn.families as families
 
     g = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
-    assert not families._separator_refutes(g.masks, 0)
+    assert not families._separator_refutes(g.masks)
     assert families._degree_constrained_subgraph(g.masks, [0] + [2] * 5) is None
     monkeypatch.setattr(families, "_ham_path", lambda *a: pytest.fail("exact search ran"))
     assert find_member(HC, g) is None
 
 
 def test_forced_hamiltonian_query_tries_the_cycle_separator_first(monkeypatch):
-    # a member through the forced edge uv is a Hamiltonian cycle of g plus
-    # uv, so the separator test on g plus uv refutes these queries, which
-    # pass the path test on g minus uv; without it the exact search took
-    # about 0.3 s at n = 18 and over a minute at n = 64 (2 cores, Python 3.11)
+    # a member through the forced edge uv is a Hamiltonian cycle through
+    # the new vertex x of g minus uv plus the path u x v, and the separator
+    # test on those rows refutes these queries; an exact search for a u-v
+    # path took about 0.3 s at n = 18 and over a minute at n = 64 (2 cores,
+    # Python 3.11)
     import polykn.families as families
     from polykn import build
 
@@ -471,8 +465,8 @@ def test_relaxation_refutes_tutte_barrier_before_exact_search(monkeypatch):
     edges = [(i, j) for i in range(1, a + 1) for j in range(i + 1, n + 1)]
     edges += [(v, v + 1) for v in range(a + 1, n, 2)]
     g = AllowedGraph.from_edges(n, edges)
-    assert not families._separator_refutes(g.masks, 0)
-    assert families._cover_flow(g.masks, [0] + [2] * n, [0] + [2] * n) is None
+    assert not families._separator_refutes(g.masks)
+    assert families._cover_flow(g.masks, [0] + [2] * n) is None
     assert families._degree_constrained_subgraph(g.masks, [0] + [2] * n) is None
     gadget, calls = families._tutte_gadget, []
     monkeypatch.setattr(families, "_tutte_gadget", lambda *args: calls.append(args) or gadget(*args))
@@ -550,6 +544,22 @@ def test_witness_validation_catches_breakage():
         SubgraphWitness(F1, ((1, 2), (1, 2))).validate(4)
 
 
+def test_find_refuses_a_member_outside_the_rows(monkeypatch):
+    # _find's last check: a member that validates but takes an edge the
+    # rows lack raises, also once a forced edge's new vertex 5 is read back
+    import polykn.families as families
+
+    g = AllowedGraph.from_edges(4, [(1, 3), (2, 4), (3, 4)])
+    monkeypatch.setattr(families, "_degree_constrained_subgraph", lambda *a: [(1, 2), (3, 4)])
+    with pytest.raises(RuntimeError, match=r"^engine used forbidden edge \(1, 2\)$"):
+        find_member(F1, g)
+    g = AllowedGraph.from_edges(4, [(2, 3), (3, 4)])
+    planted = [(1, 5), (2, 5), (2, 3), (3, 4), (1, 4)]
+    monkeypatch.setattr(families, "_degree_constrained_subgraph", lambda *a: planted)
+    with pytest.raises(RuntimeError, match=r"^engine used forbidden edge \(1, 4\)$"):
+        find_member_containing(F2, g, (1, 2))
+
+
 def test_find_member_invalid_inputs():
     with pytest.raises(ValueError):
         find_member(F1, AllowedGraph.complete(5))  # odd n
@@ -566,28 +576,25 @@ def test_find_member_invalid_inputs():
 
 
 def _without_forced(g: AllowedGraph, forced):
-    """g with the forced edge removed and the 2-factor targets it lowers, as in _find."""
-    targets = [0] + [2] * g.n
-    if forced is None:
-        return g, targets
-    u, v = forced
-    masks = list(g.masks)
-    masks[u] &= ~(1 << v)
-    masks[v] &= ~(1 << u)
-    targets[u] = targets[v] = 1
-    return AllowedGraph(g.n, tuple(masks)), targets
+    """The unforced 2-factor query of _find: g with the forced edge uv
+    replaced by a new vertex joined to u and v, and its targets."""
+    if forced is not None:
+        u, v = forced
+        x = g.n + 1
+        g = AllowedGraph.from_edges(x, [e for e in g.edges() if e != forced] + [(u, x), (v, x)])
+    return g, [0] + [2] * g.n
 
 
 def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # the 2-factor engine asks the bipartite double cover first, its flow
     # at the targets and then at unit capacity, the cover's perfect
-    # matching: each query is refuted by either flow, found there, or falls
-    # back to Tutte's gadget, and the blossom runs once per fallback and
-    # never on the cover.  The answers match the enumeration oracle at
+    # matching: each query is refuted by the first flow, found by the
+    # second, or falls back to Tutte's gadget, and the blossom runs once per
+    # fallback and never on the cover.  A forced edge is a new vertex on it
+    # (_without_forced).  The answers match the enumeration oracle at
     # n <= 10 and the gadget alone at n = 30..120, every member found has
     # exactly the target degrees inside g, and the random grid reaches
-    # every outcome but a refutation by the unit flow, which a planted case
-    # below reaches
+    # every outcome
     import polykn.families as families
 
     gadget, flow, matching = families._tutte_gadget, families._cover_flow, families.maximum_matching
@@ -614,9 +621,11 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
             assert deg == targets
         if any(g.degree(v) < targets[v] for v in range(1, g.n + 1)):
             outcomes.append("degree")
+        elif fell_back or got is not None:
+            outcomes.append("fell back" if fell_back else "found")
         else:
-            outcomes.append("fell back" if fell_back else "found" if got is not None
-                            else "cover" if routed[0] is not None else "flow")
+            assert routed == [None]  # a routing of the targets holds a unit one
+            outcomes.append("flow")
         return got, g, targets
 
     rng = random.Random(18_1)
@@ -671,10 +680,8 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # flow (2/3 on each hub edge), yet a 2-factor through the hub would
     # enter and leave a K_4 by its one attaching vertex.  Only the parity
     # of Tutte's condition refutes it, so the gadget must, also with a
-    # clique edge forced; with the hub edge (1, 2) forced, every
-    # permutation through the arc 1 -> 2 stays inside 2's K_4, so the unit
-    # flow refutes.  No random graph with n <= 10 needs the gadget to
-    # refute, so these are planted
+    # clique edge or the hub edge (1, 2) forced.  No random graph with
+    # n <= 10 needs the gadget to refute, so these are planted
     from polykn import build_ordered
 
     bowtie = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
@@ -696,7 +703,7 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
         (hub, None, "fell back"),
         (hub, (2, 3), "fell back"),
         (hub, (3, 4), "fell back"),
-        (hub, (1, 2), "cover"),
+        (hub, (1, 2), "fell back"),
     ]
     for g0, forced, outcome in cases:
         outcomes.clear()
@@ -706,20 +713,20 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
 
 def test_cover_flow_matches_networkx_max_flow():
     # the same network for networkx: a source feeding each out-copy its
-    # supply, each in-copy draining its demand into the sink, and one
+    # supply, each in-copy draining as much into the sink, and one
     # unit-capacity arc per allowed ordered pair; the flow routes every unit
     # exactly when the maximum flow value is the sum of the supplies.  Each
-    # query routes the 2-factor targets and the unit shape of the engine's
-    # second call: all ones, with the forced tail's supply and head's demand
-    # 0.  A routing uses allowed arcs only and meets every supply and demand
+    # query routes the 2-factor targets and the all-ones vector of the
+    # engine's second call, a forced edge being a new vertex on it.  A
+    # routing uses allowed arcs only and meets every supply at both copies
     nx = pytest.importorskip("networkx")
     from polykn.families import _cover_flow
 
-    def routes_all(g, supply, demand):
+    def routes_all(g, supply):
         net = nx.DiGraph()
         for v in range(1, g.n + 1):
             net.add_edge("s", ("out", v), capacity=supply[v])
-            net.add_edge(("in", v), "t", capacity=demand[v])
+            net.add_edge(("in", v), "t", capacity=supply[v])
             for w in range(1, g.n + 1):
                 if g.has_edge(v, w):
                     net.add_edge(("out", v), ("in", w), capacity=1)
@@ -733,21 +740,18 @@ def test_cover_flow_matches_networkx_max_flow():
             g0 = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
             for forced in (None, tuple(sorted(rng.sample(range(1, n + 1), 2)))):
                 g, targets = _without_forced(g0, forced)
-                tail, head = forced or (0, 0)
-                supply, demand = [0] + [1] * n, [0] + [1] * n
-                supply[tail] = demand[head] = 0
-                for shape in ((targets, targets), (supply, demand)):
-                    used = _cover_flow(g.masks, *shape)
-                    assert (used is not None) == routes_all(g, *shape), (n, forced, shape, g.edges())
-                    outcomes[used is not None, forced is None, shape[0] is supply] += 1
+                for supply in (targets, [0] + [1] * g.n):
+                    used = _cover_flow(g.masks, supply)
+                    assert (used is not None) == routes_all(g, supply), (n, forced, supply, g.edges())
+                    outcomes[used is not None, forced is None, supply is targets] += 1
                     if used is None:
                         continue
-                    fed = [0] * (n + 1)
+                    fed = [0] * (g.n + 1)
                     for v, u in enumerate(used):
-                        assert u & ~g.masks[v] == 0 and u.bit_count() == shape[0][v], (v, u)
-                        for w in range(1, n + 1):
+                        assert u & ~g.masks[v] == 0 and u.bit_count() == supply[v], (v, u)
+                        for w in range(1, g.n + 1):
                             fed[w] += (u >> w) & 1
-                    assert fed == shape[1], (fed, shape[1])
+                    assert fed == supply, (fed, supply)
     assert min(outcomes.values()) >= 40, outcomes
 
 
@@ -765,7 +769,7 @@ def test_cover_flow_never_refutes_a_two_factor():
         for p in (0.3, 0.5, 0.7):
             for _ in range(125):
                 g = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
-                routes = _cover_flow(g.masks, [0] + [2] * n, [0] + [2] * n) is not None
+                routes = _cover_flow(g.masks, [0] + [2] * n) is not None
                 has = next(enumerate_members(F2, n, allowed=g), None) is not None
                 assert routes == has, g.edges()
                 refuted += not routes

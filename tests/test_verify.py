@@ -90,6 +90,17 @@ def test_spot_checks_cover_every_color():
         assert c.color(i, j) == t
 
 
+def test_spot_check_refuses_a_member_missing_a_color(monkeypatch):
+    # a verdict's last check: color 2 is the edge (1, 3) alone, so were the
+    # engine to miss the 1-factors avoiding it, the spot-check member
+    # (1, 2), (3, 4) would still miss it, and the verdict raises, not passes
+    c = EdgeColoring.from_pairs(4, {(1, 2): 1, (1, 3): 2, (1, 4): 1, (2, 3): 1, (2, 4): 1, (3, 4): 1})
+    assert is_polychromatic(c, F1).violating_color == 2
+    monkeypatch.setattr(verify, "find_member", lambda *a: None)
+    with pytest.raises(RuntimeError, match="^spot-check member misses a color on a verified coloring$"):
+        is_polychromatic(c, F1)
+
+
 def _has_members(kind, n):
     try:
         check_n(kind, n)
