@@ -49,11 +49,12 @@ def _checked_colors(edges: list, n: int, k: int) -> tuple[list[int], set[int]] |
     """Flat pair-order colors of the m = n(n-1)/2 entries of edges and their
     set, or None when a check over all of them fails.  The checks are those
     of _raise_first_bad_entry, each made over a whole column."""
-    if not all(map(isinstance, edges, repeat(list))) or set(map(len, edges)) != {3}:
+    m = len(edges)
+    if not all(map(isinstance, edges, repeat(list))) or list(map(len, edges)).count(3) != m:
         return None
     flat = list(chain.from_iterable(edges))
     # before any comparison: True == 1 and 1.0 == 1
-    if set(map(type, flat)) != {int}:
+    if list(map(type, flat)).count(int) != 3 * m:
         return None
     first, second, cols = flat[0::3], flat[1::3], flat[2::3]
     palette = set(cols)
@@ -67,7 +68,7 @@ def _checked_colors(edges: list, n: int, k: int) -> tuple[list[int], set[int]] |
         return None
     # edge_index is linear in j, so the slot of pair (i, j) is off[i] + j
     off = [edge_index(n, i, 0) for i in range(n + 1)]
-    colors = [0] * len(edges)
+    colors = [0] * m
     slots = map(add, map(off.__getitem__, first), second)
     deque(map(setitem, repeat(colors), slots, cols), maxlen=0)
     # m pairs in range leave a slot at 0 only when one of them repeats

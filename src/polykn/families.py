@@ -1,20 +1,22 @@
 """Exact existence and enumeration engines for spanning subgraph families.
 
 Existence queries run against an allowed edge set (typically K_n minus one
-color class), validated once as an `AllowedGraph`; the engines read its
-per-vertex bitset rows alone.  All three families go through one function
-that turns a forced edge into an unforced query on a copy of the rows: a
-1-factor edge leaves with its endpoints, and any other edge uv gives way to
-a new vertex joined only to u and v.  Two engines answer the rest:
+color class), validated once as an `AllowedGraph` (or built valid by
+`AllowedGraph.minus_color`); the engines read its per-vertex bitset rows
+alone.  All three families go through one function that turns a forced
+edge into an unforced query on a copy of the rows: a 1-factor edge leaves
+with its endpoints, and any other edge uv gives way to a new vertex joined
+only to u and v.  Two engines answer the rest:
 
 * 1-factors and 2-factors via one degree-constrained subgraph engine:
-  with every target at most 1, blossom maximum matching runs on the
-  target-1 vertices directly.  A 2-factor query passes the degree check
-  and then goes to one bitset flow on the bipartite double cover (an
-  out-copy and an in-copy per vertex): at the targets it refutes every
-  query whose fractional relaxation is empty; at unit capacity it is the
-  cover's perfect matching, whose 2-cycles one exchange each removes to
-  give the member.  The rest goes to Tutte's compact reduction (two
+  with every target at most 1, the blossom's greedy seed runs on the rows
+  of the target-1 vertices, and blossom maximum matching runs on them
+  only when the seed leaves a vertex free.  A 2-factor query passes the
+  degree check and then goes to one bitset flow on the bipartite double
+  cover (an out-copy and an in-copy per vertex): at the targets it refutes
+  every query whose fractional relaxation is empty; at unit capacity it is
+  the cover's perfect matching, whose 2-cycles one exchange each removes
+  to give the member.  The rest goes to Tutte's compact reduction (two
   external nodes per allowed edge, target(v) core nodes per vertex), which
   the blossom solves exactly,
 * Hamiltonian cycles via a ladder of refutations, cheapest first, at
@@ -52,7 +54,12 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class AllowedGraph:
-    """Symmetric loop-free edge set over vertices 1..n, as per-vertex bitsets."""
+    """Symmetric loop-free edge set over vertices 1..n, as per-vertex bitsets.
+
+    Direct construction and `from_edges` check the rows; `minus_color`
+    builds them from a coloring's color classes, valid by construction,
+    and skips the check.
+    """
 
     n: int
     masks: tuple[int, ...]  # index v holds neighbor bits; index 0 unused
@@ -94,7 +101,11 @@ class AllowedGraph:
         full = (2 << c.n) - 2
         drop = c.color_masks[t]
         masks = (full & ~(1 << v) & ~drop[v] for v in range(1, c.n + 1))
-        return AllowedGraph(c.n, (0, *masks))
+        # color_masks rows are symmetric and loop-free, and so is K_n minus them
+        g = object.__new__(AllowedGraph)
+        object.__setattr__(g, "n", c.n)
+        object.__setattr__(g, "masks", (0, *masks))
+        return g
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.masks[i] >> j) & 1)
@@ -172,7 +183,9 @@ def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
     """
     match = [-1] * n
     # a vertex whose few neighbors are taken early stays free, so the
-    # greedy seed matches low degrees first and needs fewer searches
+    # greedy seed matches low degrees first and needs fewer searches;
+    # _degree_constrained_subgraph runs this same seed on bitset rows and
+    # relies on the two choosing identical pairs
     for v in sorted(range(n), key=lambda v: len(adj[v])):
         if match[v] == -1:
             for u in adj[v]:
@@ -382,7 +395,10 @@ def _degree_constrained_subgraph(masks, targets: list[int]) -> Optional[list[Edg
     """Spanning subgraph of the rows with degree targets[v] at every v, or None.
 
     With every target at most 1 this is a perfect matching of the target-1
-    vertices, found by the blossom on those vertices alone.
+    vertices.  The blossom's own greedy seed runs first on their rows (the
+    fewest neighbors first, ties by label, each taking its lowest free
+    neighbor); a seed that leaves no vertex free is the blossom's answer,
+    so only a seed that does builds the blossom's lists.
 
     Otherwise every target is 2, and after the degree check the rungs run
     on the bipartite double cover (`_cover_flow`): an out-copy and an
@@ -400,6 +416,16 @@ def _degree_constrained_subgraph(masks, targets: list[int]) -> Optional[list[Edg
         return None
     if max(targets) <= 1:
         verts = [v for v in range(1, n + 1) if targets[v]]
+        live = free = sum(1 << v for v in verts)
+        pairs = []
+        for v in sorted(verts, key=lambda v: (masks[v] & live).bit_count()):
+            m = masks[v] & free
+            if (free >> v) & 1 and m:
+                u = (m & -m).bit_length() - 1
+                free ^= 1 << v | 1 << u
+                pairs.append((v, u) if v < u else (u, v))
+        if not free:
+            return sorted(pairs)
         match = maximum_matching(len(verts), _index_lists(masks, verts))
         return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
     if _cover_flow(masks, targets) is None:
@@ -536,6 +562,8 @@ def _separator_refutes(masks) -> bool:
             continue
         left = all_bits & ~s_bits
         for _ in range(size):  # drop the allowed number of components
+            if not left:
+                break
             left &= ~_reach(masks, left & -left, left)
         if left:
             return True

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -564,18 +565,41 @@ def _pair_order_doc(n=8):
     return coloring_to_document(build(F1, n))
 
 
+class Int(int):
+    pass
+
+
 @pytest.mark.parametrize("entry, field, value", [
     pytest.param(3, 0, True, id="true-first-endpoint"),
     pytest.param(3, 0, 1.0, id="float-first-endpoint"),
+    pytest.param(3, 0, Int(1), id="int-subclass-first-endpoint"),
     pytest.param(0, 1, 2.0, id="float-second-endpoint"),
     pytest.param(9, 1, 5.0, id="float-second-endpoint-later-row"),
+    pytest.param(9, 1, Int(5), id="int-subclass-second-endpoint"),
     pytest.param(6, 2, True, id="true-color"),
+    pytest.param(6, 2, Int(1), id="int-subclass-color"),
 ])
 def test_pair_order_document_rejects_non_int_equal_values(entry, field, value):
     doc = _pair_order_doc()
     assert doc["edges"][entry][field] == value
     doc["edges"][entry][field] = value
-    with pytest.raises(CliError, match=rf"^edge entry must be an integer, got {value!r}$"):
+    message = rf"^edge entry must be an integer, got {value!r}$"
+    with pytest.raises(CliError, match=message):
+        oracle_coloring_from_document(copy.deepcopy(doc))
+    with pytest.raises(CliError, match=message):
+        coloring_from_document(doc)
+
+
+def test_entry_lengths_are_checked_one_by_one():
+    # entries of 4 and 2 values side by side still hold 3m values in all
+    doc = _pair_order_doc()
+    edges = doc["edges"]
+    edges[5].append(edges[6].pop())
+    message = rf"^bad edge entry {re.escape(repr(edges[5]))}$"
+    assert sum(map(len, edges)) == 3 * len(edges)
+    with pytest.raises(CliError, match=message):
+        oracle_coloring_from_document(copy.deepcopy(doc))
+    with pytest.raises(CliError, match=message):
         coloring_from_document(doc)
 
 

@@ -320,6 +320,57 @@ def test_exact_search_finds_long_cycle_without_recursion():
     assert all(g.has_edge(i, j) for (i, j) in w.edges)
 
 
+def _blossom_graphs():
+    """(group, adjacency lists on 0..n-1) for the blossom's tests: random
+    graphs, sparse ones, and planted perfect matchings under chords."""
+
+    def random_graph(rng, n, p):
+        adj = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    adj[i].append(j)
+                    adj[j].append(i)
+        return adj
+
+    rng = random.Random(60_1)
+    for n in (15, 30, 60):
+        for _ in range(12):
+            yield "random", random_graph(rng, n, rng.choice([0.08, 0.15, 0.3]))
+    # sparse graphs with shuffled rows: free vertices whose searches fail
+    rng = random.Random(60_2)
+    for n in (30, 60, 120):
+        for p in (0.02, 0.04):
+            for _ in range(8):
+                adj = random_graph(rng, n, p)
+                for row in adj:
+                    rng.shuffle(row)
+                yield "sparse", adj
+    # a planted perfect matching under random chords, with shuffled rows,
+    # and one planted edge removed on every other graph: the greedy seed
+    # takes chords and leaves free vertices, so augmentations and blossom
+    # contractions run on the way to a perfect matching
+    rng = random.Random(60_3)
+    for n in range(30, 121, 6):
+        for rep in range(4):
+            perm = rng.sample(range(n), n)
+            planted = [tuple(sorted(perm[i:i + 2])) for i in range(0, n, 2)]
+            edges = set(planted)
+            target = len(edges) + rng.choice([n // 2, n, 2 * n])
+            while len(edges) < target:
+                i, j = sorted(rng.sample(range(n), 2))
+                edges.add((i, j))
+            if rep % 2:
+                edges.discard(rng.choice(planted))
+            adj = [[] for _ in range(n)]
+            for (i, j) in edges:
+                adj[i].append(j)
+                adj[j].append(i)
+            for row in adj:
+                rng.shuffle(row)
+            yield "planted", adj
+
+
 def test_blossom_against_networkx_at_scale():
     # maximum_matching answers one question: a perfect matching, or None
     # exactly when networkx's maximum matching leaves a vertex free
@@ -340,28 +391,12 @@ def test_blossom_against_networkx_at_scale():
             assert u in adj[v] and match[u] == v
         return True
 
-    def random_graph(rng, n, p):
-        adj = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    adj[i].append(j)
-                    adj[j].append(i)
-        return adj
-
-    rng = random.Random(60_1)
-    for n in (15, 30, 60):
-        for _ in range(12):
-            check_perfect(n, random_graph(rng, n, rng.choice([0.08, 0.15, 0.3])))
-    # sparse graphs with shuffled rows: free vertices whose searches fail
-    rng = random.Random(60_2)
-    for n in (30, 60, 120):
-        for p in (0.02, 0.04):
-            for _ in range(8):
-                adj = random_graph(rng, n, p)
-                for row in adj:
-                    rng.shuffle(row)
-                check_perfect(n, adj)
+    outcomes = []
+    for group, adj in _blossom_graphs():
+        perfect = check_perfect(len(adj), adj)
+        if group == "planted":
+            outcomes.append(perfect)
+    assert outcomes.count(True) >= 30 and outcomes.count(False) >= 10
     # K_n minus each color of the paper's 1-factor coloring: no perfect matching
     from polykn import build
 
@@ -370,31 +405,53 @@ def test_blossom_against_networkx_at_scale():
         g = AllowedGraph.minus_color(c, t)
         adj = [[u - 1 for u in range(1, 65) if g.has_edge(v, u)] for v in range(1, 65)]
         assert not check_perfect(64, adj)
-    # a planted perfect matching under random chords, with shuffled rows,
-    # and one planted edge removed on every other graph: the greedy seed
-    # takes chords and leaves free vertices, so augmentations and blossom
-    # contractions run on the way to a perfect matching
-    rng = random.Random(60_3)
-    outcomes = []
-    for n in range(30, 121, 6):
-        for rep in range(4):
-            perm = rng.sample(range(n), n)
-            planted = [tuple(sorted(perm[i:i + 2])) for i in range(0, n, 2)]
-            edges = set(planted)
-            target = len(edges) + rng.choice([n // 2, n, 2 * n])
-            while len(edges) < target:
-                i, j = sorted(rng.sample(range(n), 2))
-                edges.add((i, j))
-            if rep % 2:
-                edges.discard(rng.choice(planted))
-            adj = [[] for _ in range(n)]
-            for (i, j) in edges:
-                adj[i].append(j)
-                adj[j].append(i)
-            for row in adj:
-                rng.shuffle(row)
-            outcomes.append(check_perfect(n, adj))
-    assert outcomes.count(True) >= 30 and outcomes.count(False) >= 10
+
+
+def test_greedy_rung_returns_the_blossoms_pairs(monkeypatch):
+    # 1-factor queries, some vertices' targets forced to 0: the greedy seed
+    # on the rows, and the blossom only where it leaves a vertex free, give
+    # exactly the pairs of the blossom on the target-1 vertices' lists
+    from polykn import families
+    from polykn.families import _degree_constrained_subgraph, _index_lists, maximum_matching
+
+    calls = []
+    monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a) or maximum_matching(*a))
+    rng = random.Random(61)
+    outcomes = Counter()
+    for _, adj in _blossom_graphs():
+        n = len(adj)
+        rows = [0] + [sum(1 << (u + 1) for u in row) for row in adj]
+        for zeros in (0, 1, 2, 3):
+            targets = [0] + [1] * n
+            for v in rng.sample(range(1, n + 1), zeros):
+                targets[v] = 0
+            verts = [v for v in range(1, n + 1) if targets[v]]
+            match = maximum_matching(len(verts), _index_lists(rows, verts))
+            want = None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
+            calls.clear()
+            assert _degree_constrained_subgraph(rows, targets) == want
+            outcomes[want is not None, len(calls)] += 1
+    # the greedy alone, the blossom after it, and no perfect matching all occur
+    assert {(True, 0), (True, 1)} <= set(outcomes) and outcomes[False, 0] + outcomes[False, 1] > 0
+
+
+def test_greedy_rung_hands_free_vertices_to_the_blossom(monkeypatch):
+    # degrees 1: 2, 2: 2, 3: 4, 4: 1, 5: 4, 6: 3; the greedy pairs 4-3 and
+    # 1-5, leaving 2 and 6 free, and the blossom finds {16, 25, 34}
+    from polykn import families
+
+    edges = [(1, 5), (1, 6), (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (5, 6)]
+    g = AllowedGraph.from_edges(6, edges)
+    blossom, calls = families.maximum_matching, []
+    monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a) or blossom(*a))
+    assert families._degree_constrained_subgraph(g.masks, [0] + [1] * 6) == [(1, 6), (2, 5), (3, 4)]
+    assert len(calls) == 1
+    # a star K_1,3 passes the degree check and has no perfect matching
+    calls.clear()
+    star = AllowedGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    assert families._degree_constrained_subgraph(star.masks, [0] + [1] * 4) is None
+    assert find_member(F1, star) is None
+    assert len(calls) == 2
 
 
 def test_large_n_hamiltonian_refutations_are_fast():
@@ -407,6 +464,18 @@ def test_large_n_hamiltonian_refutations_are_fast():
     assert cert.polychromatic
     w = find_member(HC, AllowedGraph.complete(20))
     w.validate(20)
+
+
+def test_separator_stops_once_no_vertex_is_left(monkeypatch):
+    # K_10 minus the perfect matching {12, 34, ...}: removing N(u) leaves u
+    # and its partner, two components, so two flood fills per u
+    from polykn import families
+
+    g = AllowedGraph.from_edges(10, [(i, j) for (i, j) in all_edges(10) if not (i % 2 and j == i + 1)])
+    reach, counted = families._reach, []
+    monkeypatch.setattr(families, "_reach", lambda *a: counted.append(a) or reach(*a))
+    assert not families._separator_refutes(g.masks)
+    assert len(counted) == 20
 
 
 def test_separator_refutation_is_sound():
