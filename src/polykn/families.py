@@ -4,21 +4,21 @@ Existence queries run against an allowed edge set (typically K_n minus one
 color class), validated once as an `AllowedGraph` (or built valid by
 `AllowedGraph.minus_color`); the engines read its per-vertex bitset rows
 alone.  All three families go through one function that turns a forced
-edge into an unforced query on a copy of the rows: a 1-factor edge leaves
-with its endpoints, and any other edge uv gives way to a new vertex joined
-only to u and v.  Two engines answer the rest:
+edge uv into an unforced query on a copy of the rows: a 1-factor edge
+becomes the only edge at u and at v, and any other edge gives way to a
+new vertex joined only to u and v.  The engines then take the rows and
+the member degree d, 1 or 2, and nothing else:
 
-* 1-factors and 2-factors via one degree-constrained subgraph engine:
-  with every target at most 1, the blossom's greedy seed runs on the rows
-  of the target-1 vertices, and blossom maximum matching runs on them
-  only when the seed leaves a vertex free.  A 2-factor query passes the
-  degree check and then goes to one bitset flow on the bipartite double
-  cover (an out-copy and an in-copy per vertex): at the targets it refutes
-  every query whose fractional relaxation is empty; at unit capacity it is
-  the cover's perfect matching, whose 2-cycles one exchange each removes
-  to give the member.  The rest goes to Tutte's compact reduction (two
-  external nodes per allowed edge, target(v) core nodes per vertex), which
-  the blossom solves exactly,
+* 1-factors and 2-factors via one degree-constrained subgraph engine: at
+  d = 1 the blossom's greedy seed runs on the rows, and blossom maximum
+  matching runs only when the seed leaves a vertex free.  At d = 2 a query
+  passes the degree check and then goes to one bitset flow on the
+  bipartite double cover (an out-copy and an in-copy per vertex): at 2
+  units it refutes every query whose fractional relaxation is empty; at 1
+  unit it is the cover's perfect matching, whose 2-cycles one exchange
+  each removes to give the member.  The rest goes to Tutte's compact
+  reduction (two external nodes per allowed edge, two core nodes per
+  vertex), which the blossom solves exactly,
 * Hamiltonian cycles via a ladder of refutations, cheapest first, at
   every n: the separator test (which cuts off every vertex of degree
   below 2), then the degree check and the 2-factor relaxation, then one
@@ -270,48 +270,42 @@ def maximum_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
 # degree-constrained subgraphs: 1-factors and 2-factors
 
 
-def _index_lists(masks, verts: list[int]) -> list[list[int]]:
-    """Adjacency lists for the blossom on verts: entry r lists the neighbors
-    of verts[r] that lie in verts, each as its position in verts."""
-    index = [0] * len(masks)
-    live = 0
-    for i, v in enumerate(verts):
-        index[v] = i
-        live |= 1 << v
+def _index_lists(masks) -> list[list[int]]:
+    """Adjacency lists for the blossom, 0-based: entry v - 1 lists the
+    neighbors w of v as w - 1."""
     flags = bytes.maketrans(b"01", b"\0\1")
-    # byte u of the reversed binary string is bit u
-    return [list(compress(index, format(masks[v] & live, "b")[::-1].encode().translate(flags)))
-            for v in verts]
+    # byte u of the reversed binary string is bit u, vertex u, entry u - 1
+    return [list(compress(range(-1, len(masks)), format(m, "b")[::-1].encode().translate(flags)))
+            for m in masks[1:]]
 
 
-def _cover_flow(masks, supply: list[int]) -> Optional[list[int]]:
-    """Route the double cover: the out-copy of each v supplies supply[v],
-    the in-copy of each w absorbs supply[w], and each allowed edge vw
+def _cover_flow(masks, units: int) -> Optional[list[int]]:
+    """Route the double cover: the out-copy of each vertex supplies
+    `units`, the in-copy of each absorbs as many, and each allowed edge vw
     carries at most one unit on each of v->w and w->v.  Returns used
     (used[v]: the in-copies v's out-copy feeds) when every unit routes,
     else None.
 
-    At the targets a routing exists exactly when {0 <= x <= 1,
-    x(delta(v)) = targets[v]} is nonempty, so None refutes every member
-    (Anstee 1987); at unit supply a routing is a perfect matching of the
-    cover.  A greedy seed takes the lowest degrees first; each missing unit
-    then takes one breadth-first augmenting path, with bitset frontiers and
-    per-vertex parents.
+    At 2 units a routing exists exactly when {0 <= x <= 1, x(delta(v)) = 2}
+    is nonempty, so None refutes every 2-factor (Anstee 1987); at 1 unit a
+    routing is a perfect matching of the cover.  A greedy seed takes the
+    lowest degrees first; each missing unit then takes one breadth-first
+    augmenting path, with bitset frontiers and per-vertex parents.
     """
-    n = len(supply) - 1
+    n = len(masks) - 1
     used = [0] * (n + 1)  # used[v]: the in-copies fed by v's out-copy
     fed = [0] * (n + 1)  # fed[w]: the out-copies feeding w's in-copy
-    short = sum(1 << w for w in range(1, n + 1) if supply[w])  # in-copies with room
+    short = (2 << n) - 2  # in-copies with room
     spare = 0  # out-copies with units left
     for v in sorted(range(1, n + 1), key=lambda v: masks[v].bit_count()):
-        need, m = supply[v], masks[v] & short
+        need, m = units, masks[v] & short
         while need and m:
             bit = m & -m
             m ^= bit
             w = bit.bit_length() - 1
             used[v] |= bit
             fed[w] |= 1 << v
-            if fed[w].bit_count() == supply[w]:
+            if fed[w].bit_count() == units:
                 short ^= bit
             need -= 1
         if need:
@@ -359,9 +353,9 @@ def _cover_flow(masks, supply: list[int]) -> Optional[list[int]]:
             w = via_out[v]
             used[v] ^= 1 << w
             fed[w] ^= 1 << v
-        if fed[end].bit_count() == supply[end]:
+        if fed[end].bit_count() == units:
             short ^= 1 << end
-        if used[v].bit_count() == supply[v]:
+        if used[v].bit_count() == units:
             spare ^= 1 << v
     return used
 
@@ -391,34 +385,32 @@ def _split_two_cycles(masks, succ: list[int]) -> bool:
     return True
 
 
-def _degree_constrained_subgraph(masks, targets: list[int]) -> Optional[list[Edge]]:
-    """Spanning subgraph of the rows with degree targets[v] at every v, or None.
+def _degree_constrained_subgraph(masks, d: int) -> Optional[list[Edge]]:
+    """Spanning subgraph of the rows with degree d at every vertex, or None.
 
-    With every target at most 1 this is a perfect matching of the target-1
-    vertices.  The blossom's own greedy seed runs first on their rows (the
-    fewest neighbors first, ties by label, each taking its lowest free
-    neighbor); a seed that leaves no vertex free is the blossom's answer,
-    so only a seed that does builds the blossom's lists.
+    At d = 1 this is a perfect matching.  The blossom's own greedy seed
+    runs first on the rows (the fewest neighbors first, ties by label, each
+    taking its lowest free neighbor); a seed that leaves no vertex free is
+    the blossom's answer, so only a seed that does builds the blossom's
+    lists.
 
-    Otherwise every target is 2, and after the degree check the rungs run
-    on the bipartite double cover (`_cover_flow`): an out-copy and an
-    in-copy per vertex, the arcs v->w and w->v per allowed edge vw.  A
-    member, doubled, routes the targets, so a failed routing refutes.  A
-    routing of the targets is 2-regular on the cover, so it holds a perfect
-    matching (Konig), and the flow at unit supply finds one: a permutation
-    of the vertices along allowed edges.  Once `_split_two_cycles` has
-    exchanged away its 2-cycles, the permutation's arcs are the member.  A
-    2-cycle that no exchange removes hands the question to Tutte's gadget,
-    the exact step.
+    At d = 2, after the degree check, the rungs run on the bipartite double
+    cover (`_cover_flow`): an out-copy and an in-copy per vertex, the arcs
+    v->w and w->v per allowed edge vw.  A member, doubled, routes 2 units
+    per vertex, so a failed routing refutes.  Such a routing is 2-regular
+    on the cover, so it holds a perfect matching (Konig), and the flow at
+    1 unit finds one: a permutation of the vertices along allowed edges.
+    Once `_split_two_cycles` has exchanged away its 2-cycles, the
+    permutation's arcs are the member.  A 2-cycle that no exchange removes
+    hands the question to Tutte's gadget, the exact step.
     """
     n = len(masks) - 1
-    if any(masks[v].bit_count() < targets[v] for v in range(1, n + 1)):
+    if any(masks[v].bit_count() < d for v in range(1, n + 1)):
         return None
-    if max(targets) <= 1:
-        verts = [v for v in range(1, n + 1) if targets[v]]
-        live = free = sum(1 << v for v in verts)
+    if d == 1:
+        free = (2 << n) - 2
         pairs = []
-        for v in sorted(verts, key=lambda v: (masks[v] & live).bit_count()):
+        for v in sorted(range(1, n + 1), key=lambda v: masks[v].bit_count()):
             m = masks[v] & free
             if (free >> v) & 1 and m:
                 u = (m & -m).bit_length() - 1
@@ -426,25 +418,24 @@ def _degree_constrained_subgraph(masks, targets: list[int]) -> Optional[list[Edg
                 pairs.append((v, u) if v < u else (u, v))
         if not free:
             return sorted(pairs)
-        match = maximum_matching(len(verts), _index_lists(masks, verts))
-        return None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
-    if _cover_flow(masks, targets) is None:
+        match = maximum_matching(n, _index_lists(masks))
+        return None if match is None else [(i + 1, j + 1) for i, j in enumerate(match) if i < j]
+    if _cover_flow(masks, 2) is None:
         return None
-    succ = [u.bit_length() - 1 for u in _cover_flow(masks, [0] + [1] * n)]
+    succ = [u.bit_length() - 1 for u in _cover_flow(masks, 1)]
     if _split_two_cycles(masks, succ):
         return [(v, w) if v < w else (w, v) for v, w in enumerate(succ) if v]
-    return _tutte_gadget(masks, targets)
+    return _tutte_gadget(masks)
 
 
-def _tutte_gadget(masks, targets: list[int]) -> Optional[list[Edge]]:
-    """Exact degree-constrained subgraph by Tutte's reduction to perfect matching.
+def _tutte_gadget(masks) -> Optional[list[Edge]]:
+    """Exact 2-factor by Tutte's reduction to perfect matching.
 
     Each allowed edge becomes two joined external nodes, one per endpoint,
-    and each vertex v gets targets[v] core nodes joined to all of v's
-    external nodes.  The gadget has 2|E| + sum(targets) nodes and about
-    5|E| edges.  An edge is left out exactly when its two external nodes
-    are matched to each other; otherwise both are matched into the cores
-    of their endpoints.
+    and each vertex gets two core nodes joined to all of its external
+    nodes.  The gadget has 2|E| + 2n nodes and about 5|E| edges.  An edge
+    is left out exactly when its two external nodes are matched to each
+    other; otherwise both are matched into the cores of their endpoints.
     """
     n = len(masks) - 1
     adj: list[list[int]] = []
@@ -455,7 +446,7 @@ def _tutte_gadget(masks, targets: list[int]) -> Optional[list[Edge]]:
         incident[b].append(2 * k + 1)
         adj += [[2 * k + 1], [2 * k]]
     for v in range(1, n + 1):
-        for _ in range(targets[v]):
+        for _ in range(2):
             core = len(adj)
             adj.append(list(incident[v]))
             for x in incident[v]:
@@ -578,33 +569,35 @@ def _find(kind: FamilyKind, g: AllowedGraph, forced: Optional[Edge]) -> Optional
     """Member of the family in g, containing `forced` when given, or None;
     Hamiltonian queries go down the refutation ladder, cheapest first.
 
-    A forced 1-factor edge uv drops u and v.  Otherwise uv leaves the rows
-    and a vertex x = n + 1 joins u and v alone: read ux and xv back as uv,
-    and the members through x are exactly the members through uv.
+    The engines see rows and the family's degree d alone, so a forced edge
+    uv becomes rows whose members are exactly the members through uv.  At
+    d = 1, uv becomes the only edge at u and at v, and u and v leave every
+    other row.  At d = 2, uv leaves the rows and a vertex x = n + 1 joins
+    u and v alone: read ux and xv back as uv.
     """
     n = g.n
     check_n(kind, n)
     masks = g.masks
-    targets = [0] + [kind.degree] * n
     if forced is not None:
         u, v = forced
+        ends = (1 << u) | (1 << v)
         if kind.degree == 1:
-            targets[u] = targets[v] = 0
+            masks = [m & ~ends for m in masks]
+            masks[u], masks[v] = 1 << v, 1 << u
         else:
-            masks = [*masks, (1 << u) | (1 << v)]
-            masks[u] = masks[u] & ~(1 << v) | 1 << (n + 1)
-            masks[v] = masks[v] & ~(1 << u) | 1 << (n + 1)
-            targets.append(2)
+            x = 1 << (n + 1)
+            masks = [*masks, ends]
+            masks[u], masks[v] = masks[u] & ~ends | x, masks[v] & ~ends | x
     if kind is not FamilyKind.HAMILTONIAN_CYCLE:
-        found = _degree_constrained_subgraph(masks, targets)
-    elif _separator_refutes(masks) or _degree_constrained_subgraph(masks, targets) is None:
+        found = _degree_constrained_subgraph(masks, kind.degree)
+    elif _separator_refutes(masks) or _degree_constrained_subgraph(masks, 2) is None:
         found = None
     else:
         path = _ham_path(masks, 1 if forced is None else n + 1)
         found = None if path is None else kind.along(path)
     if found is None:
         return None
-    if forced is not None:  # ux and xv, or nothing for 1-factors, become uv
+    if forced is not None and kind.degree == 2:  # ux and xv become uv
         found = [e for e in found if n + 1 not in e] + [forced]
     witness = SubgraphWitness(kind, tuple(found))
     witness.validate(n)

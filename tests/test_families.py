@@ -302,7 +302,7 @@ def test_exact_search_refutes_graph_past_every_refutation():
         edges += [(s, cl[(i + d) % 4]) for cl in cliques for d in range(3)]
     g = AllowedGraph.from_edges(n, edges)
     assert min(g.degree(v) for v in range(1, n + 1)) >= 2
-    assert _degree_constrained_subgraph(g.masks, [0] + [2] * n) is not None
+    assert _degree_constrained_subgraph(g.masks, 2) is not None
     assert not _separator_refutes(g.masks)
     assert find_member(HC, g) is None
 
@@ -318,6 +318,21 @@ def test_exact_search_finds_long_cycle_without_recursion():
     assert w is not None
     w.validate(n)
     assert all(g.has_edge(i, j) for (i, j) in w.edges)
+
+
+def _planted_matching(rng, n: int, drop: bool):
+    """(planted, edges) on 0..n-1: a planted perfect matching under n/2, n
+    or 2n random chords, one planted edge removed when drop is set."""
+    perm = rng.sample(range(n), n)
+    planted = [tuple(sorted(perm[i:i + 2])) for i in range(0, n, 2)]
+    edges = set(planted)
+    target = len(edges) + rng.choice([n // 2, n, 2 * n])
+    while len(edges) < target:
+        i, j = sorted(rng.sample(range(n), 2))
+        edges.add((i, j))
+    if drop:
+        edges.discard(rng.choice(planted))
+    return planted, edges
 
 
 def _blossom_graphs():
@@ -353,15 +368,7 @@ def _blossom_graphs():
     rng = random.Random(60_3)
     for n in range(30, 121, 6):
         for rep in range(4):
-            perm = rng.sample(range(n), n)
-            planted = [tuple(sorted(perm[i:i + 2])) for i in range(0, n, 2)]
-            edges = set(planted)
-            target = len(edges) + rng.choice([n // 2, n, 2 * n])
-            while len(edges) < target:
-                i, j = sorted(rng.sample(range(n), 2))
-                edges.add((i, j))
-            if rep % 2:
-                edges.discard(rng.choice(planted))
+            _, edges = _planted_matching(rng, n, rep % 2)
             adj = [[] for _ in range(n)]
             for (i, j) in edges:
                 adj[i].append(j)
@@ -408,9 +415,10 @@ def test_blossom_against_networkx_at_scale():
 
 
 def test_greedy_rung_returns_the_blossoms_pairs(monkeypatch):
-    # 1-factor queries, some vertices' targets forced to 0: the greedy seed
+    # 1-factor queries forcing 0 or 1 pairs uv, written into the rows as
+    # _find writes them (uv the only edge at u and at v): the greedy seed
     # on the rows, and the blossom only where it leaves a vertex free, give
-    # exactly the pairs of the blossom on the target-1 vertices' lists
+    # exactly the pairs of the blossom on the rows' lists
     from polykn import families
     from polykn.families import _degree_constrained_subgraph, _index_lists, maximum_matching
 
@@ -420,19 +428,56 @@ def test_greedy_rung_returns_the_blossoms_pairs(monkeypatch):
     outcomes = Counter()
     for _, adj in _blossom_graphs():
         n = len(adj)
-        rows = [0] + [sum(1 << (u + 1) for u in row) for row in adj]
-        for zeros in (0, 1, 2, 3):
-            targets = [0] + [1] * n
-            for v in rng.sample(range(1, n + 1), zeros):
-                targets[v] = 0
-            verts = [v for v in range(1, n + 1) if targets[v]]
-            match = maximum_matching(len(verts), _index_lists(rows, verts))
-            want = None if match is None else [(verts[i], verts[j]) for i, j in enumerate(match) if i < j]
+        for forced in [None] + [rng.sample(range(1, n + 1), 2) for _ in range(3)]:
+            rows = [0] + [sum(1 << (u + 1) for u in row) for row in adj]
+            if forced is not None:
+                u, v = forced
+                rows = [m & ~(1 << u | 1 << v) for m in rows]
+                rows[u], rows[v] = 1 << v, 1 << u
+            match = maximum_matching(n, _index_lists(rows))
+            want = None if match is None else [(i + 1, j + 1) for i, j in enumerate(match) if i < j]
             calls.clear()
-            assert _degree_constrained_subgraph(rows, targets) == want
+            assert _degree_constrained_subgraph(rows, 1) == want
             outcomes[want is not None, len(calls)] += 1
     # the greedy alone, the blossom after it, and no perfect matching all occur
     assert {(True, 0), (True, 1)} <= set(outcomes) and outcomes[False, 0] + outcomes[False, 1] > 0
+
+
+def test_forced_one_factor_queries_at_scale(monkeypatch):
+    # planted perfect matchings at n = 30..120, forced on a planted edge
+    # and on a random pair that may lie outside g: a member through uv
+    # exists exactly when networkx finds a perfect matching of g - u - v,
+    # and every witness holds uv.  uv is the only edge at u and at v in the
+    # rows the engine sees, so the degree check refutes where g - u - v
+    # leaves a vertex bare.  The grid holds greedy-only finds, blossom
+    # finds, and refutations that call no blossom although no vertex but u
+    # and v is bare in g itself
+    nx = pytest.importorskip("networkx")
+    from polykn import families
+
+    matching, calls = families.maximum_matching, []
+    monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a) or matching(*a))
+    rng = random.Random(40_1)
+    outcomes = Counter()
+    for n in range(30, 121, 6):
+        for rep in range(8):
+            planted, edges = _planted_matching(rng, n, rep % 2)
+            g = AllowedGraph.from_edges(n, [(i + 1, j + 1) for i, j in edges])
+            for i, j in (rng.choice(planted), sorted(rng.sample(range(n), 2))):
+                u, v = i + 1, j + 1
+                rest = nx.Graph(e for e in g.edges() if u not in e and v not in e)
+                rest.add_nodes_from(w for w in range(1, n + 1) if w not in (u, v))
+                want = 2 * len(nx.max_weight_matching(rest, maxcardinality=True)) == n - 2
+                calls.clear()
+                got = find_member_containing(F1, g, (u, v))
+                assert (got is not None) == want, (n, u, v)
+                if got is not None:
+                    got.validate(n)
+                    assert (u, v) in got.edges
+                    assert all(e == (u, v) or g.has_edge(*e) for e in got.edges)
+                bare = any(not g.degree(w) for w in range(1, n + 1) if w not in (u, v))
+                outcomes[want, len(calls), bare] += 1
+    assert outcomes[True, 0, False] and outcomes[True, 1, False] and outcomes[False, 0, False], outcomes
 
 
 def test_greedy_rung_hands_free_vertices_to_the_blossom(monkeypatch):
@@ -444,12 +489,12 @@ def test_greedy_rung_hands_free_vertices_to_the_blossom(monkeypatch):
     g = AllowedGraph.from_edges(6, edges)
     blossom, calls = families.maximum_matching, []
     monkeypatch.setattr(families, "maximum_matching", lambda *a: calls.append(a) or blossom(*a))
-    assert families._degree_constrained_subgraph(g.masks, [0] + [1] * 6) == [(1, 6), (2, 5), (3, 4)]
+    assert families._degree_constrained_subgraph(g.masks, 1) == [(1, 6), (2, 5), (3, 4)]
     assert len(calls) == 1
     # a star K_1,3 passes the degree check and has no perfect matching
     calls.clear()
     star = AllowedGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-    assert families._degree_constrained_subgraph(star.masks, [0] + [1] * 4) is None
+    assert families._degree_constrained_subgraph(star.masks, 1) is None
     assert find_member(F1, star) is None
     assert len(calls) == 2
 
@@ -498,7 +543,7 @@ def test_relaxation_refutes_bowtie_past_separator(monkeypatch):
 
     g = AllowedGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)])
     assert not families._separator_refutes(g.masks)
-    assert families._degree_constrained_subgraph(g.masks, [0] + [2] * 5) is None
+    assert families._degree_constrained_subgraph(g.masks, 2) is None
     monkeypatch.setattr(families, "_ham_path", lambda *a: pytest.fail("exact search ran"))
     assert find_member(HC, g) is None
 
@@ -535,8 +580,8 @@ def test_relaxation_refutes_tutte_barrier_before_exact_search(monkeypatch):
     edges += [(v, v + 1) for v in range(a + 1, n, 2)]
     g = AllowedGraph.from_edges(n, edges)
     assert not families._separator_refutes(g.masks)
-    assert families._cover_flow(g.masks, [0] + [2] * n) is None
-    assert families._degree_constrained_subgraph(g.masks, [0] + [2] * n) is None
+    assert families._cover_flow(g.masks, 2) is None
+    assert families._degree_constrained_subgraph(g.masks, 2) is None
     gadget, calls = families._tutte_gadget, []
     monkeypatch.setattr(families, "_tutte_gadget", lambda *args: calls.append(args) or gadget(*args))
     monkeypatch.setattr(families, "_ham_path", lambda *args: pytest.fail("exact search ran"))
@@ -646,23 +691,23 @@ def test_find_member_invalid_inputs():
 
 def _without_forced(g: AllowedGraph, forced):
     """The unforced 2-factor query of _find: g with the forced edge uv
-    replaced by a new vertex joined to u and v, and its targets."""
+    replaced by a new vertex joined to u and v."""
     if forced is not None:
         u, v = forced
         x = g.n + 1
         g = AllowedGraph.from_edges(x, [e for e in g.edges() if e != forced] + [(u, x), (v, x)])
-    return g, [0] + [2] * g.n
+    return g
 
 
 def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     # the 2-factor engine asks the bipartite double cover first, its flow
-    # at the targets and then at unit capacity, the cover's perfect
+    # at 2 units per vertex and then at 1, the cover's perfect
     # matching: each query is refuted by the first flow, found by the
     # second, or falls back to Tutte's gadget, and the blossom runs once per
     # fallback and never on the cover.  A forced edge is a new vertex on it
     # (_without_forced).  The answers match the enumeration oracle at
     # n <= 10 and the gadget alone at n = 30..120, every member found has
-    # exactly the target degrees inside g, and the random grid reaches
+    # degree 2 everywhere inside g, and the random grid reaches
     # every outcome
     import polykn.families as families
 
@@ -674,11 +719,11 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
     outcomes = []
 
     def query(g0, forced):
-        g, targets = _without_forced(g0, forced)
+        g = _without_forced(g0, forced)
         fell_back.clear()
         routed.clear()
         blossoms.clear()
-        got = families._degree_constrained_subgraph(g.masks, targets)
+        got = families._degree_constrained_subgraph(g.masks, 2)
         assert len(blossoms) == len(fell_back), (blossoms, len(fell_back))
         if got is not None:
             deg = [0] * (g.n + 1)
@@ -687,15 +732,15 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
                 assert g.has_edge(a, b)
                 deg[a] += 1
                 deg[b] += 1
-            assert deg == targets
-        if any(g.degree(v) < targets[v] for v in range(1, g.n + 1)):
+            assert deg == [0] + [2] * g.n
+        if any(g.degree(v) < 2 for v in range(1, g.n + 1)):
             outcomes.append("degree")
         elif fell_back or got is not None:
             outcomes.append("fell back" if fell_back else "found")
         else:
-            assert routed == [None]  # a routing of the targets holds a unit one
+            assert routed == [None]  # a 2-unit routing holds a 1-unit one
             outcomes.append("flow")
-        return got, g, targets
+        return got, g
 
     rng = random.Random(18_1)
     for n in range(3, 11):
@@ -703,7 +748,7 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
             p = rng.choice([0.45, 0.6, 0.75])
             g0 = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
             for forced in (None, tuple(sorted(rng.sample(range(1, n + 1), 2)))):
-                got, _, _ = query(g0, forced)
+                got, _ = query(g0, forced)
                 if forced is None:
                     want = next(enumerate_members(F2, n, allowed=g0), None) is not None
                 else:
@@ -733,8 +778,8 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
                 edges.discard(rng.choice(planted))
             g0 = AllowedGraph.from_edges(n, edges)
             for forced in (None, rng.choice(sorted(edges))):
-                got, g, targets = query(g0, forced)
-                assert (got is None) == (gadget(g.masks, targets) is None)
+                got, g = query(g0, forced)
+                assert (got is None) == (gadget(g.masks) is None)
     grid = Counter(outcomes)
     # covers with a perfect matching but no 2-factor, where every matching
     # keeps a 2-cycle that no exchange removes: the bowtie, with and without
@@ -782,24 +827,24 @@ def test_double_cover_rung_against_oracle_and_gadget(monkeypatch):
 
 def test_cover_flow_matches_networkx_max_flow():
     # the same network for networkx: a source feeding each out-copy its
-    # supply, each in-copy draining as much into the sink, and one
+    # units, each in-copy draining as many into the sink, and one
     # unit-capacity arc per allowed ordered pair; the flow routes every unit
     # exactly when the maximum flow value is the sum of the supplies.  Each
-    # query routes the 2-factor targets and the all-ones vector of the
-    # engine's second call, a forced edge being a new vertex on it.  A
-    # routing uses allowed arcs only and meets every supply at both copies
+    # query routes the engine's two supplies, 2 units per vertex and then
+    # 1, a forced edge being a new vertex on it.  A routing uses allowed
+    # arcs only and meets every supply at both copies
     nx = pytest.importorskip("networkx")
     from polykn.families import _cover_flow
 
-    def routes_all(g, supply):
+    def routes_all(g, units):
         net = nx.DiGraph()
         for v in range(1, g.n + 1):
-            net.add_edge("s", ("out", v), capacity=supply[v])
-            net.add_edge(("in", v), "t", capacity=supply[v])
+            net.add_edge("s", ("out", v), capacity=units)
+            net.add_edge(("in", v), "t", capacity=units)
             for w in range(1, g.n + 1):
                 if g.has_edge(v, w):
                     net.add_edge(("out", v), ("in", w), capacity=1)
-        return nx.maximum_flow_value(net, "s", "t") == sum(supply)
+        return nx.maximum_flow_value(net, "s", "t") == units * g.n
 
     rng = random.Random(25_1)
     outcomes = Counter()
@@ -808,19 +853,19 @@ def test_cover_flow_matches_networkx_max_flow():
             p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6])
             g0 = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
             for forced in (None, tuple(sorted(rng.sample(range(1, n + 1), 2)))):
-                g, targets = _without_forced(g0, forced)
-                for supply in (targets, [0] + [1] * g.n):
-                    used = _cover_flow(g.masks, supply)
-                    assert (used is not None) == routes_all(g, supply), (n, forced, supply, g.edges())
-                    outcomes[used is not None, forced is None, supply is targets] += 1
+                g = _without_forced(g0, forced)
+                for units in (2, 1):
+                    used = _cover_flow(g.masks, units)
+                    assert (used is not None) == routes_all(g, units), (n, forced, units, g.edges())
+                    outcomes[used is not None, forced is None, units] += 1
                     if used is None:
                         continue
                     fed = [0] * (g.n + 1)
                     for v, u in enumerate(used):
-                        assert u & ~g.masks[v] == 0 and u.bit_count() == supply[v], (v, u)
+                        assert u & ~g.masks[v] == 0, (v, u)
                         for w in range(1, g.n + 1):
                             fed[w] += (u >> w) & 1
-                    assert fed == supply, (fed, supply)
+                    assert [u.bit_count() for u in used] == fed == [0] + [units] * g.n, (fed, units)
     assert min(outcomes.values()) >= 40, outcomes
 
 
@@ -838,7 +883,7 @@ def test_cover_flow_never_refutes_a_two_factor():
         for p in (0.3, 0.5, 0.7):
             for _ in range(125):
                 g = AllowedGraph.from_edges(n, [e for e in all_edges(n) if rng.random() < p])
-                routes = _cover_flow(g.masks, [0] + [2] * n) is not None
+                routes = _cover_flow(g.masks, 2) is not None
                 has = next(enumerate_members(F2, n, allowed=g), None) is not None
                 assert routes == has, g.edges()
                 refuted += not routes
